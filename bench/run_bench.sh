@@ -7,8 +7,10 @@
 # Usage:
 #   bench/run_bench.sh                  # both suites, refresh both baselines
 #   bench/run_bench.sh --check          # correctness gate: seeded check_fuzz
-#                                       # smoke + traced-run smoke before
-#                                       # timing anything
+#                                       # smoke, chaos + alloc suites, the
+#                                       # repository benchmark's determinism
+#                                       # test and the traced-run smoke
+#                                       # before timing anything
 #   bench/run_bench.sh --netsim         # netsim suite only, compared against
 #                                       # the committed BENCH_netsim.json with
 #                                       # a tolerance band; nonzero exit on
@@ -176,6 +178,12 @@ if [ "$CHECK" = 1 ]; then
   # completeness must hold before the placement numbers mean anything.
   echo "== ctest -L alloc (allocation invariants)"
   (cd "$BUILD" && ctest -L alloc --output-on-failure -j4) >&2
+  # Repository benchmark (perfbench/, builds into .bench_build/): one seed
+  # replays bit-identical digests, counts and util_peak, another differs,
+  # every printed metric is declared in BENCHMARK.json and every run passes
+  # its own correctness checks.
+  echo "== perfbench/test_determinism.py (benchmark determinism)"
+  (cd "$ROOT" && python3 perfbench/test_determinism.py --seconds 1) >&2
   # Traced-run smoke: the observability layer must keep producing parseable
   # traces before perf numbers recorded around it are trusted.
   run_trace >&2

@@ -25,6 +25,7 @@ AllocEngine::AllocEngine(const svc::Snapshot& snap, AllocConfig config)
       machine_(snap.machine()),
       strategy_(make_strategy(config_.strategy)),
       index_(machine_),
+      tiles_(machine_),
       blocked_(static_cast<std::size_t>(machine_.node_count()), 0),
       occupant_(static_cast<std::size_t>(machine_.node_count()), -1),
       digest_(kFnvOffset) {
@@ -45,6 +46,21 @@ AllocEngine::AllocEngine(const svc::Snapshot& snap, AllocConfig config)
   publish_view();
 }
 
+std::int64_t AllocView::largest_free_rect() const {
+  std::call_once(largest_once_, [this] {
+    largest_free_rect_ = largest_free_rect_area(
+        tiles_.machine().width(), tiles_.machine().height(),
+        [this](std::int32_t x, std::int32_t y) { return busy_at({x, y}); });
+  });
+  return largest_free_rect_;
+}
+
+double AllocView::fragmentation() const {
+  if (free_cells == 0) return 1.0;
+  return static_cast<double>(largest_free_rect()) /
+         static_cast<double>(free_cells);
+}
+
 void AllocEngine::note(Note code, std::uint64_t id, geom::Rect rect,
                        std::uint64_t extra) {
   const std::uint64_t vals[5] = {static_cast<std::uint64_t>(code), id,
@@ -58,6 +74,11 @@ void AllocEngine::note(Note code, std::uint64_t id, geom::Rect rect,
   }
 }
 
+void AllocEngine::set_busy(mesh::Coord c, bool busy) {
+  index_.set_busy(c, busy);
+  dirty_tiles_ |= tiles_.bit_of(c);
+}
+
 void AllocEngine::place_live(const JobRequest& request, mesh::Coord anchor,
                              std::uint32_t evictions) {
   const geom::Rect rect = rect_at(anchor, request.width, request.height);
@@ -65,7 +86,7 @@ void AllocEngine::place_live(const JobRequest& request, mesh::Coord anchor,
     for (std::int32_t x = rect.lo.x; x <= rect.hi.x; ++x) {
       const mesh::Coord c{x, y};
       occupant_[cell_index(c)] = static_cast<std::int64_t>(request.id);
-      index_.set_busy(c, true);
+      set_busy(c, true);
     }
   }
   occupied_count_ += static_cast<std::size_t>(rect.area());
@@ -79,7 +100,7 @@ void AllocEngine::free_cells_of(const geom::Rect& rect) {
       const mesh::Coord c{x, y};
       const std::size_t i = cell_index(c);
       occupant_[i] = -1;
-      index_.set_busy(c, blocked_[i] != 0);
+      set_busy(c, blocked_[i] != 0);
     }
   }
   occupied_count_ -= static_cast<std::size_t>(rect.area());
@@ -186,12 +207,12 @@ EpochOutcome AllocEngine::observe_epoch(const svc::Snapshot& snap,
       if (occupant_[i] >= 0) {
         evict_ids.push_back(static_cast<std::uint64_t>(occupant_[i]));
       }
-      index_.set_busy(c, true);
+      set_busy(c, true);
     } else {
       --blocked_count_;
       ++out.newly_unblocked;
       // An unblocked cell can have no occupant; it is free now.
-      index_.set_busy(c, false);
+      set_busy(c, false);
     }
   }
   std::sort(evict_ids.begin(), evict_ids.end());
@@ -285,27 +306,30 @@ double AllocEngine::utilization() const {
   return static_cast<double>(occupied_count_) / static_cast<double>(usable);
 }
 
-double AllocEngine::fragmentation() const {
-  const std::size_t free = index_.free_cells();
-  if (free == 0) return 1.0;
-  return static_cast<double>(index_.largest_free_rect_area()) /
-         static_cast<double>(free);
-}
-
 void AllocEngine::publish_view() {
-  auto next = std::make_shared<AllocView>();
+  // Rebuild only the pages of tiles with a busy flip since the last publish
+  // (every page on the first one); the rest are shared with the previous
+  // view. No O(W x H) pass: fragmentation is computed by the reader.
+  const auto busy_of = [this](mesh::Coord c) -> std::uint8_t {
+    return index_.busy(c) ? 1 : 0;
+  };
+  svc::PageStats pages;
+  auto next = std::make_shared<AllocView>(
+      tiles_, view_ ? svc::PagedPlane<std::uint8_t>::next(
+                          view_->busy_, tiles_, dirty_tiles_, busy_of, pages)
+                    : svc::PagedPlane<std::uint8_t>::build(tiles_, busy_of,
+                                                           pages));
+  dirty_tiles_ = 0;
   next->epoch = epoch_;
   next->tick = tick_;
   next->placement_digest = digest_;
   next->live = live_.size();
   next->pending = pending_.size();
   next->free_cells = index_.free_cells();
-  next->largest_free_rect = index_.largest_free_rect_area();
   next->submitted = stats_.submitted;
   next->completed = stats_.completed;
   next->shed = stats_.shed;
   next->utilization = utilization();
-  next->fragmentation = fragmentation();
   std::unique_lock lock(view_mu_);
   view_ = std::move(next);
 }

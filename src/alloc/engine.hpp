@@ -27,6 +27,11 @@
 // backfills: a blocked queue head never starves smaller placeable jobs
 // behind it (scan order is deterministic, so replay identity holds).
 //
+// Every transition ends in one publish of the `AllocView`. Publishing is
+// O(dirty tiles): every busy flip marks its tile, and the view's frozen busy
+// plane rebuilds only those pages, sharing the rest with the previous view.
+// The O(W x H) fragmentation scan is left to the readers that ask for it.
+//
 // Conservation invariant (checked by `alloc::check_engine`):
 //   submitted == live + pending + completed + released + rejected + shed.
 #pragma once
@@ -35,6 +40,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <span>
@@ -43,8 +49,10 @@
 #include "alloc/free_index.hpp"
 #include "alloc/strategy.hpp"
 #include "geometry/rect.hpp"
+#include "grid/tiles.hpp"
 #include "obs/trace.hpp"
 #include "svc/backoff.hpp"
+#include "svc/pages.hpp"
 #include "svc/snapshot.hpp"
 
 namespace ocp::alloc {
@@ -134,20 +142,59 @@ struct EpochOutcome {
   std::size_t shed = 0;
 };
 
-/// Immutable published view for reader threads (RCU slot, copied whole).
-struct AllocView {
+/// Immutable published view for reader threads (RCU slot). Besides the
+/// scalar counters it carries the engine's busy plane (blocked OR occupied)
+/// frozen at publish time, paged copy-on-write along the machine's
+/// `grid::TileGrid`: a view shares every page whose tile no busy flip
+/// touched since its predecessor, so publishing costs O(dirty tiles). The
+/// O(W x H) largest-free-rectangle pass runs only when a reader asks for
+/// `largest_free_rect()` / `fragmentation()`, once per view (memoized under
+/// `std::call_once`, so concurrent readers of one view see one value).
+class AllocView {
+ public:
+  AllocView(const grid::TileGrid& tiles, svc::PagedPlane<std::uint8_t> busy)
+      : tiles_(tiles), busy_(std::move(busy)) {}
+
+  AllocView(const AllocView&) = delete;
+  AllocView& operator=(const AllocView&) = delete;
+
   std::uint64_t epoch = 0;
   std::uint64_t tick = 0;
   std::uint64_t placement_digest = 0;
   std::size_t live = 0;
   std::size_t pending = 0;
   std::size_t free_cells = 0;
-  std::int64_t largest_free_rect = 0;
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
   std::uint64_t shed = 0;
   double utilization = 0.0;
-  double fragmentation = 0.0;
+
+  /// Area of the largest fully free rectangle of the frozen plane.
+  [[nodiscard]] std::int64_t largest_free_rect() const;
+  /// largest-free-rect / free cells; 1.0 when nothing is free (fully
+  /// compact by convention).
+  [[nodiscard]] double fragmentation() const;
+
+  /// Busy (blocked or occupied) at publish time.
+  [[nodiscard]] bool busy_at(mesh::Coord c) const {
+    return busy_.at(tiles_, c) != 0;
+  }
+  [[nodiscard]] const grid::TileGrid& tiles() const noexcept { return tiles_; }
+  /// True when this view and `prev` serve tile `t` of the busy plane from
+  /// the same page (test hook for the sharing structure, like
+  /// `svc::Snapshot::shares_page_with`).
+  [[nodiscard]] bool shares_page_with(const AllocView& prev,
+                                      std::uint32_t t) const noexcept {
+    return busy_.shares_page_with(prev.busy_, t);
+  }
+
+ private:
+  friend class AllocEngine;
+
+  grid::TileGrid tiles_;
+  svc::PagedPlane<std::uint8_t> busy_;
+  mutable std::once_flag largest_once_;
+  mutable std::int64_t largest_free_rect_ = 0;
 };
 
 class AllocEngine {
@@ -204,9 +251,6 @@ class AllocEngine {
   }
   /// Occupied cells / usable (non-blocked) cells; 0 when nothing is usable.
   [[nodiscard]] double utilization() const;
-  /// largest-free-rect / total-free; 1.0 when nothing is free (fully
-  /// compact by convention).
-  [[nodiscard]] double fragmentation() const;
   [[nodiscard]] const mesh::Mesh2D& machine() const noexcept {
     return machine_;
   }
@@ -239,6 +283,8 @@ class AllocEngine {
            static_cast<std::size_t>(c.x);
   }
   void note(Note code, std::uint64_t id, geom::Rect rect, std::uint64_t extra);
+  /// Flips one cell in the index and marks its tile for the next publish.
+  void set_busy(mesh::Coord c, bool busy);
   void place_live(const JobRequest& request, mesh::Coord anchor,
                   std::uint32_t evictions);
   void free_cells_of(const geom::Rect& rect);
@@ -251,6 +297,9 @@ class AllocEngine {
   mesh::Mesh2D machine_;
   std::unique_ptr<PlacementStrategy> strategy_;
   FreeRegionIndex index_;
+  grid::TileGrid tiles_;
+  /// Tiles holding a busy flip since the last publish.
+  std::uint64_t dirty_tiles_ = 0;
   std::vector<std::uint8_t> blocked_;
   std::vector<std::int64_t> occupant_;
   std::size_t blocked_count_ = 0;

@@ -1,7 +1,5 @@
 #include "alloc/free_index.hpp"
 
-#include <algorithm>
-
 namespace ocp::alloc {
 
 FreeRegionIndex::FreeRegionIndex(const mesh::Mesh2D& machine)
@@ -76,37 +74,13 @@ std::int32_t FreeRegionIndex::col_extent_down(mesh::Coord c) const {
 }
 
 std::int64_t FreeRegionIndex::largest_free_rect_area() const {
-  // Largest rectangle under a histogram, one histogram per row: heights[x]
-  // counts consecutive free cells upward ending at the current row.
-  std::vector<std::int32_t> heights(static_cast<std::size_t>(machine_.width()),
-                                    0);
-  std::vector<std::int32_t> stack;
-  stack.reserve(static_cast<std::size_t>(machine_.width()) + 1);
-  std::int64_t best = 0;
-  for (std::int32_t y = 0; y < machine_.height(); ++y) {
-    for (std::int32_t x = 0; x < machine_.width(); ++x) {
-      heights[static_cast<std::size_t>(x)] =
-          busy_[cell_index({x, y})] != 0
-              ? 0
-              : heights[static_cast<std::size_t>(x)] + 1;
-    }
-    stack.clear();
-    for (std::int32_t x = 0; x <= machine_.width(); ++x) {
-      const std::int32_t h =
-          x < machine_.width() ? heights[static_cast<std::size_t>(x)] : 0;
-      while (!stack.empty() &&
-             heights[static_cast<std::size_t>(stack.back())] >= h) {
-        const std::int32_t xs = stack.back();
-        stack.pop_back();
-        const std::int32_t width = stack.empty() ? x : x - stack.back() - 1;
-        best = std::max(
-            best, static_cast<std::int64_t>(width) *
-                      heights[static_cast<std::size_t>(xs)]);
-      }
-      if (x < machine_.width()) stack.push_back(x);
-    }
-  }
-  return best;
+  const auto width = static_cast<std::size_t>(machine_.width());
+  return alloc::largest_free_rect_area(
+      machine_.width(), machine_.height(),
+      [&](std::int32_t x, std::int32_t y) {
+        return busy_[static_cast<std::size_t>(y) * width +
+                     static_cast<std::size_t>(x)] != 0;
+      });
 }
 
 bool FreeRegionIndex::equivalent_to(const FreeRegionIndex& other) const {

@@ -28,6 +28,7 @@
 // DESIGN.md sec. 14).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -36,6 +37,43 @@
 #include "mesh/mesh2d.hpp"
 
 namespace ocp::alloc {
+
+/// Area of the largest fully free rectangle of a width x height plane whose
+/// cells `busy(x, y)` decides: the largest rectangle under a histogram, one
+/// histogram per row (heights[x] counts consecutive free cells upward ending
+/// at the current row), stack-based, O(W x H). The one kernel behind the
+/// index's `largest_free_rect_area` and the published view's lazily computed
+/// fragmentation.
+template <typename Busy>
+[[nodiscard]] std::int64_t largest_free_rect_area(std::int32_t width,
+                                                  std::int32_t height,
+                                                  Busy&& busy) {
+  std::vector<std::int32_t> heights(static_cast<std::size_t>(width), 0);
+  std::vector<std::int32_t> stack;
+  stack.reserve(static_cast<std::size_t>(width) + 1);
+  std::int64_t best = 0;
+  for (std::int32_t y = 0; y < height; ++y) {
+    for (std::int32_t x = 0; x < width; ++x) {
+      std::int32_t& h = heights[static_cast<std::size_t>(x)];
+      h = busy(x, y) ? 0 : h + 1;
+    }
+    stack.clear();
+    for (std::int32_t x = 0; x <= width; ++x) {
+      const std::int32_t h =
+          x < width ? heights[static_cast<std::size_t>(x)] : 0;
+      while (!stack.empty() &&
+             heights[static_cast<std::size_t>(stack.back())] >= h) {
+        const std::int32_t xs = stack.back();
+        stack.pop_back();
+        const std::int32_t span = stack.empty() ? x : x - stack.back() - 1;
+        best = std::max(best, static_cast<std::int64_t>(span) *
+                                  heights[static_cast<std::size_t>(xs)]);
+      }
+      if (x < width) stack.push_back(x);
+    }
+  }
+  return best;
+}
 
 class FreeRegionIndex {
  public:
@@ -112,9 +150,9 @@ class FreeRegionIndex {
   [[nodiscard]] std::int32_t col_extent_down(mesh::Coord c) const;
 
   [[nodiscard]] std::size_t free_cells() const noexcept { return free_cells_; }
-  /// Area of the largest fully free rectangle (stack-based histogram pass,
-  /// O(W x H)); the numerator of the fragmentation metric
-  /// largest-free-rect / total-free.
+  /// Area of the largest fully free rectangle (`alloc::largest_free_rect_area`
+  /// over the busy plane, O(W x H)); the numerator of the fragmentation
+  /// metric largest-free-rect / total-free.
   [[nodiscard]] std::int64_t largest_free_rect_area() const;
 
   /// Cumulative count of run cells rewritten by `set_busy` — the

@@ -198,7 +198,7 @@ AllocLoadResult run_alloc_load(const AllocLoadConfig& config) {
     const double util = alloc->utilization();
     if (util > result.peak_utilization) {
       result.peak_utilization = util;
-      result.fragmentation_at_peak = alloc->fragmentation();
+      result.fragmentation_at_peak = alloc->view()->fragmentation();
     }
   };
 
@@ -262,7 +262,7 @@ AllocLoadResult run_alloc_load(const AllocLoadConfig& config) {
   result.live_final = alloc->live().size();
   result.pending_final = alloc->pending().size();
   result.utilization = alloc->utilization();
-  result.fragmentation = alloc->fragmentation();
+  result.fragmentation = alloc->view()->fragmentation();
   result.oracle_ok = check_engine(*alloc, *final_snapshot).ok();
   const std::uint64_t decisions =
       result.stats.placed + result.stats.replaced + result.stats.rejected;

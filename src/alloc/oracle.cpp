@@ -90,6 +90,11 @@ check::ViolationReport check_engine(const AllocEngine& engine,
            "rebuild at epoch " +
                std::to_string(snap.epoch()));
     }
+    // The published view's frozen busy plane must be the index's busy
+    // plane: a busy flip whose tile was not marked dirty leaves a stale
+    // shared page behind.
+    const auto view = engine.view();
+    std::size_t view_free = 0;
     for (std::int32_t y = 0; y < machine.height(); ++y) {
       for (std::int32_t x = 0; x < machine.width(); ++x) {
         const mesh::Coord c{x, y};
@@ -98,7 +103,20 @@ check::ViolationReport check_engine(const AllocEngine& engine,
           fail(check::kAllocIndex,
                "blocked plane disagrees with the snapshot at " + coord_str(c));
         }
+        if (view->busy_at(c) != engine.index().busy(c)) {
+          fail(check::kAllocIndex,
+               "published view's busy plane disagrees with the index at " +
+                   coord_str(c));
+        }
+        if (!view->busy_at(c)) ++view_free;
       }
+    }
+    if (view->free_cells != engine.index().free_cells() ||
+        view_free != view->free_cells) {
+      fail(check::kAllocIndex,
+           "published view counts " + std::to_string(view->free_cells) +
+               " free cells, its busy plane " + std::to_string(view_free) +
+               ", the index " + std::to_string(engine.index().free_cells()));
     }
   }
 

@@ -10,9 +10,11 @@
 //                                inside the machine;
 //  * check::kAllocIndex        — the incremental `FreeRegionIndex` equals a
 //                                from-scratch rebuild (busy = blocked by
-//                                snapshot OR covered by a live job), and the
+//                                snapshot OR covered by a live job), the
 //                                engine's blocked plane matches the
-//                                snapshot's status plane cell-for-cell;
+//                                snapshot's status plane cell-for-cell, and
+//                                the published view's frozen busy plane and
+//                                free-cell count match the index;
 //  * check::kAllocEviction     — eviction completeness: the engine's
 //                                observed epoch is the snapshot's, and no
 //                                live job survived on a blocked cell (the

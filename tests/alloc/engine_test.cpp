@@ -7,10 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
 #include <memory>
+#include <thread>
+#include <utility>
+#include <vector>
 
+#include "alloc/loadgen.hpp"
 #include "alloc/oracle.hpp"
+#include "fault/generators.hpp"
+#include "stats/rng.hpp"
 #include "svc/ingest.hpp"
+#include "svc/loadgen.hpp"
 
 namespace ocp::alloc {
 namespace {
@@ -230,7 +239,7 @@ TEST(AllocEngineTest, ViewTracksEngineState) {
   EXPECT_EQ(v1->submitted, 1u);
   EXPECT_EQ(v1->placement_digest, rig.engine->placement_digest());
   EXPECT_GT(v1->utilization, 0.0);
-  EXPECT_GT(v1->fragmentation, 0.0);
+  EXPECT_GT(v1->fragmentation(), 0.0);
   // The old handle is unchanged — RCU, not in-place mutation.
   EXPECT_EQ(v0->live, 0u);
 }
@@ -250,6 +259,192 @@ TEST(AllocEngineTest, StrategiesProduceDifferentButValidPackings) {
     static_cast<void>(rig.engine->tick());
     EXPECT_TRUE(rig.oracle_ok()) << to_string(kind);
   }
+}
+
+/// What a from-scratch index over the engine's state at one publish says.
+struct ScanExpectation {
+  std::shared_ptr<const AllocView> view;
+  std::int64_t largest = 0;
+  double fragmentation = 0.0;
+};
+
+ScanExpectation expect_fresh_scan(const AllocEngine& engine) {
+  const FreeRegionIndex scan =
+      FreeRegionIndex::build(engine.machine(), [&](Coord c) {
+        return engine.blocked_at(c) || engine.occupant_at(c).has_value();
+      });
+  const std::int64_t largest = scan.largest_free_rect_area();
+  const double fragmentation =
+      scan.free_cells() == 0 ? 1.0
+                             : static_cast<double>(largest) /
+                                   static_cast<double>(scan.free_cells());
+  return {engine.view(), largest, fragmentation};
+}
+
+/// Seeded submit/release/tick/observe stream; every published view's lazy
+/// values must equal a fresh scan of the engine state at that publish. The
+/// views are read only after the stream ends, so each value is computed
+/// from the view's frozen plane long after the engine moved on.
+void check_lazy_values(mesh::Topology topology, std::uint64_t seed) {
+  const Mesh2D m(20, 20, topology);  // 3 x 3 tiles, clipped edge tiles
+  stats::Rng master(seed);
+  stats::Rng fault_rng(master.fork_seed());
+  const std::uint64_t stream_seed = master.fork_seed();
+  const std::uint64_t job_seed = master.fork_seed();
+  stats::Rng op_rng(master.fork_seed());
+  const grid::CellSet initial = fault::uniform_random(m, 24, fault_rng);
+  const auto stream = svc::generate_event_stream(m, initial, 64, 0.5,
+                                                 stream_seed);
+  const auto jobs = generate_job_stream(m, 64, 7, 2, 12, job_seed);
+
+  std::unique_ptr<AllocEngine> engine;
+  svc::IngestConfig ingest_config;
+  ingest_config.on_publish = [&engine](const svc::Snapshot& snap,
+                                       std::span<const Coord> dirty) {
+    if (engine) engine->observe_epoch(snap, dirty);
+  };
+  svc::IngestEngine ingest(initial, ingest_config);
+  engine = std::make_unique<AllocEngine>(*ingest.snapshot());
+
+  std::vector<ScanExpectation> expected{expect_fresh_scan(*engine)};
+  std::size_t job_pos = 0;
+  std::size_t stream_pos = 0;
+  for (int step = 0; step < 160; ++step) {
+    const std::int64_t roll = op_rng.uniform_int(0, 99);
+    if (roll < 40 && job_pos < jobs.size()) {
+      static_cast<void>(engine->submit(jobs[job_pos++]));
+    } else if (roll < 70 && stream_pos < stream.size()) {
+      const svc::FaultEvent e = stream[stream_pos++];
+      static_cast<void>(ingest.apply(std::span<const svc::FaultEvent>(&e, 1)));
+    } else if (roll < 90) {
+      static_cast<void>(engine->tick());
+    } else if (!engine->live().empty()) {
+      static_cast<void>(engine->release(engine->live().begin()->first));
+    }
+    if (expected.back().view != engine->view()) {
+      expected.push_back(expect_fresh_scan(*engine));
+    }
+  }
+  ASSERT_GT(expected.size(), 100u);
+  for (auto it = expected.rbegin(); it != expected.rend(); ++it) {
+    EXPECT_EQ(it->view->largest_free_rect(), it->largest) << "seed " << seed;
+    EXPECT_EQ(it->view->fragmentation(), it->fragmentation) << "seed " << seed;
+  }
+}
+
+TEST(AllocEngineTest, LazyViewValuesMatchAFreshScanOnMeshAndTorus) {
+  for (const std::uint64_t seed : {11u, 12u}) {
+    check_lazy_values(mesh::Topology::Mesh, seed);
+    check_lazy_values(mesh::Topology::Torus, seed + 100);
+  }
+}
+
+/// Tiles whose busy page `next` rebuilt instead of sharing with `prev`.
+std::vector<std::uint32_t> rebuilt_tiles(const AllocView& next,
+                                         const AllocView& prev) {
+  std::vector<std::uint32_t> rebuilt;
+  for (std::uint32_t t = 0; t < next.tiles().tile_count(); ++t) {
+    if (!next.shares_page_with(prev, t)) rebuilt.push_back(t);
+  }
+  return rebuilt;
+}
+
+TEST(AllocEngineTest, PublishRebuildsOnlyDirtyPages) {
+  const Mesh2D m(64, 64);
+  Rig rig(m);
+  const auto v0 = rig.engine->view();
+  const grid::TileGrid& tiles = v0->tiles();
+  ASSERT_EQ(tiles.tile_count(), 64u);
+
+  ASSERT_EQ(rig.engine->submit(job(1, 1, 1)).outcome, SubmitOutcome::Placed);
+  const auto v1 = rig.engine->view();
+  EXPECT_EQ(rebuilt_tiles(*v1, *v0),
+            std::vector<std::uint32_t>{tiles.tile_of({0, 0})});
+  EXPECT_TRUE(v1->busy_at({0, 0}));
+  EXPECT_FALSE(v0->busy_at({0, 0}));
+  EXPECT_EQ(v1->largest_free_rect(), 64 * 63);
+
+  // A transition that flips no cell shares every page.
+  static_cast<void>(rig.engine->tick());
+  const auto v2 = rig.engine->view();
+  EXPECT_TRUE(rebuilt_tiles(*v2, *v1).empty());
+
+  // A single-dirty-cell epoch rebuilds at most the dirty cell's tile, and
+  // nothing when the cell's busy state did not flip.
+  svc::IngestEngine ingest{grid::CellSet(m)};
+  AllocEngine engine(*ingest.snapshot());
+  const Coord c{37, 21};
+  const svc::FaultEvent fault[] = {{svc::EventKind::Fault, c}};
+  static_cast<void>(ingest.apply(fault));
+  const auto before = engine.view();
+  static_cast<void>(
+      engine.observe_epoch(*ingest.snapshot(), std::span<const Coord>(&c, 1)));
+  const auto after = engine.view();
+  EXPECT_EQ(rebuilt_tiles(*after, *before),
+            std::vector<std::uint32_t>{tiles.tile_of(c)});
+  EXPECT_TRUE(after->busy_at(c));
+  static_cast<void>(
+      engine.observe_epoch(*ingest.snapshot(), std::span<const Coord>(&c, 1)));
+  EXPECT_TRUE(rebuilt_tiles(*engine.view(), *after).empty());
+  EXPECT_TRUE(check_engine(engine, *ingest.snapshot()).ok());
+}
+
+// Readers race the lazy fragmentation of one shared view and of whatever
+// view is current while the writer publishes; under OCP_SANITIZE=thread
+// (ctest -L tsan) this checks the memoization is race-free.
+TEST(AllocEngineTest, ConcurrentReadersSeeOneFragmentationPerView) {
+  Rig rig(Mesh2D(32, 32));
+  for (std::uint64_t id = 1; id <= 6; ++id) {
+    static_cast<void>(rig.engine->submit(job(id, 3, 2)));
+  }
+  const auto shared_view = rig.engine->view();
+  constexpr std::size_t kReaders = 4;
+  constexpr std::size_t kMaxSeen = 2048;
+  using Seen = std::vector<std::pair<std::shared_ptr<const AllocView>, double>>;
+  std::vector<Seen> seen(kReaders);
+  std::vector<double> shared_value(kReaders, -1.0);
+  std::atomic<std::size_t> ready{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      ready.fetch_add(1);
+      while (ready.load() < kReaders) {
+      }
+      shared_value[r] = shared_view->fragmentation();
+      do {
+        auto v = rig.engine->view();
+        const double f = v->fragmentation();
+        if (seen[r].size() < kMaxSeen) seen[r].emplace_back(std::move(v), f);
+      } while (!stop.load());
+    });
+  }
+  for (std::uint64_t id = 100; id < 260; ++id) {
+    const auto i = static_cast<std::int32_t>(id);
+    static_cast<void>(rig.engine->submit(job(id, 1 + i % 5, 1 + i % 3, 4)));
+    if (i % 7 == 0) rig.fault({i % 32, 9});
+    if (i % 11 == 0) rig.repair({(i - 77) % 32, 9});
+    static_cast<void>(rig.engine->tick());
+  }
+  stop.store(true);
+  for (auto& t : readers) t.join();
+
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(shared_value[r], shared_value[0]);
+  }
+  std::map<const AllocView*, double> first;
+  std::size_t views = 0;
+  for (const Seen& s : seen) {
+    for (const auto& [v, f] : s) {
+      const auto [it, inserted] = first.emplace(v.get(), f);
+      if (!inserted) {
+        EXPECT_EQ(f, it->second);
+      }
+      ++views;
+    }
+  }
+  EXPECT_GT(views, 0u);
+  for (const auto& [v, f] : first) EXPECT_EQ(v->fragmentation(), f);
 }
 
 }  // namespace
