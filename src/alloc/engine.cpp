@@ -48,9 +48,20 @@ AllocEngine::AllocEngine(const svc::Snapshot& snap, AllocConfig config)
 
 std::int64_t AllocView::largest_free_rect() const {
   std::call_once(largest_once_, [this] {
+    // Gather each machine row from its tiles' page rows.
+    const mesh::Mesh2D& m = tiles_.machine();
+    std::vector<std::uint8_t> row(static_cast<std::size_t>(m.width()));
     largest_free_rect_ = largest_free_rect_area(
-        tiles_.machine().width(), tiles_.machine().height(),
-        [this](std::int32_t x, std::int32_t y) { return busy_at({x, y}); });
+        m.width(), m.height(), [&](std::int32_t y) {
+          const std::uint32_t t0 = tiles_.tile_of({0, y});
+          std::uint8_t* out = row.data();
+          for (std::int32_t tx = 0; tx < tiles_.tiles_x(); ++tx) {
+            const std::span<const std::uint8_t> part =
+                busy_.row(tiles_, t0 + static_cast<std::uint32_t>(tx), y);
+            out = std::copy(part.begin(), part.end(), out);
+          }
+          return row.data();
+        });
   });
   return largest_free_rect_;
 }
@@ -310,14 +321,16 @@ void AllocEngine::publish_view() {
   // Rebuild only the pages of tiles with a busy flip since the last publish
   // (every page on the first one); the rest are shared with the previous
   // view. No O(W x H) pass: fragmentation is computed by the reader.
-  const auto busy_of = [this](mesh::Coord c) -> std::uint8_t {
-    return index_.busy(c) ? 1 : 0;
+  const auto busy_rows = [this](std::int32_t y, std::int32_t x0,
+                                std::span<std::uint8_t> out) {
+    const std::span<const std::uint8_t> row = index_.busy_row(y);
+    std::copy_n(row.begin() + x0, out.size(), out.begin());
   };
   svc::PageStats pages;
   auto next = std::make_shared<AllocView>(
       tiles_, view_ ? svc::PagedPlane<std::uint8_t>::next(
-                          view_->busy_, tiles_, dirty_tiles_, busy_of, pages)
-                    : svc::PagedPlane<std::uint8_t>::build(tiles_, busy_of,
+                          view_->busy_, tiles_, dirty_tiles_, busy_rows, pages)
+                    : svc::PagedPlane<std::uint8_t>::build(tiles_, busy_rows,
                                                            pages));
   dirty_tiles_ = 0;
   next->epoch = epoch_;

@@ -74,13 +74,9 @@ std::int32_t FreeRegionIndex::col_extent_down(mesh::Coord c) const {
 }
 
 std::int64_t FreeRegionIndex::largest_free_rect_area() const {
-  const auto width = static_cast<std::size_t>(machine_.width());
   return alloc::largest_free_rect_area(
       machine_.width(), machine_.height(),
-      [&](std::int32_t x, std::int32_t y) {
-        return busy_[static_cast<std::size_t>(y) * width +
-                     static_cast<std::size_t>(x)] != 0;
-      });
+      [this](std::int32_t y) { return busy_row(y).data(); });
 }
 
 bool FreeRegionIndex::equivalent_to(const FreeRegionIndex& other) const {

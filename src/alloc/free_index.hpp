@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "geometry/rect.hpp"
@@ -39,23 +40,24 @@
 namespace ocp::alloc {
 
 /// Area of the largest fully free rectangle of a width x height plane whose
-/// cells `busy(x, y)` decides: the largest rectangle under a histogram, one
-/// histogram per row (heights[x] counts consecutive free cells upward ending
-/// at the current row), stack-based, O(W x H). The one kernel behind the
-/// index's `largest_free_rect_area` and the published view's lazily computed
+/// rows `busy_row(y)` hands over: `width` bytes, nonzero where the cell is
+/// busy. The largest rectangle under a histogram, one histogram per row
+/// (heights[x] counts consecutive free cells upward ending at the current
+/// row), stack-based, O(W x H). The one kernel behind the index's
+/// `largest_free_rect_area` and the published view's lazily computed
 /// fragmentation.
-template <typename Busy>
+template <typename BusyRow>
 [[nodiscard]] std::int64_t largest_free_rect_area(std::int32_t width,
                                                   std::int32_t height,
-                                                  Busy&& busy) {
+                                                  BusyRow&& busy_row) {
   std::vector<std::int32_t> heights(static_cast<std::size_t>(width), 0);
   std::vector<std::int32_t> stack;
   stack.reserve(static_cast<std::size_t>(width) + 1);
   std::int64_t best = 0;
   for (std::int32_t y = 0; y < height; ++y) {
-    for (std::int32_t x = 0; x < width; ++x) {
-      std::int32_t& h = heights[static_cast<std::size_t>(x)];
-      h = busy(x, y) ? 0 : h + 1;
+    const std::uint8_t* busy = busy_row(y);
+    for (std::size_t x = 0; x < heights.size(); ++x) {
+      heights[x] = busy[x] != 0 ? 0 : heights[x] + 1;
     }
     stack.clear();
     for (std::int32_t x = 0; x <= width; ++x) {
@@ -107,6 +109,11 @@ class FreeRegionIndex {
 
   [[nodiscard]] bool busy(mesh::Coord c) const {
     return busy_[cell_index(c)] != 0;
+  }
+  /// The busy bytes (0 or 1) of row `y`, `machine().width()` of them.
+  [[nodiscard]] std::span<const std::uint8_t> busy_row(std::int32_t y) const {
+    return {busy_.data() + cell_index({0, y}),
+            static_cast<std::size_t>(machine_.width())};
   }
   /// Left-run value at `c` (exposed for the equivalence check).
   [[nodiscard]] std::int32_t run_at(mesh::Coord c) const {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -51,11 +51,43 @@ bool rule_fires(SafeUnsafeDef def, const grid::NodeGrid<Safety>& safety,
 /// Minimum row-major node index over a component's physical cells — the
 /// extraction-order sort key of `grid::connected_components` (each
 /// component is seeded at exactly this cell).
-std::size_t min_phys_index(const mesh::Mesh2D& m,
-                           const grid::Component& comp) {
+std::uint32_t min_phys_index(const mesh::Mesh2D& m,
+                             const grid::Component& comp) {
   std::size_t best = static_cast<std::size_t>(m.node_count());
   for (mesh::Coord c : comp.cells()) best = std::min(best, m.index(c));
-  return best;
+  return static_cast<std::uint32_t>(best);
+}
+
+/// Collects the distinct non-negative keys of `plane` over `area` in `out`.
+void collect_keys(const grid::NodeGrid<std::int32_t>& plane,
+                  std::span<const mesh::Coord> area,
+                  std::vector<std::int32_t>& out) {
+  out.clear();
+  for (mesh::Coord c : area) {
+    const std::int32_t key = plane[c];
+    if (key >= 0 && std::find(out.begin(), out.end(), key) == out.end()) {
+      out.push_back(key);
+    }
+  }
+}
+
+/// Stores a record and its order entry (keys are unique among live
+/// records).
+template <typename T>
+void store(SlotTable<T>& records, std::vector<OrderEntry>& order, T record,
+           std::uint32_t key) {
+  const std::uint32_t slot = records.insert(std::move(record));
+  order.insert(std::lower_bound(order.begin(), order.end(), key), {key, slot});
+}
+
+/// Removes `key`'s entry from `order` and returns its slot.
+std::uint32_t take_entry(std::vector<OrderEntry>& order, std::int32_t key) {
+  const auto it = std::lower_bound(order.begin(), order.end(),
+                                   static_cast<std::uint32_t>(key));
+  assert(it != order.end() && it->key == static_cast<std::uint32_t>(key));
+  const std::uint32_t slot = it->slot;
+  order.erase(it);
+  return slot;
 }
 
 }  // namespace
@@ -67,7 +99,7 @@ MaintainedLabeling::MaintainedLabeling(grid::CellSet faults,
       safety_(reference_safety(faults_, def)),
       activation_(reference_activation(faults_, safety_)),
       disabled_(faults_.topology()),
-      block_index_(faults_.topology(), -1),
+      block_key_(faults_.topology(), -1),
       region_key_(faults_.topology(), -1),
       visit_scratch_(static_cast<std::size_t>(faults_.topology().node_count()),
                      0),
@@ -203,23 +235,20 @@ void MaintainedLabeling::rebuild_area(std::vector<mesh::Coord> area,
                                       EventDelta& delta) {
   const mesh::Mesh2D& m = faults_.topology();
 
-  // Old blocks absorbed by the event: each one either lies entirely inside
-  // the area (it merged into the new component, or it is the block being
-  // repaired) or is disjoint from it, because blocks are maximal.
-  std::vector<std::int32_t>& removed = removed_scratch_;
-  removed.clear();
-  for (mesh::Coord c : area) {
-    const std::int32_t b = block_index_[c];
-    if (b >= 0 &&
-        std::find(removed.begin(), removed.end(), b) == removed.end()) {
-      removed.push_back(b);
-    }
+  // Retire the blocks and regions the event absorbed. Each old block either
+  // lies entirely inside the area (it merged into the new component, or it
+  // is the block being repaired) or is disjoint from it, because blocks are
+  // maximal; each old region lies inside its block. So the keys found on
+  // the area's cells name exactly the records to retire.
+  std::vector<std::int32_t>& retired = retired_scratch_;
+  collect_keys(block_key_, area, retired);
+  for (const std::int32_t key : retired) {
+    block_records_.erase(take_entry(block_order_, key));
   }
-  std::sort(removed.begin(), removed.end());
-  const auto was_removed = [&removed](std::size_t b) {
-    return std::binary_search(removed.begin(), removed.end(),
-                              static_cast<std::int32_t>(b));
-  };
+  collect_keys(region_key_, area, retired);
+  for (const std::int32_t key : retired) {
+    region_records_.erase(take_entry(region_order_, key));
+  }
 
   // Phase two, locally: Definition 3's activation closure of an unsafe
   // component depends only on the component — its 4-neighborhood is safe
@@ -275,17 +304,20 @@ void MaintainedLabeling::rebuild_area(std::vector<mesh::Coord> area,
 
   // Re-extract blocks and regions inside the area with the same component
   // walker the from-scratch pipeline uses; seeded on a set holding only the
-  // area's cells it produces bit-identical components in min-index order.
-  // The scratch sets are emptied cell by cell below — never O(mesh).
+  // area's cells it produces bit-identical components. The scratch sets are
+  // emptied cell by cell below — never O(mesh).
   grid::CellSet& area_unsafe = area_unsafe_scratch_;
   grid::CellSet& area_disabled = area_disabled_scratch_;
   for (mesh::Coord c : area) {
     if (safety_[c] == Safety::Unsafe) area_unsafe.insert(c);
     if (activation_[c] == Activation::Disabled) area_disabled.insert(c);
+    block_key_[c] = -1;
+    region_key_[c] = -1;
   }
-  std::vector<FaultyBlock> new_blocks;
+  delta.cells_written += 2 * area.size();
   for (auto& comp : grid::connected_components_seeded(
            area_unsafe, grid::Connectivity::Four, area, component_scratch_)) {
+    const std::uint32_t key = min_phys_index(m, comp);
     FaultyBlock block;
     for (mesh::Coord cell : comp.cells()) {
       if (faults_.contains(cell)) {
@@ -293,14 +325,17 @@ void MaintainedLabeling::rebuild_area(std::vector<mesh::Coord> area,
       } else {
         ++block.unsafe_nonfaulty_count;
       }
+      block_key_[cell] = static_cast<std::int32_t>(key);
     }
+    delta.cells_written += comp.cells().size();
     block.component = std::move(comp);
-    new_blocks.push_back(std::move(block));
+    store(block_records_, block_order_, std::move(block), key);
+    ++delta.blocks_rebuilt;
   }
-  std::vector<DisabledRegion> new_regions;
   for (auto& comp : grid::connected_components_seeded(
            area_disabled, grid::Connectivity::Eight, area,
            component_scratch_)) {
+    const std::uint32_t key = min_phys_index(m, comp);
     DisabledRegion region;
     for (mesh::Coord cell : comp.cells()) {
       if (faults_.contains(cell)) {
@@ -308,124 +343,75 @@ void MaintainedLabeling::rebuild_area(std::vector<mesh::Coord> area,
       } else {
         ++region.disabled_nonfaulty_count;
       }
+      region_key_[cell] = static_cast<std::int32_t>(key);
     }
+    delta.cells_written += comp.cells().size();
+    const std::int32_t parent = block_key_[comp.cells().front()];
+    assert(parent >= 0 && "disabled cells live inside a faulty block");
+    region.parent_block = static_cast<std::size_t>(parent);
     region.component = std::move(comp);
-    new_regions.push_back(std::move(region));
+    store(region_records_, region_order_, std::move(region), key);
+    ++delta.regions_rebuilt;
   }
   for (mesh::Coord c : area) {
     area_unsafe.erase(c);
     area_disabled.erase(c);
   }
 
-  // Splice the block list. Surviving entries are identified across the
-  // renumbering by their min-index sort key, which the event cannot have
-  // changed (their cells are untouched).
-  std::vector<std::size_t> removed_parent_keys;
-  removed_parent_keys.reserve(removed.size());
-  for (const std::int32_t b : removed) {
-    removed_parent_keys.push_back(block_mins_[static_cast<std::size_t>(b)]);
-  }
-  std::vector<std::size_t>& surviving_region_parent_keys = parent_keys_scratch_;
-  surviving_region_parent_keys.clear();
-  surviving_region_parent_keys.reserve(regions_.size());
-  for (const DisabledRegion& region : regions_) {
-    surviving_region_parent_keys.push_back(
-        was_removed(region.parent_block)
-            ? static_cast<std::size_t>(-1)
-            : block_mins_[region.parent_block]);
-  }
-  std::size_t first_touched = blocks_.size();
-  for (auto it = removed.rbegin(); it != removed.rend(); ++it) {
-    const auto b = static_cast<std::size_t>(*it);
-    blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(b));
-    block_mins_.erase(block_mins_.begin() + static_cast<std::ptrdiff_t>(b));
-    first_touched = b;
-  }
-  for (mesh::Coord c : area) block_index_[c] = -1;
-  for (FaultyBlock& block : new_blocks) {
-    const std::size_t key = min_phys_index(m, block.component);
-    const auto pos = static_cast<std::size_t>(
-        std::lower_bound(block_mins_.begin(), block_mins_.end(), key) -
-        block_mins_.begin());
-    blocks_.insert(blocks_.begin() + static_cast<std::ptrdiff_t>(pos),
-                   std::move(block));
-    block_mins_.insert(block_mins_.begin() + static_cast<std::ptrdiff_t>(pos),
-                       key);
-    first_touched = std::min(first_touched, pos);
-  }
-  // Renumber: every block at or past the first edit may have shifted.
-  for (std::size_t b = first_touched; b < blocks_.size(); ++b) {
-    for (mesh::Coord cell : blocks_[b].component.cells()) {
-      block_index_[cell] = static_cast<std::int32_t>(b);
-    }
-  }
-
-  // Splice the region list the same way. Regions of removed blocks are
-  // exactly the regions re-derived above (disabled cells never leave their
-  // block, and distinct blocks are never 8-adjacent under Def 2a/2b).
-  for (std::size_t r = regions_.size(); r-- > 0;) {
-    if (surviving_region_parent_keys[r] == static_cast<std::size_t>(-1)) {
-      regions_.erase(regions_.begin() + static_cast<std::ptrdiff_t>(r));
-      region_mins_.erase(region_mins_.begin() +
-                         static_cast<std::ptrdiff_t>(r));
-      surviving_region_parent_keys.erase(
-          surviving_region_parent_keys.begin() +
-          static_cast<std::ptrdiff_t>(r));
-    }
-  }
-  for (std::size_t r = 0; r < regions_.size(); ++r) {
-    const auto it =
-        std::lower_bound(block_mins_.begin(), block_mins_.end(),
-                         surviving_region_parent_keys[r]);
-    assert(it != block_mins_.end() &&
-           *it == surviving_region_parent_keys[r] &&
-           "a surviving region's parent block must survive too");
-    regions_[r].parent_block =
-        static_cast<std::size_t>(it - block_mins_.begin());
-  }
-  for (mesh::Coord c : area) region_key_[c] = -1;
-  for (DisabledRegion& region : new_regions) {
-    const std::size_t key = min_phys_index(m, region.component);
-    const std::int32_t parent = block_index_[region.component.cells().front()];
-    assert(parent >= 0 && "disabled cells live inside a faulty block");
-    region.parent_block = static_cast<std::size_t>(parent);
-    for (mesh::Coord cell : region.component.cells()) {
-      region_key_[cell] = static_cast<std::int32_t>(key);
-    }
-    const auto pos = static_cast<std::size_t>(
-        std::lower_bound(region_mins_.begin(), region_mins_.end(), key) -
-        region_mins_.begin());
-    regions_.insert(regions_.begin() + static_cast<std::ptrdiff_t>(pos),
-                    std::move(region));
-    region_mins_.insert(region_mins_.begin() +
-                        static_cast<std::ptrdiff_t>(pos), key);
-  }
-
+  blocks_view_valid_ = false;
+  regions_view_valid_ = false;
   delta.dirty_cells = std::move(area);
 }
 
 void MaintainedLabeling::refresh_regions() {
   const mesh::Mesh2D& m = faults_.topology();
-  blocks_ = extract_faulty_blocks(faults_, safety_);
-  regions_ = extract_disabled_regions(faults_, activation_, blocks_);
+  std::vector<FaultyBlock> blocks = extract_faulty_blocks(faults_, safety_);
+  std::vector<DisabledRegion> regions =
+      extract_disabled_regions(faults_, activation_, blocks);
   disabled_ = disabled_cells(activation_);
-  block_index_ = grid::NodeGrid<std::int32_t>(m, -1);
-  region_key_ = grid::NodeGrid<std::int32_t>(m, -1);
-  block_mins_.clear();
-  region_mins_.clear();
-  for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    block_mins_.push_back(min_phys_index(m, blocks_[b].component));
-    for (mesh::Coord cell : blocks_[b].component.cells()) {
-      block_index_[cell] = static_cast<std::int32_t>(b);
+  // Extraction order is min-index order, so every store appends.
+  for (FaultyBlock& block : blocks) {
+    const std::uint32_t key = min_phys_index(m, block.component);
+    for (mesh::Coord cell : block.component.cells()) {
+      block_key_[cell] = static_cast<std::int32_t>(key);
     }
+    store(block_records_, block_order_, std::move(block), key);
   }
-  for (std::size_t r = 0; r < regions_.size(); ++r) {
-    const std::size_t key = min_phys_index(m, regions_[r].component);
-    region_mins_.push_back(key);
-    for (mesh::Coord cell : regions_[r].component.cells()) {
+  for (DisabledRegion& region : regions) {
+    const std::uint32_t key = min_phys_index(m, region.component);
+    for (mesh::Coord cell : region.component.cells()) {
       region_key_[cell] = static_cast<std::int32_t>(key);
     }
+    region.parent_block = block_order_[region.parent_block].key;
+    store(region_records_, region_order_, std::move(region), key);
   }
+}
+
+const std::vector<FaultyBlock>& MaintainedLabeling::blocks() const {
+  if (!blocks_view_valid_) {
+    blocks_view_.clear();
+    blocks_view_.reserve(block_order_.size());
+    for (const OrderEntry& e : block_order_) {
+      blocks_view_.push_back(block_records_[e.slot]);
+    }
+    blocks_view_valid_ = true;
+  }
+  return blocks_view_;
+}
+
+const std::vector<DisabledRegion>& MaintainedLabeling::regions() const {
+  if (!regions_view_valid_) {
+    regions_view_.clear();
+    regions_view_.reserve(region_order_.size());
+    for (const OrderEntry& e : region_order_) {
+      regions_view_.push_back(region_records_[e.slot]);
+      regions_view_.back().parent_block = order_rank(
+          block_order_,
+          static_cast<std::uint32_t>(regions_view_.back().parent_block));
+    }
+    regions_view_valid_ = true;
+  }
+  return regions_view_;
 }
 
 }  // namespace ocp::labeling

@@ -13,16 +13,24 @@
 // component (its 4-neighborhood is safe, hence permanently enabled), so
 // phase two is re-derived inside the affected component only — never over
 // the whole machine. The same locality bounds the faulty-block and
-// disabled-region updates: only blocks intersecting the affected area are
-// re-extracted and spliced back into the (min-index-ordered) lists, with
-// indices of untouched entries renumbered in place. Every event therefore
-// costs O(affected component) plus O(existing blocks) bookkeeping, not
-// O(mesh), and reports exactly which cells it may have relabeled so the
-// serving layer (src/svc) can republish copy-on-write snapshots that share
-// every untouched page with their predecessor.
+// disabled-region updates: blocks and regions live in slot maps under stable
+// ids (`SlotTable`), so an event retires the records it absorbs, creates the
+// ones it re-extracts, and writes the per-cell key planes only on its own
+// cells. The from-scratch extraction order survives as two sorted arrays of
+// (min-index key, slot) pairs spliced by memmove — the only work an event
+// does in proportion to the number of blocks. Every event therefore costs
+// O(affected component) plus that memmove, not O(mesh), and reports exactly
+// which cells it may have relabeled so the serving layer (src/svc) can
+// republish copy-on-write snapshots that share every untouched page and
+// record with their predecessor.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "core/pipeline.hpp"
+#include "core/slot_table.hpp"
 #include "grid/connectivity.hpp"
 
 namespace ocp::labeling {
@@ -41,11 +49,43 @@ struct EventDelta {
   /// Cells whose label may have changed (always includes the event node for
   /// a non-no-op event; a superset of the actual flips).
   std::vector<mesh::Coord> dirty_cells;
+  /// Work counters: entries the event wrote in the per-cell block-key and
+  /// region-key planes, and block / region records it built. They depend
+  /// only on the affected area, never on the size of the machine or on the
+  /// number of blocks elsewhere.
+  std::size_t cells_written = 0;
+  std::size_t blocks_rebuilt = 0;
+  std::size_t regions_rebuilt = 0;
 
   [[nodiscard]] bool no_op() const noexcept { return dirty_cells.empty(); }
 };
 
+/// One entry of the from-scratch extraction order: a block's or region's
+/// sort key (the minimum row-major node index of its cells, which identifies
+/// it for as long as it lives) and the slot holding its record.
+struct OrderEntry {
+  std::uint32_t key = 0;
+  std::uint32_t slot = 0;
+
+  friend bool operator<(const OrderEntry& e, std::uint32_t key) noexcept {
+    return e.key < key;
+  }
+};
+
+/// Position of `key` in an order array (the array's size when absent).
+[[nodiscard]] inline std::size_t order_rank(
+    const std::vector<OrderEntry>& order, std::uint32_t key) noexcept {
+  const auto it = std::lower_bound(order.begin(), order.end(), key);
+  return it != order.end() && it->key == key
+             ? static_cast<std::size_t>(it - order.begin())
+             : order.size();
+}
+
 /// A labeled machine that absorbs fault events incrementally.
+///
+/// Not safe for concurrent use: one writer applies events and reads the
+/// state (the serving layer freezes it into immutable snapshots for
+/// readers).
 class MaintainedLabeling {
  public:
   /// Labels the initial fault set.
@@ -87,12 +127,15 @@ class MaintainedLabeling {
   [[nodiscard]] const grid::NodeGrid<Activation>& activation() const noexcept {
     return activation_;
   }
-  [[nodiscard]] const std::vector<FaultyBlock>& blocks() const noexcept {
-    return blocks_;
-  }
-  [[nodiscard]] const std::vector<DisabledRegion>& regions() const noexcept {
-    return regions_;
-  }
+  /// The faulty blocks in from-scratch extraction order (what
+  /// `run_pipeline` returns). A view materialized from the slot map on the
+  /// first call after an event and cached until the next one: O(blocks +
+  /// their cells), meant for the oracle, digests and tests — the serving
+  /// path reads `block_order()` / `block_records()` instead.
+  [[nodiscard]] const std::vector<FaultyBlock>& blocks() const;
+  /// The disabled regions in from-scratch order, `parent_block` indexing
+  /// `blocks()`. Materialized and cached like `blocks()`.
+  [[nodiscard]] const std::vector<DisabledRegion>& regions() const;
   /// The disabled cells of `activation()` (the serving layer's blocked
   /// set), maintained alongside the activation plane so epoch publication
   /// never rescans the machine.
@@ -109,42 +152,69 @@ class MaintainedLabeling {
     return region_key_;
   }
 
+  /// Live blocks / regions sorted by key: entry r is `blocks()[r]` /
+  /// `regions()[r]`.
+  [[nodiscard]] const std::vector<OrderEntry>& block_order() const noexcept {
+    return block_order_;
+  }
+  [[nodiscard]] const std::vector<OrderEntry>& region_order() const noexcept {
+    return region_order_;
+  }
+  /// Block records by slot. Each record is immutable while it lives.
+  [[nodiscard]] const SlotTable<FaultyBlock>& block_records() const noexcept {
+    return block_records_;
+  }
+  /// Region records by slot. A record's `parent_block` holds its parent
+  /// block's key (stable while both live), not an index: `order_rank` over
+  /// `block_order()` turns it into the `regions()` view's index.
+  [[nodiscard]] const SlotTable<DisabledRegion>& region_records()
+      const noexcept {
+    return region_records_;
+  }
+
  private:
+  /// Builds the records, order arrays and key planes from scratch (the
+  /// constructor's step after labeling the initial fault set).
   void refresh_regions();
   /// Re-derives activation, blocks and regions inside `area` (an affected
-  /// unsafe component or a repaired block footprint) and splices the
-  /// results into the maintained lists. Appends `area` to `delta`.
+  /// unsafe component or a repaired block footprint), retires the records
+  /// the area absorbed and stores the re-extracted ones. Appends `area` to
+  /// `delta`.
   void rebuild_area(std::vector<mesh::Coord> area, EventDelta& delta);
 
   SafeUnsafeDef def_;
   grid::CellSet faults_;
   grid::NodeGrid<Safety> safety_;
   grid::NodeGrid<Activation> activation_;
-  std::vector<FaultyBlock> blocks_;
-  std::vector<DisabledRegion> regions_;
   grid::CellSet disabled_;
-  /// Current index into `blocks_` per unsafe cell, -1 elsewhere.
-  grid::NodeGrid<std::int32_t> block_index_;
+  /// Key of the block containing each unsafe cell, -1 elsewhere.
+  grid::NodeGrid<std::int32_t> block_key_;
   /// Stable region key per disabled cell (see `region_keys()`).
   grid::NodeGrid<std::int32_t> region_key_;
-  /// Minimum row-major node index per entry, parallel to `blocks_` /
-  /// `regions_` — the sort key of the extraction order.
-  std::vector<std::size_t> block_mins_;
-  std::vector<std::size_t> region_mins_;
+  SlotTable<FaultyBlock> block_records_;
+  SlotTable<DisabledRegion> region_records_;
+  std::vector<OrderEntry> block_order_;
+  std::vector<OrderEntry> region_order_;
+
+  // The `blocks()` / `regions()` views, valid until the next event.
+  mutable std::vector<FaultyBlock> blocks_view_;
+  mutable std::vector<DisabledRegion> regions_view_;
+  mutable bool blocks_view_valid_ = false;
+  mutable bool regions_view_valid_ = false;
 
   // Per-event scratch, kept across events so the hot path allocates only
-  // what it returns (the dirty-cell vector). `visit_scratch_` is a visited
-  // plane restored to all-zeros after each BFS; the scratch CellSets hold an
-  // area's unsafe/disabled cells during re-extraction and are emptied again
-  // cell by cell (never an O(mesh) clear).
+  // what it returns (the dirty-cell vector) and the records it builds.
+  // `visit_scratch_` is a visited plane restored to all-zeros after each
+  // BFS; the scratch CellSets hold an area's unsafe/disabled cells during
+  // re-extraction and are emptied again cell by cell (never an O(mesh)
+  // clear).
   std::vector<std::uint8_t> visit_scratch_;
   std::vector<mesh::Coord> worklist_scratch_;
   grid::CellSet area_unsafe_scratch_;
   grid::CellSet area_disabled_scratch_;
   grid::ComponentScratch component_scratch_;
   std::vector<Activation> old_act_scratch_;
-  std::vector<std::int32_t> removed_scratch_;
-  std::vector<std::size_t> parent_keys_scratch_;
+  std::vector<std::int32_t> retired_scratch_;
 };
 
 }  // namespace ocp::labeling

@@ -1,21 +1,6 @@
 #include "routing/router.hpp"
 
-#include <unordered_set>
-
-#include "routing/turns.hpp"
-
 namespace ocp::routing {
-
-namespace {
-
-/// Dense encoding of a (cell, heading) detour state for cycle detection.
-std::uint64_t detour_state(const mesh::Mesh2D& m, mesh::Coord c,
-                           mesh::Dir heading) {
-  return (static_cast<std::uint64_t>(m.index(c)) << 2) |
-         static_cast<std::uint64_t>(heading);
-}
-
-}  // namespace
 
 const char* to_string(RouteStatus s) noexcept {
   switch (s) {
@@ -83,97 +68,6 @@ Route XYRouter::route(mesh::Coord src, mesh::Coord dst) const {
   return r;
 }
 
-Route FaultRingRouter::route(mesh::Coord src, mesh::Coord dst) const {
-  Route r;
-  if (!mesh_.contains(src) || !mesh_.contains(dst) ||
-      blocked_->contains(src) || blocked_->contains(dst)) {
-    return r;  // Invalid
-  }
-  r.path.push_back(src);
-  mesh::Coord cur = src;
-
-  bool detouring = false;
-  std::int32_t hit_distance = 0;
-  mesh::Dir heading = mesh::Dir::East;
-  std::unordered_set<std::uint64_t> detour_seen;
-
-  // Global budget: every detour exits strictly closer to the destination
-  // than it began, so the walk cannot exceed a few boundary lengths; the
-  // cap only trips on genuine livelock.
-  const auto budget = static_cast<std::int64_t>(mesh_.node_count()) * 8;
-
-  // Topology-aware passable step (wraps on a torus).
-  const auto step_to = [&](mesh::Coord from,
-                           mesh::Dir d) -> std::optional<mesh::Coord> {
-    const auto next = mesh_.neighbor(from, d);
-    if (!next || blocked_->contains(*next)) return std::nullopt;
-    return next;
-  };
-
-  for (std::int64_t steps = 0; cur != dst; ++steps) {
-    if (steps > budget) {
-      r.status = RouteStatus::Livelock;
-      return r;
-    }
-    if (!detouring) {
-      const auto dir = ecube_direction(mesh_, cur, dst);
-      if (const auto next = step_to(cur, *dir)) {
-        r.path.push_back(*next);
-        r.phase.push_back(0);
-        cur = *next;
-        continue;
-      }
-      // Hit: start wall-following with the blocked region on `hand_` side.
-      detouring = true;
-      hit_distance = mesh_.distance(cur, dst);
-      heading = hand_ == Hand::Right ? left_of(*dir) : right_of(*dir);
-      detour_seen.clear();
-      detour_seen.insert(detour_state(mesh_, cur, heading));
-    }
-
-    // Exit test: strictly closer than the hit point and able to resume
-    // dimension-order progress.
-    if (mesh_.distance(cur, dst) < hit_distance) {
-      const auto dir = ecube_direction(mesh_, cur, dst);
-      if (dir && step_to(cur, *dir)) {
-        detouring = false;
-        continue;
-      }
-    }
-
-    // One wall-following step: prefer turning into the wall, then straight,
-    // then away, then back.
-    const mesh::Dir into_wall =
-        hand_ == Hand::Right ? right_of(heading) : left_of(heading);
-    const mesh::Dir away =
-        hand_ == Hand::Right ? left_of(heading) : right_of(heading);
-    const std::array<mesh::Dir, 4> preference = {into_wall, heading, away,
-                                                 mesh::opposite(heading)};
-    bool moved = false;
-    for (mesh::Dir d : preference) {
-      const auto next = step_to(cur, d);
-      if (!next) continue;
-      cur = *next;
-      heading = d;
-      r.path.push_back(cur);
-      r.phase.push_back(1);
-      moved = true;
-      break;
-    }
-    if (!moved) {
-      // Completely walled in (single-cell pocket).
-      r.status = RouteStatus::Livelock;
-      return r;
-    }
-    if (!detour_seen.insert(detour_state(mesh_, cur, heading)).second) {
-      // Same cell with the same heading twice within one detour: the wall
-      // walk is cycling without ever reaching an exit point.
-      r.status = RouteStatus::Livelock;
-      return r;
-    }
-  }
-  r.status = RouteStatus::Delivered;
-  return r;
-}
+template class BasicFaultRingRouter<grid::CellSet>;
 
 }  // namespace ocp::routing

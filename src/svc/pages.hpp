@@ -9,11 +9,17 @@
 // jointly by every epoch that serves them. Planes are immutable after
 // construction; sharing needs no synchronization beyond the shared_ptr
 // refcounts.
+//
+// Pages are built and read a row at a time: a builder fills one tile row
+// per call from whatever flat source it has (a labeling plane, a busy
+// plane), and `row()` hands a scan a contiguous span instead of a tile
+// lookup and page dereference per cell.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -33,30 +39,32 @@ class PagedPlane {
  public:
   PagedPlane() = default;
 
-  /// Fresh plane: every page materialized from `value_of(coord)`.
+  /// Fresh plane: every page filled row by row. `fill_row(y, x0, out)`
+  /// writes the values of cells (x0, y) .. (x0 + out.size() - 1, y) into
+  /// `out`, one call per row of each tile.
   template <typename Fn>
-  static PagedPlane build(const grid::TileGrid& tiles, Fn&& value_of,
+  static PagedPlane build(const grid::TileGrid& tiles, Fn&& fill_row,
                           PageStats& stats) {
     PagedPlane plane;
     plane.pages_.reserve(tiles.tile_count());
     for (std::uint32_t t = 0; t < tiles.tile_count(); ++t) {
-      plane.pages_.push_back(make_page(tiles, t, value_of));
+      plane.pages_.push_back(make_page(tiles, t, fill_row));
       ++stats.copied;
     }
     return plane;
   }
 
   /// Successor plane: pages of tiles outside `dirty_tiles` are shared with
-  /// `prev` (a refcount bump); dirty tiles are rebuilt from `value_of`.
+  /// `prev` (a refcount bump); dirty tiles are rebuilt through `fill_row`.
   template <typename Fn>
   static PagedPlane next(const PagedPlane& prev, const grid::TileGrid& tiles,
-                         std::uint64_t dirty_tiles, Fn&& value_of,
+                         std::uint64_t dirty_tiles, Fn&& fill_row,
                          PageStats& stats) {
     PagedPlane plane;
     plane.pages_.reserve(tiles.tile_count());
     for (std::uint32_t t = 0; t < tiles.tile_count(); ++t) {
       if ((dirty_tiles >> t) & 1u) {
-        plane.pages_.push_back(make_page(tiles, t, value_of));
+        plane.pages_.push_back(make_page(tiles, t, fill_row));
         ++stats.copied;
       } else {
         plane.pages_.push_back(prev.pages_[t]);
@@ -70,6 +78,16 @@ class PagedPlane {
   /// grid congruent to `tiles` and `tiles.machine().contains(c)`.
   [[nodiscard]] T at(const grid::TileGrid& tiles, mesh::Coord c) const {
     return (*pages_[tiles.tile_of(c)])[tiles.offset_in_tile(c)];
+  }
+
+  /// The values of row `y` inside tile `t`: cells (bounds(t).x0, y) ..
+  /// (bounds(t).x1 - 1, y). Precondition: bounds(t).y0 <= y < bounds(t).y1.
+  [[nodiscard]] std::span<const T> row(const grid::TileGrid& tiles,
+                                       std::uint32_t t,
+                                       std::int32_t y) const {
+    const grid::TileGrid::TileRect b = tiles.bounds(t);
+    const auto first = static_cast<std::size_t>(y - b.y0) << tiles.shift();
+    return {pages_[t]->data() + first, static_cast<std::size_t>(b.x1 - b.x0)};
   }
 
   [[nodiscard]] std::size_t page_count() const noexcept {
@@ -89,14 +107,13 @@ class PagedPlane {
   template <typename Fn>
   static std::shared_ptr<const Page> make_page(const grid::TileGrid& tiles,
                                                std::uint32_t t,
-                                               Fn&& value_of) {
+                                               Fn&& fill_row) {
     auto page = std::make_shared<Page>(tiles.page_cells());
     const grid::TileGrid::TileRect b = tiles.bounds(t);
+    const auto width = static_cast<std::size_t>(b.x1 - b.x0);
     for (std::int32_t y = b.y0; y < b.y1; ++y) {
-      for (std::int32_t x = b.x0; x < b.x1; ++x) {
-        const mesh::Coord c{x, y};
-        (*page)[tiles.offset_in_tile(c)] = value_of(c);
-      }
+      const auto first = static_cast<std::size_t>(y - b.y0) << tiles.shift();
+      fill_row(y, b.x0, std::span<T>(page->data() + first, width));
     }
     return page;
   }

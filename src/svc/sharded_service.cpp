@@ -262,15 +262,13 @@ RegionAnswer ShardedService::query_region(mesh::Coord node) const {
             .epoch = acquire(0).epoch()};
   }
   const Snapshot& snap = acquire(grid_.shard_of(node));
-  RegionAnswer answer{.status = QueryStatus::Ok,
-                      .epoch = snap.epoch(),
-                      .region_id = snap.region_id_of(node)};
-  if (const labeling::DisabledRegion* region = snap.region_of(node)) {
-    answer.region_size = region->size();
-    answer.fault_count = region->fault_count;
-    answer.parent_block = region->parent_block;
-  }
-  return answer;
+  const RegionSummary region = snap.region_summary(node);
+  return {.status = QueryStatus::Ok,
+          .epoch = snap.epoch(),
+          .region_id = region.id,
+          .region_size = region.size,
+          .fault_count = region.fault_count,
+          .parent_block = region.parent_block};
 }
 
 routing::Route ShardedService::stitch_route(mesh::Coord src, mesh::Coord dst,

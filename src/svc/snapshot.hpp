@@ -1,35 +1,47 @@
 // The immutable serving artifact of the query runtime (src/svc).
 //
-// A `Snapshot` freezes one epoch of the labeled machine — fault set, both
-// labelings, faulty blocks, disabled regions — together with the derived
-// structures queries need at serving speed: a paged per-node status plane
-// (O(1) "what is this node", doubling as the blocked set: a node is blocked
-// iff its status is not Enabled), a paged per-node region-key plane plus a
-// dense key->id table (O(1) "which disabled region am I in"), a
-// `FaultRingRouter` over the blocked set, and a per-epoch
-// `routing::RouteCache` that memoizes routes lazily.
+// A `Snapshot` freezes one epoch of the labeled machine. What it holds is
+// what queries need at serving speed:
+//  * a paged per-node status plane — O(1) "what is this node", doubling as
+//    the blocked set a `FaultRingRouter` reads (a node is blocked iff its
+//    status is not Enabled);
+//  * a paged per-node region-key plane plus copies of the maintained
+//    labeling's sorted (key, slot) order arrays — "which disabled region am
+//    I in" is a page read and an O(log R) rank lookup, and so is the
+//    region's parent block;
+//  * frozen copy-on-write tables of the block and region records, shared
+//    with the labeling and with every other epoch that serves them;
+//  * a per-epoch `routing::RouteCache` that memoizes routes lazily.
 //
-// Epoch turnover is copy-on-write: `next()` builds a successor snapshot
-// that shares every serving page whose tile the delta did not touch (see
-// pages.hpp) and carries the predecessor's route cache, dropping only the
-// entries whose footprint intersects the dirty tiles. The region-key
-// indirection exists precisely for this: a region's key (the minimum
-// row-major node index of its cells) is stable across events that renumber
-// the `regions()` vector without touching the region itself, so pages of
-// untouched regions stay shareable; only the small dense key->id table is
-// rebuilt per epoch.
+// Epoch turnover is copy-on-write and never O(mesh): `next()` shares every
+// serving page whose tile the delta did not touch (see pages.hpp),
+// rebuilds the dirty pages row by row from the labeling's flat planes,
+// memcpys the two order arrays (8 bytes per block or region) and carries
+// the predecessor's route cache, dropping only the entries whose footprint
+// intersects the dirty tiles. A region's key
+// (the minimum row-major node index of its cells) is stable across events
+// that renumber the `regions()` view without touching the region itself,
+// which is what keeps pages of untouched regions shareable.
+//
+// The whole-machine views — `faults()`, `safety()`, `activation()`,
+// `blocked()`, `blocks()` and `regions()` — are derived from the status
+// pages and the record tables on first use and memoized under
+// `std::call_once`, so concurrent first callers see one value. Only the
+// oracle, digests, tests and crash recovery read them.
 //
 // Snapshots are published by the single-writer ingest loop through an
 // RCU-style `shared_ptr` swap (see ingest.hpp): readers acquire a snapshot,
 // answer any number of queries against perfectly consistent state, and drop
 // it; old epochs die when their last reader releases them. Nothing in a
-// snapshot mutates after publication except the route cache's internal
-// memo table, which is thread-safe and invisible to results (routing is
-// deterministic).
+// snapshot changes after publication except the route cache's internal
+// memo table and the memoized views, both thread-safe and invisible to
+// results (routing is deterministic).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "check/oracle.hpp"
@@ -59,10 +71,22 @@ enum class NodeStatus : std::uint8_t {
   return "?";
 }
 
+/// The disabled region containing a node, summarized without
+/// materializing `Snapshot::regions()`.
+struct RegionSummary {
+  /// Index into `regions()`, -1 when the node is enabled.
+  std::int32_t id = -1;
+  std::size_t size = 0;
+  std::size_t fault_count = 0;
+  /// Index into `blocks()` of the region's parent faulty block.
+  std::size_t parent_block = 0;
+};
+
 class Snapshot {
  public:
   /// Freezes the current state of a maintained labeling as epoch `epoch`.
   /// Every serving page is built fresh and the route cache starts cold.
+  /// Must run on the labeling's writer thread.
   [[nodiscard]] static std::shared_ptr<const Snapshot> build(
       std::uint64_t epoch, const labeling::MaintainedLabeling& labeling,
       routing::Hand hand = routing::Hand::Right);
@@ -75,15 +99,16 @@ class Snapshot {
   /// Precondition: the labels outside the dirty tiles are identical between
   /// `prev` and `labeling` — exactly what the maintained labeling's
   /// `EventDelta::dirty_cells` guarantees for the accumulated deltas since
-  /// `prev` was built.
+  /// `prev` was built. Must run on the labeling's writer thread.
   [[nodiscard]] static std::shared_ptr<const Snapshot> next(
       const Snapshot& prev, std::uint64_t epoch,
       const labeling::MaintainedLabeling& labeling,
       std::uint64_t dirty_tiles, std::uint64_t padded_dirty_tiles);
 
-  /// Raw-component constructor; prefer `build`. Public so tests can
-  /// assemble deliberately inconsistent snapshots and exercise `validate`'s
-  /// rejection path.
+  /// Raw-component constructor; prefer `build`. Serves a from-scratch
+  /// pipeline result without a maintained labeling, and lets tests
+  /// assemble deliberately inconsistent snapshots to exercise `validate`'s
+  /// rejection path. The given planes and lists are kept as they are.
   Snapshot(std::uint64_t epoch, grid::CellSet faults,
            grid::NodeGrid<labeling::Safety> safety,
            grid::NodeGrid<labeling::Activation> activation,
@@ -95,33 +120,24 @@ class Snapshot {
 
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
   [[nodiscard]] const mesh::Mesh2D& machine() const noexcept {
-    return faults_.topology();
+    return tiles_.machine();
   }
-  [[nodiscard]] const grid::CellSet& faults() const noexcept {
-    return faults_;
-  }
+
+  // Whole-machine views, materialized on first call (O(mesh) or O(blocks
+  // + cells) once per snapshot) and memoized; safe to call concurrently.
+  [[nodiscard]] const grid::CellSet& faults() const;
   /// Union of the disabled regions (faulty and sacrificed nodes): what
   /// routing treats as impassable. Always equals the set of nodes whose
   /// `status_of` is not Enabled.
-  [[nodiscard]] const grid::CellSet& blocked() const noexcept {
-    return blocked_;
-  }
-  [[nodiscard]] const grid::NodeGrid<labeling::Safety>& safety()
-      const noexcept {
-    return safety_;
-  }
+  [[nodiscard]] const grid::CellSet& blocked() const;
+  [[nodiscard]] const grid::NodeGrid<labeling::Safety>& safety() const;
   [[nodiscard]] const grid::NodeGrid<labeling::Activation>& activation()
-      const noexcept {
-    return activation_;
-  }
-  [[nodiscard]] const std::vector<labeling::FaultyBlock>& blocks()
-      const noexcept {
-    return blocks_;
-  }
-  [[nodiscard]] const std::vector<labeling::DisabledRegion>& regions()
-      const noexcept {
-    return regions_;
-  }
+      const;
+  /// Faulty blocks in from-scratch extraction order.
+  [[nodiscard]] const std::vector<labeling::FaultyBlock>& blocks() const;
+  /// Disabled regions in from-scratch order, `parent_block` indexing
+  /// `blocks()`.
+  [[nodiscard]] const std::vector<labeling::DisabledRegion>& regions() const;
 
   /// O(1) from the paged status plane. Precondition: machine().contains(c).
   [[nodiscard]] NodeStatus status_of(mesh::Coord c) const noexcept {
@@ -129,19 +145,19 @@ class Snapshot {
   }
 
   /// Index into `regions()` of the disabled region containing `c`, or -1
-  /// when `c` is enabled. O(1): paged region key, then the per-epoch dense
-  /// key->id table.
-  [[nodiscard]] std::int32_t region_id_of(mesh::Coord c) const noexcept {
-    const std::int32_t key = region_key_pages_.at(tiles_, c);
-    return key < 0 ? -1 : key_to_region_[static_cast<std::size_t>(key)];
-  }
+  /// when `c` is enabled. The paged region key, then an O(log R) rank
+  /// lookup in the order array; never materializes `regions()`.
+  [[nodiscard]] std::int32_t region_id_of(mesh::Coord c) const noexcept;
 
-  /// The disabled region containing `c`, or nullptr when `c` is enabled.
+  /// The disabled region containing `c`, or nullptr when `c` is enabled:
+  /// `&regions()[region_id_of(c)]`, so the first call materializes
+  /// `regions()`. Serving paths use `region_summary`.
   [[nodiscard]] const labeling::DisabledRegion* region_of(
-      mesh::Coord c) const noexcept {
-    const std::int32_t id = region_id_of(c);
-    return id < 0 ? nullptr : &regions_[static_cast<std::size_t>(id)];
-  }
+      mesh::Coord c) const;
+
+  /// Id, size, fault count and parent block of the region containing `c`
+  /// (id -1 when `c` is enabled). O(log R + log B), no materialization.
+  [[nodiscard]] RegionSummary region_summary(mesh::Coord c) const noexcept;
 
   /// Route over enabled nodes, memoized in this epoch's cache. The
   /// reference is stable for the snapshot's lifetime (per-epoch caches are
@@ -200,37 +216,69 @@ class Snapshot {
 
   /// FNV-1a digest over the fault/safety/activation planes and the region
   /// structure — the replay-identity fingerprint (epoch-independent).
-  [[nodiscard]] std::uint64_t label_digest() const noexcept;
+  [[nodiscard]] std::uint64_t label_digest() const;
 
  private:
+  /// The router's view of the blocked set: the status pages.
+  struct BlockedByStatus {
+    const Snapshot* snap;
+    [[nodiscard]] bool contains(mesh::Coord c) const noexcept {
+      return snap->machine().contains(c) &&
+             snap->status_of(c) != NodeStatus::Enabled;
+    }
+  };
+
   /// Shared implementation of `build` (prev == nullptr: all tiles dirty)
   /// and `next`.
   Snapshot(std::uint64_t epoch, const labeling::MaintainedLabeling& labeling,
            const Snapshot* prev, std::uint64_t dirty_tiles,
            std::uint64_t padded_dirty_tiles, routing::Hand hand);
-  /// Builds the dense region key->id table from `regions_`.
-  void index_regions();
+  /// Position in the region order of the region containing `c`, or
+  /// `region_order_.size()` when `c` is enabled.
+  [[nodiscard]] std::size_t region_rank(mesh::Coord c) const noexcept;
+  /// Index into `regions()` of the region at order position `rank`.
+  [[nodiscard]] std::int32_t region_id(std::size_t rank) const noexcept;
+  /// The region at order position `rank` and its parent's index into
+  /// `blocks()`.
+  [[nodiscard]] const labeling::DisabledRegion& region_at(
+      std::size_t rank) const noexcept;
+  [[nodiscard]] std::size_t parent_index(
+      const labeling::DisabledRegion& region) const noexcept;
+  /// Calls `fn(node_index, status)` for every node, row by row per tile.
+  template <typename Fn>
+  void for_each_status(Fn&& fn) const;
 
   std::uint64_t epoch_;
-  grid::CellSet faults_;
-  grid::NodeGrid<labeling::Safety> safety_;
-  grid::NodeGrid<labeling::Activation> activation_;
-  std::vector<labeling::FaultyBlock> blocks_;
-  std::vector<labeling::DisabledRegion> regions_;
-  grid::CellSet blocked_;
   grid::TileGrid tiles_;
   routing::Hand hand_;
-  routing::FaultRingRouter router_;  // reads blocked_; declared after it
-  mutable routing::RouteCache cache_;
   PagedPlane<NodeStatus> status_pages_;
   PagedPlane<std::int32_t> region_key_pages_;
-  /// region key (min node index) -> index into regions_, -1 elsewhere;
-  /// rebuilt per epoch (O(node_count) ints, the only dense per-epoch work).
-  std::vector<std::int32_t> key_to_region_;
+  /// Live blocks / regions sorted by key. For a snapshot of a maintained
+  /// labeling, `slot` indexes the record tables below; for the raw
+  /// constructor it indexes the given lists (`records_ == false`).
+  std::vector<labeling::OrderEntry> block_order_;
+  std::vector<labeling::OrderEntry> region_order_;
+  bool records_ = false;
+  labeling::SlotTable<labeling::FaultyBlock>::Frozen block_records_;
+  labeling::SlotTable<labeling::DisabledRegion>::Frozen region_records_;
+  BlockedByStatus blocked_by_status_{this};
+  routing::BasicFaultRingRouter<BlockedByStatus> router_;
+  mutable routing::RouteCache cache_;
   std::uint64_t dirty_tiles_ = ~std::uint64_t{0};
   std::vector<std::uint64_t> tile_generations_;
   PageStats page_stats_;
   routing::RouteCache::AdoptStats cache_carry_stats_;
+
+  // The whole-machine views: given to the raw constructor, otherwise
+  // materialized on first use.
+  mutable std::once_flag faults_once_, blocked_once_, safety_once_,
+      activation_once_, blocks_once_, regions_once_;
+  mutable std::optional<grid::CellSet> faults_;
+  mutable std::optional<grid::CellSet> blocked_;
+  mutable std::optional<grid::NodeGrid<labeling::Safety>> safety_;
+  mutable std::optional<grid::NodeGrid<labeling::Activation>> activation_;
+  mutable std::optional<std::vector<labeling::FaultyBlock>> blocks_;
+  mutable std::optional<std::vector<labeling::DisabledRegion>> regions_;
 };
 
 }  // namespace ocp::svc

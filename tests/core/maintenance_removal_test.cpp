@@ -30,12 +30,20 @@ void expect_equivalent(const MaintainedLabeling& live,
         << context;
     ASSERT_EQ(live.regions()[r].parent_block, batch.regions[r].parent_block)
         << context;
+    ASSERT_EQ(live.regions()[r].disabled_nonfaulty_count,
+              batch.regions[r].disabled_nonfaulty_count)
+        << context;
     ASSERT_EQ(live.regions()[r].region(), batch.regions[r].region())
         << context;
   }
   for (std::size_t b = 0; b < batch.blocks.size(); ++b) {
     ASSERT_EQ(live.blocks()[b].size(), batch.blocks[b].size()) << context;
     ASSERT_EQ(live.blocks()[b].region(), batch.blocks[b].region()) << context;
+    ASSERT_EQ(live.blocks()[b].fault_count, batch.blocks[b].fault_count)
+        << context;
+    ASSERT_EQ(live.blocks()[b].unsafe_nonfaulty_count,
+              batch.blocks[b].unsafe_nonfaulty_count)
+        << context;
   }
   // Maintained planes the serving layer reads directly.
   ASSERT_EQ(live.disabled(), disabled_cells(batch.activation)) << context;
@@ -118,14 +126,23 @@ TEST(MaintenanceRemovalTest, RepairCanReenableSacrificedNodes) {
 }
 
 TEST(MaintenanceRemovalTest, FuzzedInterleavingsMatchPipelineBitForBit) {
-  for (const auto topology : {mesh::Topology::Mesh, mesh::Topology::Torus}) {
-    const Mesh2D m(16, 16, topology);
-    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+  struct Machine {
+    std::int32_t w, h;
+    mesh::Topology topology;
+  };
+  for (const Machine& machine : {Machine{16, 16, mesh::Topology::Mesh},
+                                 Machine{19, 13, mesh::Topology::Mesh},
+                                 Machine{16, 16, mesh::Topology::Torus},
+                                 Machine{19, 13, mesh::Topology::Torus}}) {
+    const Mesh2D m(machine.w, machine.h, machine.topology);
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
       const SafeUnsafeDef def =
           seed % 2 == 0 ? SafeUnsafeDef::Def2b : SafeUnsafeDef::Def2a;
       stats::Rng rng(seed + 100);
-      MaintainedLabeling live(grid::CellSet(m), def);
-      grid::CellSet accumulated(m);
+      // Background fault density of the starting machine: 0-30%.
+      grid::CellSet accumulated =
+          fault::bernoulli(m, 0.1 * static_cast<double>(seed / 2), rng);
+      MaintainedLabeling live(accumulated, def);
       for (int event = 0; event < 40; ++event) {
         // Bias toward adds so the machine carries a meaningful fault load;
         // removals pick a random currently-faulty node.
@@ -144,7 +161,8 @@ TEST(MaintenanceRemovalTest, FuzzedInterleavingsMatchPipelineBitForBit) {
         }
         ASSERT_EQ(live.faults(), accumulated);
         const std::string context =
-            "topology " + std::to_string(static_cast<int>(topology)) +
+            std::to_string(machine.w) + "x" + std::to_string(machine.h) +
+            " topology " + std::to_string(static_cast<int>(machine.topology)) +
             " seed " + std::to_string(seed) + " event " +
             std::to_string(event);
         expect_equivalent(live, accumulated, def, context.c_str());

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 
+#include "fault/generators.hpp"
 #include "obs/trace.hpp"
 #include "svc/ingest.hpp"
 #include "svc/snapshot.hpp"
@@ -175,6 +177,89 @@ TEST(SnapshotPagesTest, OracleWithheldEpochsAccumulateDirtyTiles) {
       *base, static_cast<std::uint32_t>(tiles.tile_of({4, 4}))));
   EXPECT_FALSE(next->shares_pages_with(
       *base, static_cast<std::uint32_t>(tiles.tile_of({27, 27}))));
+}
+
+TEST(SnapshotPagesTest, SingleCellDeltaSharesThreeQuartersOfPagesAt1024) {
+  // The benchmark's machine: 1024x1024 with 0.5% background faults, 64
+  // tiles of 128x128. A fault far from every block dirties one tile.
+  const Mesh2D m(1024, 1024);
+  stats::Rng rng(1024);
+  grid::CellSet faults = fault::uniform_random(m, 5243, rng);
+  const Coord probe{300, 700};
+  for (std::int32_t y = probe.y - 4; y <= probe.y + 4; ++y) {
+    for (std::int32_t x = probe.x - 4; x <= probe.x + 4; ++x) {
+      faults.erase({x, y});
+    }
+  }
+  labeling::MaintainedLabeling live(std::move(faults));
+  const auto base = Snapshot::build(0, live);
+  const grid::TileGrid tiles(m);
+  ASSERT_EQ(tiles.tile_count(), 64u);
+
+  std::uint64_t dirty = 0;
+  std::uint64_t padded = 0;
+  fold_delta(tiles, live.add_fault(probe), dirty, padded);
+  const auto next = Snapshot::next(*base, 1, live, dirty, padded);
+  const PageStats& stats = next->page_stats();
+  EXPECT_EQ(stats.copied + stats.shared, 2u * 64u);
+  EXPECT_EQ(stats.copied, 2u) << "one tile, two planes";
+  EXPECT_GE(stats.shared * 4, (stats.copied + stats.shared) * 3);
+  EXPECT_EQ(next->status_of(probe), NodeStatus::Faulty);
+  EXPECT_EQ(next->region_summary(probe).size, 1u);
+  EXPECT_EQ(next->label_digest(), Snapshot::build(1, live)->label_digest());
+}
+
+/// value(x, y) for the plane tests: distinct per cell.
+std::int32_t cell_value(std::int32_t x, std::int32_t y, std::int32_t salt) {
+  return y * 4096 + x + salt;
+}
+
+TEST(PagedPlaneTest, RowBuilderAndRowSpansEqualAtOnEdgeTiles) {
+  // Widths and heights that are not powers of two leave partial tiles on
+  // the right and bottom edges.
+  for (const auto& [w, h] : {std::pair{37, 23}, std::pair{100, 65},
+                             std::pair{130, 7}, std::pair{64, 64}}) {
+    const Mesh2D m(w, h);
+    const grid::TileGrid tiles(m);
+    const auto fill = [](std::int32_t salt) {
+      return [salt](std::int32_t y, std::int32_t x0,
+                    std::span<std::int32_t> out) {
+        for (std::size_t k = 0; k < out.size(); ++k) {
+          out[k] = cell_value(x0 + static_cast<std::int32_t>(k), y, salt);
+        }
+      };
+    };
+    PageStats stats;
+    const auto plane = PagedPlane<std::int32_t>::build(tiles, fill(0), stats);
+    EXPECT_EQ(stats.copied, tiles.tile_count());
+    // Rebuild every other tile with a different value.
+    std::uint64_t dirty = 0;
+    for (std::uint32_t t = 0; t < tiles.tile_count(); t += 2) dirty |= 1ull << t;
+    const auto next =
+        PagedPlane<std::int32_t>::next(plane, tiles, dirty, fill(1), stats);
+
+    for (std::int32_t y = 0; y < h; ++y) {
+      for (std::int32_t x = 0; x < w; ++x) {
+        const std::uint32_t t = tiles.tile_of({x, y});
+        ASSERT_EQ(plane.at(tiles, {x, y}), cell_value(x, y, 0));
+        ASSERT_EQ(next.at(tiles, {x, y}),
+                  cell_value(x, y, (dirty >> t) & 1u ? 1 : 0));
+      }
+    }
+    for (std::uint32_t t = 0; t < tiles.tile_count(); ++t) {
+      const grid::TileGrid::TileRect b = tiles.bounds(t);
+      EXPECT_EQ(next.shares_page_with(plane, t), ((dirty >> t) & 1u) == 0);
+      for (std::int32_t y = b.y0; y < b.y1; ++y) {
+        const std::span<const std::int32_t> row = next.row(tiles, t, y);
+        ASSERT_EQ(row.size(), static_cast<std::size_t>(b.x1 - b.x0));
+        for (std::int32_t x = b.x0; x < b.x1; ++x) {
+          ASSERT_EQ(row[static_cast<std::size_t>(x - b.x0)],
+                    next.at(tiles, {x, y}))
+              << w << "x" << h << " tile " << t;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
