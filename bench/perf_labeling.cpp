@@ -32,8 +32,10 @@ void BM_PipelineDistributedFrontier(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(n) * n);
 }
+// 256/20 is perfbench label_cold's machine: 256x256 at 2% faults.
 BENCHMARK(BM_PipelineDistributedFrontier)
     ->ArgsProduct({{32, 64, 100, 200}, {5, 20}})
+    ->Args({256, 20})
     ->Unit(benchmark::kMillisecond);
 
 void BM_PipelineDistributedDense(benchmark::State& state) {
@@ -52,9 +54,10 @@ BENCHMARK(BM_PipelineDistributedDense)
     ->ArgsProduct({{32, 64, 100, 200}, {5, 20}})
     ->Unit(benchmark::kMillisecond);
 
-// Same pipeline with OpenMP-parallel dense rounds; results are bit-identical
-// to the serial engine, only wall-clock changes. Thread count follows
-// OMP_NUM_THREADS.
+// Same pipeline with `parallel` set. Both phases run the word-parallel
+// evaluator, which `parallel` does not apply to, so this row times the same
+// rounds as BM_PipelineDistributedDense; it is kept so the committed series
+// continues.
 void BM_PipelineDistributedDenseParallel(benchmark::State& state) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   const auto faults = make_faults(n, state.range(1), 42);

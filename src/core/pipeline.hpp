@@ -29,9 +29,9 @@ struct PipelineOptions {
   SafeUnsafeDef definition = SafeUnsafeDef::Def2b;
   Engine engine = Engine::Distributed;
   sim::RunMode run_mode = sim::RunMode::Frontier;
-  /// Evaluate dense rounds across OpenMP threads (see sim::RunOptions).
-  /// Results, round counts and message counts are identical for any thread
-  /// count; this only changes wall-clock time.
+  /// Passed on as `sim::RunOptions::parallel`. Both phases run the
+  /// word-parallel evaluator, to which it does not apply, so the pipeline's
+  /// results and timings do not depend on it.
   bool parallel = false;
   /// Observability (src/obs): disabled by default (null sink). When set,
   /// the run emits per-phase spans ("pipeline.safety"/"pipeline.activation"/

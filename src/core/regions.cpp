@@ -25,10 +25,13 @@ grid::CellSet disabled_cells(const grid::NodeGrid<Activation>& activation) {
 
 std::vector<FaultyBlock> extract_faulty_blocks(
     const grid::CellSet& faults, const grid::NodeGrid<Safety>& safety) {
+  grid::BitPlane unsafe(safety.topology());
+  unsafe.pack(safety.data());
+  std::vector<grid::Component> comps =
+      grid::connected_components(std::move(unsafe), grid::Connectivity::Four);
   std::vector<FaultyBlock> out;
-  for (auto& comp :
-       grid::connected_components(unsafe_cells(safety),
-                                  grid::Connectivity::Four)) {
+  out.reserve(comps.size());
+  for (auto& comp : comps) {
     FaultyBlock block;
     for (mesh::Coord cell : comp.cells()) {
       if (faults.contains(cell)) {
@@ -56,9 +59,13 @@ std::vector<DisabledRegion> extract_disabled_regions(
     }
   }
 
+  grid::BitPlane disabled(m);
+  disabled.pack(activation.data());
+  std::vector<grid::Component> comps =
+      grid::connected_components(std::move(disabled), grid::Connectivity::Eight);
   std::vector<DisabledRegion> out;
-  for (auto& comp : grid::connected_components(disabled_cells(activation),
-                                               grid::Connectivity::Eight)) {
+  out.reserve(comps.size());
+  for (auto& comp : comps) {
     DisabledRegion region;
     const std::int32_t parent = block_id[comp.cells().front()];
     if (parent < 0) {

@@ -46,16 +46,6 @@ class SafetyProtocol {
     return {Health::Nonfaulty, Safety::Safe};
   }
 
-  /// Bulk form of `init` over the dense row-major plane (simkernel hook):
-  /// a linear pass over the fault bitmap, no per-node coordinate math.
-  void init_plane(const mesh::Mesh2D&, std::span<State> out) const {
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = faults_->contains_index(i)
-                   ? State{Health::Faulty, Safety::Unsafe}
-                   : State{Health::Nonfaulty, Safety::Safe};
-    }
-  }
-
   [[nodiscard]] Message announce(const State& s) const noexcept {
     return s.safety;
   }
@@ -65,6 +55,35 @@ class SafetyProtocol {
 
   [[nodiscard]] bool participates(const State& s) const noexcept {
     return s.health == Health::Nonfaulty;
+  }
+
+  /// Word-parallel hook (see `sim::WordProtocol`): a node's bit is 1 when
+  /// it is unsafe, and nonfaulty nodes participate.
+  void init_bits(grid::BitPlane& unsafe, grid::BitPlane& nonfaulty) const {
+    unsafe.pack(faults_->data());
+    nonfaulty = unsafe;
+    nonfaulty.flip();
+  }
+
+  [[nodiscard]] std::uint64_t step_bits(std::uint64_t unsafe,
+                                        std::uint64_t nonfaulty,
+                                        std::uint64_t east, std::uint64_t west,
+                                        std::uint64_t north,
+                                        std::uint64_t south) const noexcept {
+    const std::uint64_t rule = def_ == SafeUnsafeDef::Def2a
+                                   ? sim::at_least_two(east, west, north, south)
+                                   : (east | west) & (north | south);
+    return unsafe | (nonfaulty & rule);
+  }
+
+  /// Only unsafe nodes differ from the value-initialized {nonfaulty, safe}.
+  void states_from_bits(const grid::BitPlane& unsafe, const grid::BitPlane&,
+                        std::span<State> out) const {
+    const std::uint8_t* faulty = faults_->data();
+    unsafe.for_each([&](mesh::Coord c) {
+      const std::size_t i = unsafe.topology().index(c);
+      out[i] = {static_cast<Health>(faulty[i]), Safety::Unsafe};
+    });
   }
 
   [[nodiscard]] bool update(State& s, const sim::Inbox<Message>& inbox) const {
@@ -95,6 +114,6 @@ class SafetyProtocol {
   SafeUnsafeDef def_;
 };
 
-static_assert(sim::SyncProtocol<SafetyProtocol>);
+static_assert(sim::WordProtocol<SafetyProtocol>);
 
 }  // namespace ocp::labeling

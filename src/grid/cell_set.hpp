@@ -34,6 +34,11 @@ class CellSet {
     return bits_[i] != 0;
   }
 
+  /// The membership plane: one 0/1 byte per node, row-major.
+  [[nodiscard]] const std::uint8_t* data() const noexcept {
+    return bits_.data();
+  }
+
   void insert(mesh::Coord c) noexcept {
     if (bits_[mesh_.index(c)] == 0) {
       bits_[mesh_.index(c)] = 1;

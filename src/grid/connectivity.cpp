@@ -11,25 +11,22 @@ namespace {
 constexpr std::array<mesh::Coord, 8> kOffsets8 = {{
     {1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, 1}, {1, -1}, {-1, 1}, {-1, -1}}};
 
-/// Gathers the component of `seed` (which must be an unvisited member of
-/// `cells`), appending it to `out` and marking every visited cell in `seen`.
-/// When `touched` is non-null the visited indices are recorded there so the
-/// caller can restore `seen` in O(component) instead of O(mesh).
+/// The component walker. Gathers the component of `seed` (a member the
+/// caller has already claimed), appending it to `out`. `claim(c)` reports
+/// whether `c` is a member not yet gathered and marks it gathered; that one
+/// callback is all that differs between the bit-plane and byte-set callers.
+template <typename Claim>
 void gather_component(
-    const CellSet& cells, std::size_t degree, mesh::Coord seed,
-    std::uint8_t* seen,
+    const mesh::Mesh2D& m, std::size_t degree, mesh::Coord seed, Claim&& claim,
     std::vector<std::pair<mesh::Coord, mesh::Coord>>& frontier,
     std::vector<std::pair<mesh::Coord, mesh::Coord>>& frame_to_cell,
-    std::vector<std::size_t>* touched, std::vector<Component>& out) {
-  const mesh::Mesh2D& m = cells.topology();
+    std::vector<Component>& out) {
   // Gather one component by BFS, assigning unwrapped frame coordinates as
-  // we go. A component that wraps all the way around a torus ring revisits
-  // cells through `seen` and simply stops expanding there; the frame then
-  // covers each physical cell once.
+  // we go. A component that wraps all the way around a torus ring meets
+  // cells it already claimed and simply stops expanding there; the frame
+  // then covers each physical cell once.
   frame_to_cell.clear();
   frontier.clear();
-  seen[m.index(seed)] = 1;
-  if (touched != nullptr) touched->push_back(m.index(seed));
   frontier.push_back({seed, seed});
   for (std::size_t head = 0; head < frontier.size(); ++head) {
     const auto [cell, frame] = frontier[head];
@@ -42,9 +39,7 @@ void gather_component(
       } else if (!m.contains(next)) {
         continue;
       }
-      if (!cells.contains(next) || seen[m.index(next)] != 0) continue;
-      seen[m.index(next)] = 1;
-      if (touched != nullptr) touched->push_back(m.index(next));
+      if (!claim(next)) continue;
       frontier.push_back({next, frame + off});
     }
   }
@@ -73,13 +68,12 @@ void gather_component(
 
 }  // namespace
 
-std::vector<Component> connected_components(const CellSet& cells,
+std::vector<Component> connected_components(BitPlane cells,
                                             Connectivity conn) {
   const mesh::Mesh2D& m = cells.topology();
   const std::size_t degree = conn == Connectivity::Four ? 4 : 8;
-  std::vector<std::uint8_t> seen(static_cast<std::size_t>(m.node_count()), 0);
   std::vector<Component> out;
-  out.reserve(cells.size());  // upper bound: one component per cell
+  out.reserve(cells.count());  // upper bound: one component per cell
 
   // BFS scratch, reused across components: `frontier` is a flat vector with
   // a read cursor (sparse fault patterns produce many small components, and
@@ -87,13 +81,21 @@ std::vector<Component> connected_components(const CellSet& cells,
   std::vector<std::pair<mesh::Coord, mesh::Coord>> frontier;
   std::vector<std::pair<mesh::Coord, mesh::Coord>> frame_to_cell;
 
+  // `cells` holds the members not yet gathered: seeds come in row-major
+  // order, and gathering clears bits.
+  const auto claim = [&cells](mesh::Coord c) { return cells.take(c); };
   cells.for_each([&](mesh::Coord seed) {
-    if (seen[m.index(seed)] != 0) return;
-    gather_component(cells, degree, seed, seen.data(), frontier, frame_to_cell,
-                     nullptr, out);
+    if (!claim(seed)) return;  // gathered from an earlier seed in its word
+    gather_component(m, degree, seed, claim, frontier, frame_to_cell, out);
   });
-
   return out;
+}
+
+std::vector<Component> connected_components(const CellSet& cells,
+                                            Connectivity conn) {
+  BitPlane plane(cells.topology());
+  plane.pack(cells.data());
+  return connected_components(std::move(plane), conn);
 }
 
 std::vector<Component> connected_components_seeded(
@@ -119,11 +121,21 @@ std::vector<Component> connected_components_seeded(
 
   std::vector<Component> out;
   out.reserve(scratch.seeds_.size());
+  // Visited cells are recorded in `touched_` so `seen_` is restored in
+  // O(components) instead of O(mesh).
+  const auto claim = [&](std::size_t i) {
+    if (scratch.seen_[i] != 0) return false;
+    scratch.seen_[i] = 1;
+    scratch.touched_.push_back(i);
+    return true;
+  };
+  const auto claim_member = [&](mesh::Coord c) {
+    return cells.contains_index(m.index(c)) && claim(m.index(c));
+  };
   for (const std::size_t seed : scratch.seeds_) {
-    if (scratch.seen_[seed] != 0) continue;
-    gather_component(cells, degree, m.coord(seed), scratch.seen_.data(),
-                     scratch.frontier_, scratch.frame_to_cell_,
-                     &scratch.touched_, out);
+    if (!claim(seed)) continue;
+    gather_component(m, degree, m.coord(seed), claim_member,
+                     scratch.frontier_, scratch.frame_to_cell_, out);
   }
   for (const std::size_t i : scratch.touched_) scratch.seen_[i] = 0;
   return out;

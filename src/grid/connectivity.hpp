@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "geometry/region.hpp"
+#include "grid/bit_plane.hpp"
 #include "grid/cell_set.hpp"
 
 namespace ocp::grid {
@@ -48,6 +49,12 @@ struct Component {
 /// topology: torus components may span wraparound links.
 [[nodiscard]] std::vector<Component> connected_components(
     const CellSet& cells, Connectivity conn = Connectivity::Four);
+
+/// The same extraction over a bit plane (consumed as the walker's
+/// not-yet-gathered set): seeds by `countr_zero`, membership and visited as
+/// bit tests.
+[[nodiscard]] std::vector<Component> connected_components(
+    BitPlane cells, Connectivity conn = Connectivity::Four);
 
 /// Reusable state for `connected_components_seeded`: a visited plane that is
 /// restored to all-zeros before each call returns, plus the BFS work

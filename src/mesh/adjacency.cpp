@@ -11,8 +11,6 @@ AdjacencyTable::AdjacencyTable(const Mesh2D& m)
   const bool torus = m.is_torus();
 
   dir_nbr_.resize(node_count_ * kNumDirs);
-  dense_nbr_.resize(node_count_ * kNumDirs);
-  ghost_flags_.resize(node_count_ * kNumDirs);
   offsets_.resize(node_count_ + 1);
   targets_.reserve(node_count_ * kNumDirs);
 
@@ -37,18 +35,10 @@ AdjacencyTable::AdjacencyTable(const Mesh2D& m)
           y + 1 < h ? i + w : (torus ? i - wrap_y : kGhost);
       row[static_cast<std::size_t>(Dir::South)] =
           y > 0 ? i - w : (torus ? i + wrap_y : kGhost);
-      std::int32_t* drow = &dense_nbr_[static_cast<std::size_t>(i) * kNumDirs];
-      std::uint8_t* grow =
-          &ghost_flags_[static_cast<std::size_t>(i) * kNumDirs];
       for (std::size_t slot = 0; slot < kNumDirs; ++slot) {
         if (row[slot] != kGhost) {
-          drow[slot] = row[slot];
-          grow[slot] = 0;
           targets_.push_back(row[slot]);
           ++filled;
-        } else {
-          drow[slot] = static_cast<std::int32_t>(node_count_);  // pad index
-          grow[slot] = 1;
         }
       }
     }

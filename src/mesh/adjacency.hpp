@@ -51,22 +51,6 @@ class AdjacencyTable {
     return &dir_nbr_[i * kNumDirs];
   }
 
-  /// Branchless variant of `dir_row`: ghost slots hold `node_count()` (the
-  /// pad index) instead of `kGhost`, so a message plane padded with one
-  /// trailing ghost entry can be indexed unconditionally.
-  [[nodiscard]] const std::int32_t* dense_row(std::size_t i) const noexcept {
-    assert(i < node_count_);
-    return &dense_nbr_[i * kNumDirs];
-  }
-
-  /// Per-direction ghost flags of node `i` (1 where the neighbor is a
-  /// ghost), laid out as four bytes so an inbox's `from_ghost` row can be
-  /// filled with a single 4-byte copy.
-  [[nodiscard]] const std::uint8_t* ghost_row(std::size_t i) const noexcept {
-    assert(i < node_count_);
-    return &ghost_flags_[i * kNumDirs];
-  }
-
   /// Dense index of the neighbor of `i` in direction `d`, or `kGhost`.
   [[nodiscard]] std::int32_t neighbor_index(std::size_t i,
                                             Dir d) const noexcept {
@@ -96,8 +80,6 @@ class AdjacencyTable {
   Mesh2D mesh_;
   std::size_t node_count_;
   std::vector<std::int32_t> dir_nbr_;    // node_count * kNumDirs, kGhost holes
-  std::vector<std::int32_t> dense_nbr_;  // same, ghost -> node_count (pad)
-  std::vector<std::uint8_t> ghost_flags_;  // node_count * kNumDirs, 0/1
   std::vector<std::int32_t> offsets_;    // node_count + 1
   std::vector<std::int32_t> targets_;    // total_degree()
 };

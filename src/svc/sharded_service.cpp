@@ -40,7 +40,7 @@ struct ShardedService::ShardRuntime {
   Shard shard;
   /// Halo deltas awaiting this shard's next batch; guarded by the service
   /// mutex, like the flags below.
-  std::deque<HaloDelta> inbox;
+  std::vector<HaloDelta> inbox;
   /// True between a drain and the corresponding apply completing — the
   /// window the flush barrier must not cross.
   bool draining = false;
@@ -100,18 +100,18 @@ ShardedService::~ShardedService() {
 void ShardedService::worker_loop(std::uint32_t index) {
   ShardRuntime& rt = *shards_[index];
   const obs::TraceConfig& trace = config_.ingest.trace;
+  // Swapped with the inbox each batch, so both keep their capacity.
+  std::vector<HaloDelta> halo;
   for (;;) {
     std::vector<FaultEvent> external;
-    std::vector<HaloDelta> halo;
     {
       std::unique_lock lock(mu_);
       wake_.wait(lock, [this, &rt] {
         return stopping_ || rt.queue.depth() > 0 || !rt.inbox.empty();
       });
       if (stopping_ && rt.queue.depth() == 0 && rt.inbox.empty()) break;
-      halo.assign(std::make_move_iterator(rt.inbox.begin()),
-                  std::make_move_iterator(rt.inbox.end()));
-      rt.inbox.clear();
+      halo.clear();
+      halo.swap(rt.inbox);
       external = rt.queue.try_drain(config_.max_batch);
       rt.draining = !external.empty() || !halo.empty();
     }
