@@ -36,15 +36,10 @@ PipelineResult run_pipeline(const grid::CellSet& faults,
   sim::RoundStats activation_stats;
 
   if (opts.engine == Engine::Distributed) {
-    // One adjacency table serves both phases — it depends only on topology,
-    // so it is cached across pipeline runs on the same machine (Monte-Carlo
-    // sweeps run thousands of pipelines per mesh shape).
-    const mesh::AdjacencyTable& adj = mesh::AdjacencyTable::cached(m);
-
     {
       const obs::Span phase_span(opts.trace, "pipeline.safety");
       const SafetyProtocol phase1(faults, opts.definition);
-      auto r1 = sim::run_sync(adj, phase1, run_opts);
+      auto r1 = sim::run_sync(m, phase1, run_opts);
       safety_stats = r1.stats;
       for (std::size_t i = 0; i < safety.size(); ++i) {
         safety.at_index(i) = r1.states.at_index(i).safety;
@@ -54,7 +49,7 @@ PipelineResult run_pipeline(const grid::CellSet& faults,
     {
       const obs::Span phase_span(opts.trace, "pipeline.activation");
       const ActivationProtocol phase2(faults, safety);
-      auto r2 = sim::run_sync(adj, phase2, run_opts);
+      auto r2 = sim::run_sync(m, phase2, run_opts);
       activation_stats = r2.stats;
       for (std::size_t i = 0; i < activation.size(); ++i) {
         activation.at_index(i) = r2.states.at_index(i).activation;
