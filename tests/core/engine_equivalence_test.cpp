@@ -1,8 +1,11 @@
 // Randomized property test: every engine configuration — dense serial,
-// dense OpenMP-parallel (1/2/8 threads), frontier, and the centralized
+// dense with `parallel` set (1/2/8 threads), frontier, and the centralized
 // reference solver — produces identical labelings, blocks, regions, and
 // (for the distributed engines) identical round counts and message counts,
-// across mesh and torus topologies and fault densities 0–30%.
+// across mesh and torus topologies and fault densities 0–30%. Both phases
+// run word rounds in every distributed configuration; the per-node loop
+// that `parallel` spreads across threads is checked in
+// tests/simkernel/word_rounds_test.cpp.
 #include <gtest/gtest.h>
 
 #ifdef OCP_HAVE_OPENMP
@@ -97,8 +100,8 @@ TEST(EngineEquivalenceTest, AllEnginesAgreeOnRandomInstances) {
         << what;
 
 #ifdef OCP_HAVE_OPENMP
-    // The OpenMP dense evaluator must be bit-identical — states, blocks,
-    // regions, round counts and message counts — for any thread count.
+    // Setting `parallel` must not change the result — states, blocks,
+    // regions, round counts and message counts — at any thread count.
     opts.engine = Engine::Distributed;
     opts.run_mode = sim::RunMode::Dense;
     opts.parallel = true;
