@@ -27,10 +27,17 @@
 //       fresh run was built from — a CI log line is then self-contained:
 //       which code regressed against which committed baseline.
 //
+// Repetitions: a run with --benchmark_repetitions=N reports each repetition
+// plus mean/median/stddev/cv aggregates. Each benchmark is then kept once,
+// as its median under the plain benchmark name, so the compact file and the
+// comparison both read medians (one pass swings with the host's busy and
+// quiet phases; the median of five does much less).
+//
 // Parsing note: google-benchmark emits one "key": value pair per line inside
 // the "benchmarks" array, and the compact format keeps one entry per line,
 // so a line-oriented scan is reliable for both; this is not a general JSON
 // parser and does not try to be one.
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -43,6 +50,11 @@ namespace {
 
 struct BenchEntry {
   std::string name;
+  /// The benchmark an aggregate row summarizes (google-benchmark's
+  /// "run_name"); empty when the input predates the field.
+  std::string run_name;
+  /// "median", "mean", ... for aggregate rows; empty for measured runs.
+  std::string aggregate;
   double real_time = 0;
   double cpu_time = 0;
   std::string time_unit = "ns";
@@ -114,6 +126,10 @@ std::vector<BenchEntry> parse_full(std::istream& in) {
 
     if (const auto v = field(line, "name")) {
       current.name = *v;
+    } else if (const auto run = field(line, "run_name")) {
+      current.run_name = *run;
+    } else if (const auto agg = field(line, "aggregate_name")) {
+      current.aggregate = *agg;
     } else if (const auto rt = field(line, "real_time")) {
       current.real_time = std::strtod(rt->c_str(), nullptr);
     } else if (const auto ct = field(line, "cpu_time")) {
@@ -131,6 +147,27 @@ std::vector<BenchEntry> parse_full(std::istream& in) {
     }
   }
   return entries;
+}
+
+/// One entry per benchmark, in first-seen order: the median aggregate under
+/// the benchmark's own name when repetitions produced one, else its single
+/// run. Other aggregates (mean, stddev, cv) are dropped.
+std::vector<BenchEntry> medians(const std::vector<BenchEntry>& entries) {
+  std::vector<BenchEntry> out;
+  for (const BenchEntry& e : entries) {
+    if (!e.aggregate.empty() && e.aggregate != "median") continue;
+    BenchEntry kept = e;
+    if (!e.run_name.empty()) kept.name = e.run_name;
+    auto it = std::find_if(out.begin(), out.end(), [&](const BenchEntry& o) {
+      return o.name == kept.name;
+    });
+    if (it == out.end()) {
+      out.push_back(kept);
+    } else if (e.aggregate == "median") {
+      *it = kept;  // replaces the first repetition, keeping its position
+    }
+  }
+  return out;
 }
 
 /// Parses the compact committed format (one entry per line, ms units).
@@ -248,7 +285,7 @@ int main(int argc, char** argv) {
     std::cerr << "bench_to_json: cannot open " << input << "\n";
     return 1;
   }
-  const std::vector<BenchEntry> entries = parse_full(in);
+  const std::vector<BenchEntry> entries = medians(parse_full(in));
 
   std::ostringstream out;
   out.precision(6);

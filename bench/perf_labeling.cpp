@@ -3,6 +3,8 @@
 // sizes and fault densities.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "core/pipeline.hpp"
 #include "core/reference.hpp"
 #include "fault/generators.hpp"
@@ -102,6 +104,33 @@ void BM_PipelineReference(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelineReference)
     ->ArgsProduct({{32, 64, 100, 200}, {5, 20}})
+    ->Unit(benchmark::kMillisecond);
+
+// The two extraction calls alone (faulty blocks, then disabled regions with
+// their parents) on fixed labeled machines, cycled so the timing is not one
+// fault pattern's. 256/20 is label_cold's machine: 256x256 at 2% faults.
+void BM_ExtractBlocksAndRegions(benchmark::State& state) {
+  const auto n = static_cast<std::int32_t>(state.range(0));
+  constexpr std::uint64_t kMachines = 8;
+  std::vector<grid::CellSet> faults;
+  std::vector<labeling::PipelineResult> labeled;
+  for (std::uint64_t k = 0; k < kMachines; ++k) {
+    faults.push_back(make_faults(n, state.range(1), 100 + k));
+    labeled.push_back(labeling::run_pipeline(faults.back()));
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const labeling::PipelineResult& r = labeled[k];
+    auto blocks = labeling::extract_faulty_blocks(faults[k], r.safety);
+    benchmark::DoNotOptimize(
+        labeling::extract_disabled_regions(faults[k], r.activation, blocks));
+    benchmark::DoNotOptimize(blocks);
+    k = (k + 1) % kMachines;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n) * n);
+}
+BENCHMARK(BM_ExtractBlocksAndRegions)->Args({256, 20})
     ->Unit(benchmark::kMillisecond);
 
 void BM_SafetyPhaseOnly(benchmark::State& state) {

@@ -10,6 +10,8 @@
 #   6. failure preamble names the baseline file, and --ref stamps the run's
 #      git ref into it (a CI log line is then self-contained)
 #   7. a passing run never prints the failure preamble
+#   8. a run with repetitions is compacted to one median row per benchmark,
+#      under the plain name, and compared by that median
 #
 # Usage: test_bench_to_json.sh <path-to-bench_to_json>
 set -u
@@ -141,6 +143,45 @@ if grep -q "baseline:" "$TMP/stderr.log"; then
   echo "FAIL passing run: failure preamble printed on success" >&2
   FAILURES=$((FAILURES + 1))
 fi
+
+# 8. Repetitions: BM_One's three runs read 9, 2 and 3 ms (median 3 ms,
+# mean 4.67 ms). The compact row is the median under the plain name, and
+# a baseline of 2 ms passes a 60% band on the median where the first run
+# or the mean would fail it.
+{
+  printf '{\n  "context": {},\n  "benchmarks": [\n'
+  for rep in 9000000 2000000 3000000; do
+    printf '    {\n      "name": "BM_One/16",\n'
+    printf '      "run_name": "BM_One/16",\n'
+    printf '      "run_type": "iteration",\n'
+    printf '      "real_time": %s,\n      "cpu_time": %s,\n' "$rep" "$rep"
+    printf '      "time_unit": "ns"\n    },\n'
+  done
+  for agg in mean:4666666 median:3000000 stddev:3785939 cv:0.81; do
+    printf '    {\n      "name": "BM_One/16_%s",\n' "${agg%%:*}"
+    printf '      "run_name": "BM_One/16",\n'
+    printf '      "run_type": "aggregate",\n'
+    printf '      "aggregate_name": "%s",\n' "${agg%%:*}"
+    printf '      "real_time": %s,\n      "cpu_time": %s,\n' \
+      "${agg#*:}" "${agg#*:}"
+    printf '      "time_unit": "ns"\n    },\n'
+  done
+  printf '    {\n      "name": "BM_Two/32",\n'
+  printf '      "real_time": 3000000,\n      "cpu_time": 3000000,\n'
+  printf '      "time_unit": "ns"\n    }\n  ]\n}\n'
+} > "$TMP/reps.json"
+"$BIN" "$TMP/reps.json" > "$TMP/reps_compact.json" 2> /dev/null
+if [ "$(grep -c '"name"' "$TMP/reps_compact.json")" != 2 ] ||
+   ! grep -q '"name": "BM_One/16", "real_time_ms": 3,' \
+     "$TMP/reps_compact.json"; then
+  echo "FAIL repetitions: compact rows are not one median per benchmark" >&2
+  sed 's/^/    /' "$TMP/reps_compact.json" >&2
+  FAILURES=$((FAILURES + 1))
+else
+  echo "ok   repetitions compact to medians"
+fi
+expect "repetitions compare by median" 0 \
+  "$BIN" "$TMP/reps.json" --compare "$TMP/baseline.json" --tolerance 0.6
 
 if [ "$FAILURES" != 0 ]; then
   echo "$FAILURES case(s) failed" >&2

@@ -1,6 +1,8 @@
 #include "core/regions.hpp"
 
-#include <cassert>
+#include <bit>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 
 namespace ocp::labeling {
@@ -27,22 +29,20 @@ std::vector<FaultyBlock> extract_faulty_blocks(
     const grid::CellSet& faults, const grid::NodeGrid<Safety>& safety) {
   grid::BitPlane unsafe(safety.topology());
   unsafe.pack(safety.data());
-  std::vector<grid::Component> comps =
-      grid::connected_components(std::move(unsafe), grid::Connectivity::Four);
   std::vector<FaultyBlock> out;
-  out.reserve(comps.size());
-  for (auto& comp : comps) {
-    FaultyBlock block;
-    for (mesh::Coord cell : comp.cells()) {
-      if (faults.contains(cell)) {
-        ++block.fault_count;
-      } else {
-        ++block.unsafe_nonfaulty_count;
-      }
-    }
-    block.component = std::move(comp);
-    out.push_back(std::move(block));
-  }
+  out.reserve(unsafe.run_starts());
+  // Each block is built in place; its cells are counted as the walk
+  // reaches them.
+  grid::gather_components(
+      std::move(unsafe), grid::Connectivity::Four,
+      [&out](mesh::Coord) -> grid::Component& {
+        return out.emplace_back().component;
+      },
+      [&](mesh::Coord cell) {
+        FaultyBlock& block = out.back();
+        ++(faults.contains(cell) ? block.fault_count
+                                 : block.unsafe_nonfaulty_count);
+      });
   return out;
 }
 
@@ -50,42 +50,62 @@ std::vector<DisabledRegion> extract_disabled_regions(
     const grid::CellSet& faults, const grid::NodeGrid<Activation>& activation,
     const std::vector<FaultyBlock>& blocks) {
   const mesh::Mesh2D& m = activation.topology();
-
-  // Parent lookup: block id per unsafe cell.
-  grid::NodeGrid<std::int32_t> block_id(m, -1);
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    for (mesh::Coord cell : blocks[b].component.cells()) {
-      block_id[cell] = static_cast<std::int32_t>(b);
-    }
-  }
-
   grid::BitPlane disabled(m);
   disabled.pack(activation.data());
-  std::vector<grid::Component> comps =
-      grid::connected_components(std::move(disabled), grid::Connectivity::Eight);
   std::vector<DisabledRegion> out;
-  out.reserve(comps.size());
-  for (auto& comp : comps) {
-    DisabledRegion region;
-    const std::int32_t parent = block_id[comp.cells().front()];
-    if (parent < 0) {
-      // Disabled cells are unsafe by construction; a missing parent means
-      // the safety and activation grids do not belong together.
+  out.reserve(disabled.run_starts());
+
+  // Region seeds: each region's first cell in row-major order, which is
+  // also the order the regions are emitted in.
+  constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
+  grid::BitPlane seeds(m);
+  grid::gather_components(
+      std::move(disabled), grid::Connectivity::Eight,
+      [&](mesh::Coord seed) -> grid::Component& {
+        seeds.insert(seed);
+        DisabledRegion& region = out.emplace_back();
+        region.parent_block = kNoParent;
+        return region.component;
+      },
+      [&](mesh::Coord cell) {
+        DisabledRegion& region = out.back();
+        ++(faults.contains(cell) ? region.fault_count
+                                 : region.disabled_nonfaulty_count);
+      });
+
+  // Parent lookup: every disabled cell is unsafe and a region never spans
+  // two blocks (the oracle checks both), so the block holding a region's
+  // seed is its parent. One pass over the block cells finds them all; a
+  // seed's region is its rank among the seeds, a per-word prefix count plus
+  // a popcount within the word.
+  const std::span<std::uint64_t> words = seeds.words();
+  std::vector<std::uint32_t> seeds_before(words.size());
+  std::uint32_t running = 0;
+  for (std::size_t k = 0; k < words.size(); ++k) {
+    seeds_before[k] = running;
+    running += static_cast<std::uint32_t>(std::popcount(words[k]));
+  }
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    for (const mesh::Coord cell : blocks[b].component.cells()) {
+      const std::size_t k =
+          static_cast<std::size_t>(cell.y) * seeds.words_per_row() +
+          static_cast<std::size_t>(cell.x) / 64;
+      const auto bit = static_cast<unsigned>(cell.x % 64);
+      const std::uint64_t w = words[k];
+      if ((w >> bit & 1) == 0) continue;
+      const std::size_t rank =
+          seeds_before[k] + static_cast<std::size_t>(std::popcount(
+                                w & ((std::uint64_t{1} << bit) - 1)));
+      out[rank].parent_block = b;
+    }
+  }
+  for (const DisabledRegion& region : out) {
+    if (region.parent_block == kNoParent) {
+      // A missing parent means the safety and activation grids do not
+      // belong together.
       throw std::invalid_argument(
           "extract_disabled_regions: disabled cell outside any faulty block");
     }
-    region.parent_block = static_cast<std::size_t>(parent);
-    for (mesh::Coord cell : comp.cells()) {
-      assert(block_id[cell] == parent &&
-             "a disabled region never spans two faulty blocks");
-      if (faults.contains(cell)) {
-        ++region.fault_count;
-      } else {
-        ++region.disabled_nonfaulty_count;
-      }
-    }
-    region.component = std::move(comp);
-    out.push_back(std::move(region));
   }
   return out;
 }

@@ -12,7 +12,7 @@ namespace ocp::geom {
 
 namespace {
 
-/// Row-major ordering: by y, then x. Matches the sort order of `cells_`.
+/// Row-major ordering: by y, then x. Matches the sort order of `cells()`.
 constexpr bool row_major_less(mesh::Coord a, mesh::Coord b) noexcept {
   return a.y < b.y || (a.y == b.y && a.x < b.x);
 }
@@ -20,33 +20,48 @@ constexpr bool row_major_less(mesh::Coord a, mesh::Coord b) noexcept {
 }  // namespace
 
 Region::Region(std::vector<mesh::Coord> cells) : cells_(std::move(cells)) {
-  // Singletons are already sorted and unique; fault extraction produces
-  // thousands of them on sparse fault patterns.
-  if (cells_.size() > 1) {
-    std::sort(cells_.begin(), cells_.end(), row_major_less);
-    cells_.erase(std::unique(cells_.begin(), cells_.end()), cells_.end());
-  }
-  if (!cells_.empty()) {
-    bbox_ = Rect::cell(cells_.front());
-    for (mesh::Coord c : cells_) bbox_ = bbox_.expanded(c);
-  }
+  std::sort(cells_.begin(), cells_.end(), row_major_less);
+  cells_.erase(std::unique(cells_.begin(), cells_.end()), cells_.end());
+  finish();
+}
+
+Region Region::from_sorted(std::vector<mesh::Coord> cells) {
+  assert(std::adjacent_find(cells.begin(), cells.end(),
+                            [](mesh::Coord a, mesh::Coord b) {
+                              return !row_major_less(a, b);
+                            }) == cells.end() &&
+         "from_sorted: cells must be row-major sorted and duplicate-free");
+  Region r;
+  r.cells_ = std::move(cells);
+  r.finish();
+  return r;
+}
+
+void Region::finish() {
+  if (cells_.empty()) return;
+  bbox_ = Rect::cell(cells_.front());
+  for (mesh::Coord c : cells_) bbox_ = bbox_.expanded(c);
+  if (cells_.size() == 1) cells_ = {};  // the cell lives in bbox_
 }
 
 Region::Region(std::initializer_list<mesh::Coord> cells)
     : Region(std::vector<mesh::Coord>(cells)) {}
 
 bool Region::contains(mesh::Coord c) const noexcept {
-  if (empty() || !bbox_.contains(c)) return false;
-  return std::binary_search(cells_.begin(), cells_.end(), c, row_major_less);
+  // The empty region's inverted box contains nothing.
+  if (!bbox_.contains(c)) return false;
+  const auto all = cells();
+  return std::binary_search(all.begin(), all.end(), c, row_major_less);
 }
 
 std::int32_t Region::diameter() const noexcept {
-  if (cells_.size() <= 1) return 0;
-  std::int32_t min_sum = cells_.front().x + cells_.front().y;
+  const auto all = cells();
+  if (all.size() <= 1) return 0;
+  std::int32_t min_sum = all.front().x + all.front().y;
   std::int32_t max_sum = min_sum;
-  std::int32_t min_dif = cells_.front().x - cells_.front().y;
+  std::int32_t min_dif = all.front().x - all.front().y;
   std::int32_t max_dif = min_dif;
-  for (mesh::Coord c : cells_) {
+  for (mesh::Coord c : all) {
     min_sum = std::min(min_sum, c.x + c.y);
     max_sum = std::max(max_sum, c.x + c.y);
     min_dif = std::min(min_dif, c.x - c.y);
@@ -60,7 +75,8 @@ std::size_t Region::component_count(Connectivity conn) const {
   static constexpr std::array<mesh::Coord, 8> kOffsets = {
       {{1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, 1}, {1, -1}, {-1, 1}, {-1, -1}}};
   const std::size_t degree = conn == Connectivity::Four ? 4 : 8;
-  std::unordered_set<mesh::Coord> unvisited(cells_.begin(), cells_.end());
+  const auto all = cells();
+  std::unordered_set<mesh::Coord> unvisited(all.begin(), all.end());
   std::size_t components = 0;
   while (!unvisited.empty()) {
     ++components;
@@ -90,8 +106,8 @@ bool Region::is_connected(Connectivity conn) const {
 std::int32_t Region::distance_to(const Region& other) const {
   assert(!empty() && !other.empty());
   std::int32_t best = std::numeric_limits<std::int32_t>::max();
-  for (mesh::Coord a : cells_) {
-    for (mesh::Coord b : other.cells_) {
+  for (mesh::Coord a : cells()) {
+    for (mesh::Coord b : other.cells()) {
       best = std::min(best, mesh::manhattan(a, b));
     }
   }
@@ -100,16 +116,18 @@ std::int32_t Region::distance_to(const Region& other) const {
 
 Region Region::difference(const Region& other) const {
   std::vector<mesh::Coord> out;
-  out.reserve(cells_.size());
-  for (mesh::Coord c : cells_) {
+  out.reserve(size());
+  for (mesh::Coord c : cells()) {
     if (!other.contains(c)) out.push_back(c);
   }
   return Region(std::move(out));
 }
 
 Region Region::united(const Region& other) const {
-  std::vector<mesh::Coord> out(cells_.begin(), cells_.end());
-  out.insert(out.end(), other.cells_.begin(), other.cells_.end());
+  const auto mine = cells();
+  const auto theirs = other.cells();
+  std::vector<mesh::Coord> out(mine.begin(), mine.end());
+  out.insert(out.end(), theirs.begin(), theirs.end());
   return Region(std::move(out));
 }
 

@@ -6,6 +6,7 @@
 // before being stored here, so all geometry below is planar.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <span>
@@ -23,23 +24,39 @@ namespace ocp::geom {
 /// topology duality (see grid::connected_components).
 enum class Connectivity : std::uint8_t { Four = 4, Eight = 8 };
 
-/// An immutable set of lattice cells with O(log n) membership, a cached
-/// bounding box, and row/column run queries. Cells are kept sorted by
-/// (y, x) — row-major.
+/// An immutable set of lattice cells with O(log n) membership and a cached
+/// bounding box. Cells are kept sorted by (y, x) — row-major.
+///
+/// Storage. A region of two or more cells keeps them in a heap vector. A
+/// one-cell region keeps its cell only in the bounding box (lo == hi) and
+/// `cells()` is a one-element span of `bbox_.lo`, so it costs no heap
+/// allocation: sparse fault patterns extract thousands of them. The empty
+/// region has no cells and an inverted bounding box (hi < lo), which is how
+/// it differs from a one-cell region without a flag. A consequence: a
+/// `cells()` span of a one-cell region points into the region object itself,
+/// so it dangles once that object is moved or destroyed (say, by the growth
+/// of a vector that holds it), where a vector's span would survive a move.
 class Region {
  public:
   Region() = default;
 
+  /// The one-cell region {c}.
+  explicit Region(mesh::Coord c) noexcept : bbox_(Rect::cell(c)) {}
   /// Builds a region from arbitrary-order cells; duplicates are removed.
   explicit Region(std::vector<mesh::Coord> cells);
   Region(std::initializer_list<mesh::Coord> cells);
 
-  [[nodiscard]] std::size_t size() const noexcept { return cells_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return cells_.empty(); }
+  /// Adopts cells that are already row-major sorted and duplicate-free,
+  /// skipping the sort (the component walker sorts its cells once).
+  [[nodiscard]] static Region from_sorted(std::vector<mesh::Coord> cells);
+
+  [[nodiscard]] std::size_t size() const noexcept { return cells().size(); }
+  [[nodiscard]] bool empty() const noexcept { return cells().empty(); }
 
   /// Row-major (y, then x) sorted cells.
   [[nodiscard]] std::span<const mesh::Coord> cells() const noexcept {
-    return cells_;
+    if (!cells_.empty()) return cells_;
+    return {&bbox_.lo, bbox_.lo == bbox_.hi ? 1u : 0u};
   }
 
   [[nodiscard]] bool contains(mesh::Coord c) const noexcept;
@@ -78,7 +95,7 @@ class Region {
   [[nodiscard]] Region united(const Region& other) const;
 
   friend bool operator==(const Region& a, const Region& b) {
-    return a.cells_ == b.cells_;
+    return std::ranges::equal(a.cells(), b.cells());
   }
 
   /// Multi-line ASCII raster ('#' in-region, '.' outside) over the bounding
@@ -86,8 +103,12 @@ class Region {
   [[nodiscard]] std::string to_ascii() const;
 
  private:
+  /// Sets `bbox_` from `cells_`, moving a lone cell into it.
+  void finish();
+
+  /// Two or more cells; empty for the empty and the one-cell region.
   std::vector<mesh::Coord> cells_;
-  Rect bbox_{};
+  Rect bbox_{{0, 0}, {-1, -1}};
 };
 
 std::ostream& operator<<(std::ostream& os, const Region& r);

@@ -45,6 +45,12 @@ class BitPlane {
     return was;
   }
 
+  /// Adds `c` to the set.
+  void insert(mesh::Coord c) noexcept {
+    row(c.y)[static_cast<std::size_t>(c.x) / 64] |= std::uint64_t{1}
+                                                     << (c.x % 64);
+  }
+
   /// Complements the set; the pad bits stay zero.
   void flip() noexcept {
     const std::uint64_t valid =  // of a row's last word
@@ -59,6 +65,25 @@ class BitPlane {
     std::size_t n = 0;
     for (const std::uint64_t w : words_) {
       n += static_cast<std::size_t>(std::popcount(w));
+    }
+    return n;
+  }
+
+  /// Number of row runs: members whose west neighbour in the row is not a
+  /// member (column 0 always starts a run), counted a word at a time as
+  /// `w & ~(w << 1 | carry)`. A 4- or 8-connected component has at least
+  /// one (its leftmost cell in any of its rows), so this bounds the number
+  /// of components from above, even on a torus.
+  [[nodiscard]] std::size_t run_starts() const noexcept {
+    std::size_t n = 0;
+    for (std::int32_t y = 0; y < mesh_.height(); ++y) {
+      const std::uint64_t* src = row(y);
+      std::uint64_t carry = 0;  // the last bit of the word to the west
+      for (std::size_t k = 0; k < words_per_row_; ++k) {
+        const std::uint64_t w = src[k];
+        n += static_cast<std::size_t>(std::popcount(w & ~(w << 1 | carry)));
+        carry = w >> 63;
+      }
     }
     return n;
   }

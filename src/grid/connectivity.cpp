@@ -1,93 +1,18 @@
 #include "grid/connectivity.hpp"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
 namespace ocp::grid {
 
-namespace {
-
-constexpr std::array<mesh::Coord, 8> kOffsets8 = {{
-    {1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, 1}, {1, -1}, {-1, 1}, {-1, -1}}};
-
-/// The component walker. Gathers the component of `seed` (a member the
-/// caller has already claimed), appending it to `out`. `claim(c)` reports
-/// whether `c` is a member not yet gathered and marks it gathered; that one
-/// callback is all that differs between the bit-plane and byte-set callers.
-template <typename Claim>
-void gather_component(
-    const mesh::Mesh2D& m, std::size_t degree, mesh::Coord seed, Claim&& claim,
-    std::vector<std::pair<mesh::Coord, mesh::Coord>>& frontier,
-    std::vector<std::pair<mesh::Coord, mesh::Coord>>& frame_to_cell,
-    std::vector<Component>& out) {
-  // Gather one component by BFS, assigning unwrapped frame coordinates as
-  // we go. A component that wraps all the way around a torus ring meets
-  // cells it already claimed and simply stops expanding there; the frame
-  // then covers each physical cell once.
-  frame_to_cell.clear();
-  frontier.clear();
-  frontier.push_back({seed, seed});
-  for (std::size_t head = 0; head < frontier.size(); ++head) {
-    const auto [cell, frame] = frontier[head];
-    frame_to_cell.emplace_back(frame, cell);
-    for (std::size_t i = 0; i < degree; ++i) {
-      const mesh::Coord off = kOffsets8[i];
-      mesh::Coord next = cell + off;
-      if (m.is_torus()) {
-        next = m.wrap(next);
-      } else if (!m.contains(next)) {
-        continue;
-      }
-      if (!claim(next)) continue;
-      frontier.push_back({next, frame + off});
-    }
-  }
-  // Canonical row-major order on frame coordinates, keeping the physical
-  // address of each frame cell aligned with Region's internal sort.
-  if (frame_to_cell.size() > 1) {
-    std::sort(frame_to_cell.begin(), frame_to_cell.end(),
-              [](const auto& a, const auto& b) {
-                return a.first.y < b.first.y ||
-                       (a.first.y == b.first.y && a.first.x < b.first.x);
-              });
-  }
-  Component comp;
-  std::vector<mesh::Coord> frame_cells;
-  frame_cells.reserve(frame_to_cell.size());
-  // Physical addresses are materialized only when they can differ from the
-  // frame (torus); on a mesh `Component::cells()` reuses the region cells.
-  if (m.is_torus()) comp.mesh_cells.reserve(frame_to_cell.size());
-  for (const auto& [frame, cell] : frame_to_cell) {
-    frame_cells.push_back(frame);
-    if (m.is_torus()) comp.mesh_cells.push_back(cell);
-  }
-  comp.region = geom::Region(std::move(frame_cells));
-  out.push_back(std::move(comp));
-}
-
-}  // namespace
-
 std::vector<Component> connected_components(BitPlane cells,
                                             Connectivity conn) {
-  const mesh::Mesh2D& m = cells.topology();
-  const std::size_t degree = conn == Connectivity::Four ? 4 : 8;
   std::vector<Component> out;
-  out.reserve(cells.count());  // upper bound: one component per cell
-
-  // BFS scratch, reused across components: `frontier` is a flat vector with
-  // a read cursor (sparse fault patterns produce many small components, and
-  // a fresh std::queue would pay one deque-block allocation for each).
-  std::vector<std::pair<mesh::Coord, mesh::Coord>> frontier;
-  std::vector<std::pair<mesh::Coord, mesh::Coord>> frame_to_cell;
-
-  // `cells` holds the members not yet gathered: seeds come in row-major
-  // order, and gathering clears bits.
-  const auto claim = [&cells](mesh::Coord c) { return cells.take(c); };
-  cells.for_each([&](mesh::Coord seed) {
-    if (!claim(seed)) return;  // gathered from an earlier seed in its word
-    gather_component(m, degree, seed, claim, frontier, frame_to_cell, out);
-  });
+  out.reserve(cells.run_starts());
+  gather_components(
+      std::move(cells), conn,
+      [&out](mesh::Coord) -> Component& { return out.emplace_back(); },
+      [](mesh::Coord) {});
   return out;
 }
 
@@ -134,8 +59,9 @@ std::vector<Component> connected_components_seeded(
   };
   for (const std::size_t seed : scratch.seeds_) {
     if (!claim(seed)) continue;
-    gather_component(m, degree, m.coord(seed), claim_member,
-                     scratch.frontier_, scratch.frame_to_cell_, out);
+    detail::gather_component(m, degree, m.coord(seed), claim_member,
+                             [](mesh::Coord) {}, scratch.frontier_,
+                             out.emplace_back());
   }
   for (const std::size_t i : scratch.touched_) scratch.seen_[i] = 0;
   return out;

@@ -116,6 +116,62 @@ TEST(RegionsTest, MismatchedGridsThrow) {
   act[{2, 2}] = Activation::Disabled;
   EXPECT_THROW(extract_disabled_regions(faults, act, {}),
                std::invalid_argument);
+  // The same with a real block elsewhere: (2,2) is still in none.
+  safety[{4, 4}] = Safety::Unsafe;
+  act[{4, 4}] = Activation::Disabled;
+  const auto blocks = extract_faulty_blocks(faults, safety);
+  ASSERT_EQ(blocks.size(), 1u);
+  EXPECT_THROW(extract_disabled_regions(faults, act, blocks),
+               std::invalid_argument);
+  act[{2, 2}] = Activation::Enabled;
+  const auto regions = extract_disabled_regions(faults, act, blocks);
+  ASSERT_EQ(regions.size(), 1u);
+  EXPECT_EQ(regions[0].parent_block, 0u);
+}
+
+TEST(RegionsTest, ParentBlocksFollowTheBlockHoldingEachRegion) {
+  // Three blocks in row-major seed order; the disabled regions inside them
+  // come in a different order than their blocks.
+  const Mesh2D m(12, 10);
+  const grid::CellSet faults{m, {{8, 5}, {1, 3}, {2, 3}, {5, 7}, {6, 8}}};
+  grid::NodeGrid<Safety> safety(m, Safety::Safe);
+  grid::NodeGrid<Activation> act(m, Activation::Enabled);
+  const auto mark = [&](mesh::Coord c, bool disabled) {
+    safety[c] = Safety::Unsafe;
+    if (disabled) act[c] = Activation::Disabled;
+  };
+  // Block 0: a 2x6 column at x 8..9, y 0..5, disabled only at (8,5).
+  for (std::int32_t y = 0; y <= 5; ++y) {
+    mark({8, y}, y == 5);
+    mark({9, y}, false);
+  }
+  // Block 1: row y 3, x 1..2, both disabled.
+  mark({1, 3}, true);
+  mark({2, 3}, true);
+  // Block 2: the 2x2 square x 5..6, y 7..8, disabled on its diagonal.
+  mark({5, 7}, true);
+  mark({6, 7}, false);
+  mark({5, 8}, false);
+  mark({6, 8}, true);
+
+  const auto blocks = extract_faulty_blocks(faults, safety);
+  ASSERT_EQ(blocks.size(), 3u);
+  EXPECT_TRUE(blocks[0].region().contains({8, 0}));
+  EXPECT_TRUE(blocks[1].region().contains({1, 3}));
+  EXPECT_TRUE(blocks[2].region().contains({5, 7}));
+  EXPECT_EQ(blocks[0].fault_count, 1u);
+  EXPECT_EQ(blocks[0].unsafe_nonfaulty_count, 11u);
+
+  const auto regions = extract_disabled_regions(faults, act, blocks);
+  ASSERT_EQ(regions.size(), 3u);
+  EXPECT_EQ(regions[0].region(), geom::Region({{1, 3}, {2, 3}}));
+  EXPECT_EQ(regions[0].parent_block, 1u);
+  EXPECT_EQ(regions[1].region(), geom::Region(mesh::Coord{8, 5}));
+  EXPECT_EQ(regions[1].parent_block, 0u);
+  EXPECT_EQ(regions[2].region(), geom::Region({{5, 7}, {6, 8}}));
+  EXPECT_EQ(regions[2].parent_block, 2u);
+  EXPECT_EQ(regions[2].fault_count, 2u);
+  EXPECT_EQ(regions[2].disabled_nonfaulty_count, 0u);
 }
 
 }  // namespace

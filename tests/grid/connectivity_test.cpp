@@ -145,5 +145,89 @@ TEST(ConnectivityTest, ComponentSizesSumToSetSize) {
   EXPECT_EQ(total, s.size());
 }
 
+TEST(ConnectivityTest, SingleCellComponentsHoldNoHeapCells) {
+  for (const Topology t : {Topology::Mesh, Topology::Torus}) {
+    const CellSet s{Mesh2D(9, 7, t), {{0, 0}, {4, 3}, {8, 0}, {6, 1}, {7, 1}}};
+    const auto comps = connected_components(s);
+    ASSERT_EQ(comps.size(), t == Topology::Torus ? 3u : 4u);
+    for (const Component& c : comps) {
+      if (c.region.size() != 1) continue;
+      EXPECT_EQ(c.region.cells().data(), &c.region.bounding_box().lo);
+      // Torus singletons still carry their physical address.
+      EXPECT_EQ(c.mesh_cells.size(), t == Topology::Torus ? 1u : 0u);
+      EXPECT_EQ(c.cells().front(), c.region.cells().front());
+    }
+  }
+}
+
+TEST(ConnectivityTest, RunStartsBoundTheComponentCount) {
+  // Widths on and off whole words; runs that cross a word boundary count
+  // once.
+  for (const std::int32_t w : {5, 64, 65, 130}) {
+    for (const Topology t : {Topology::Mesh, Topology::Torus}) {
+      const Mesh2D m(w, 6, t);
+      CellSet s(m);
+      std::size_t expected = 0;
+      for (std::int32_t y = 0; y < 6; ++y) {
+        bool prev = false;
+        for (std::int32_t x = 0; x < w; ++x) {
+          const bool in = (x * 7 + y * 3) % 5 < 2 || (x > 60 && x < 70);
+          if (in) s.insert({x, y});
+          if (in && !prev) ++expected;
+          prev = in;
+        }
+      }
+      BitPlane plane(m);
+      plane.pack(s.data());
+      EXPECT_EQ(plane.run_starts(), expected) << "width " << w;
+      EXPECT_LE(connected_components(s, Connectivity::Four).size(), expected);
+      EXPECT_LE(connected_components(s, Connectivity::Eight).size(),
+                expected);
+    }
+  }
+}
+
+TEST(ConnectivityTest, GatherComponentsBuildsInPlaceAndVisitsEveryCell) {
+  const CellSet s{Mesh2D(12, 12, Topology::Torus),
+                  {{0, 0}, {11, 0}, {0, 11}, {5, 5}, {5, 6}, {6, 6}, {9, 2}}};
+  const auto expected = connected_components(s, Connectivity::Eight);
+
+  struct Built {
+    Component component;
+    mesh::Coord seed;
+    std::vector<mesh::Coord> visited;
+  };
+  std::vector<Built> built;
+  BitPlane plane(s.topology());
+  plane.pack(s.data());
+  gather_components(
+      std::move(plane), Connectivity::Eight,
+      [&built](mesh::Coord seed) -> Component& {
+        built.push_back({{}, seed, {}});
+        return built.back().component;
+      },
+      [&built](mesh::Coord cell) { built.back().visited.push_back(cell); });
+
+  ASSERT_EQ(built.size(), expected.size());
+  for (std::size_t i = 0; i < built.size(); ++i) {
+    EXPECT_EQ(built[i].component.region, expected[i].region);
+    EXPECT_EQ(built[i].component.mesh_cells, expected[i].mesh_cells);
+    // The seed is the component's first cell in row-major order, and the
+    // walk visits each physical cell once.
+    const auto cells = built[i].component.cells();
+    EXPECT_EQ(built[i].seed, *std::min_element(cells.begin(), cells.end(),
+                                               [](Coord a, Coord b) {
+                                                 return a.y < b.y ||
+                                                        (a.y == b.y &&
+                                                         a.x < b.x);
+                                               }));
+    std::vector<mesh::Coord> visited = built[i].visited;
+    std::vector<mesh::Coord> all(cells.begin(), cells.end());
+    std::sort(visited.begin(), visited.end());
+    std::sort(all.begin(), all.end());
+    EXPECT_EQ(visited, all);
+  }
+}
+
 }  // namespace
 }  // namespace ocp::grid
