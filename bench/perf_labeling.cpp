@@ -56,27 +56,6 @@ BENCHMARK(BM_PipelineDistributedDense)
     ->ArgsProduct({{32, 64, 100, 200}, {5, 20}})
     ->Unit(benchmark::kMillisecond);
 
-// Same pipeline with `parallel` set. Both phases run the word-parallel
-// evaluator, which `parallel` does not apply to, so this row times the same
-// rounds as BM_PipelineDistributedDense; it is kept so the committed series
-// continues.
-void BM_PipelineDistributedDenseParallel(benchmark::State& state) {
-  const auto n = static_cast<std::int32_t>(state.range(0));
-  const auto faults = make_faults(n, state.range(1), 42);
-  labeling::PipelineOptions opts;
-  opts.engine = labeling::Engine::Distributed;
-  opts.run_mode = sim::RunMode::Dense;
-  opts.parallel = true;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(labeling::run_pipeline(faults, opts));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n) * n);
-}
-BENCHMARK(BM_PipelineDistributedDenseParallel)
-    ->ArgsProduct({{100, 200, 400}, {5, 20}})
-    ->Unit(benchmark::kMillisecond);
-
 // Cost of building the CSR adjacency table itself (paid once per machine,
 // amortized across both phases and all rounds).
 void BM_AdjacencyTableBuild(benchmark::State& state) {

@@ -6,7 +6,10 @@
 // the committed qps/p99 table in EXPERIMENTS.md comes from.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "fault/generators.hpp"
 #include "svc/loadgen.hpp"
@@ -54,6 +57,80 @@ void BM_SvcIngestChurn(benchmark::State& state) {
 BENCHMARK(BM_SvcIngestChurn)->Arg(16)->Arg(32)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
+// Epoch turnover as a serving process sees it: one 8-event fault/repair
+// batch (half repairs) applied at a 0.5% background, then the epoch's first
+// `acquire`, which retires the previous epoch. Between steps, outside the
+// timing, the new epoch answers 38 route queries over 1,024 hot pairs whose
+// destinations lie within 32 cells of their sources, so a warm cache of
+// ~200 routes is carried into every step (unlike BM_SvcIngestChurn, whose
+// engine caches no routes). Items are applied events; the time per
+// iteration is the batch-to-fresh-epoch latency.
+void BM_SvcEpochTurnover(benchmark::State& state) {
+  const auto n = static_cast<std::int32_t>(state.range(0));
+  const mesh::Mesh2D m = mesh::Mesh2D::square(n);
+  stats::Rng rng(23);
+  const auto pick = [&] {
+    return mesh::Coord{static_cast<std::int32_t>(rng.uniform_int(0, n - 1)),
+                       static_cast<std::int32_t>(rng.uniform_int(0, n - 1))};
+  };
+  svc::IngestEngine engine(fault::uniform_random(
+      m, static_cast<std::size_t>(m.node_count()) / 200, rng));
+  std::vector<mesh::Coord> faults;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(m.node_count()); ++i) {
+    if (engine.labeling().faults().contains_index(i)) {
+      faults.push_back(m.coord(i));
+    }
+  }
+  std::vector<std::pair<mesh::Coord, mesh::Coord>> hot;
+  while (hot.size() < 1024) {
+    const mesh::Coord a = pick();
+    const auto near = [&](std::int32_t v) {
+      return std::clamp<std::int32_t>(
+          v + static_cast<std::int32_t>(rng.uniform_int(-32, 32)), 0, n - 1);
+    };
+    hot.emplace_back(a, mesh::Coord{near(a.x), near(a.y)});
+  }
+  for (const auto& [a, b] : hot) {
+    benchmark::DoNotOptimize(engine.acquire().route(a, b));
+  }
+
+  std::vector<svc::FaultEvent> batch;
+  std::int64_t applied = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    batch.clear();
+    for (int k = 0; k < 8; ++k) {
+      if (k % 2 == 0 && !faults.empty()) {
+        const auto i = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(faults.size()) - 1));
+        batch.push_back({svc::EventKind::Repair, faults[i]});
+        faults[i] = faults.back();
+        faults.pop_back();
+      } else {
+        mesh::Coord c = pick();
+        while (engine.labeling().faults().contains(c)) c = pick();
+        batch.push_back({svc::EventKind::Fault, c});
+        faults.push_back(c);
+      }
+    }
+    state.ResumeTiming();
+    const svc::BatchOutcome outcome = engine.apply(batch);
+    const svc::Snapshot& fresh = engine.acquire();
+    benchmark::DoNotOptimize(fresh.status_of(batch.back().node));
+    applied += static_cast<std::int64_t>(outcome.applied);
+    state.PauseTiming();
+    for (int q = 0; q < 38; ++q) {
+      const auto& [a, b] = hot[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(hot.size()) - 1))];
+      benchmark::DoNotOptimize(fresh.route(a, b));
+    }
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(applied);
+  state.SetLabel("items = applied events");
+}
+BENCHMARK(BM_SvcEpochTurnover)->Arg(1024)->Unit(benchmark::kMicrosecond);
+
 // Steady-state single-thread query throughput against a fixed snapshot:
 // the RCU acquire + O(1) status/region answer path.
 void BM_SvcQueryStatus(benchmark::State& state) {
@@ -76,7 +153,7 @@ void BM_SvcQueryStatus(benchmark::State& state) {
 BENCHMARK(BM_SvcQueryStatus);
 
 // Route queries against a warmed per-epoch cache: after the first sweep
-// every lookup is a shared-lock table hit returning a pooled entry.
+// every lookup is a shared-lock index hit returning a stored entry.
 void BM_SvcQueryRouteWarm(benchmark::State& state) {
   const mesh::Mesh2D m = mesh::Mesh2D::square(32);
   stats::Rng rng(19);
@@ -99,7 +176,7 @@ void BM_SvcQueryRouteWarm(benchmark::State& state) {
 BENCHMARK(BM_SvcQueryRouteWarm);
 
 // Route queries where (nearly) every pair is new: the miss path — route
-// computation plus pooled insertion under the exclusive lock. Pairs are
+// computation plus insertion under the exclusive lock. Pairs are
 // enumerated so no pair repeats within ~node_count^2 queries, far more
 // than a timed run consumes.
 void BM_SvcQueryRouteCold(benchmark::State& state) {

@@ -26,6 +26,7 @@ AllocEngine::AllocEngine(const svc::Snapshot& snap, AllocConfig config)
       strategy_(make_strategy(config_.strategy)),
       index_(machine_),
       tiles_(machine_),
+      dirty_pages_(tiles_.page_count()),
       blocked_(static_cast<std::size_t>(machine_.node_count()), 0),
       occupant_(static_cast<std::size_t>(machine_.node_count()), -1),
       digest_(kFnvOffset) {
@@ -48,16 +49,16 @@ AllocEngine::AllocEngine(const svc::Snapshot& snap, AllocConfig config)
 
 std::int64_t AllocView::largest_free_rect() const {
   std::call_once(largest_once_, [this] {
-    // Gather each machine row from its tiles' page rows.
+    // Gather each machine row from its pages' rows.
     const mesh::Mesh2D& m = tiles_.machine();
     std::vector<std::uint8_t> row(static_cast<std::size_t>(m.width()));
     largest_free_rect_ = largest_free_rect_area(
         m.width(), m.height(), [&](std::int32_t y) {
-          const std::uint32_t t0 = tiles_.tile_of({0, y});
+          const std::uint32_t p0 = tiles_.page_of({0, y});
           std::uint8_t* out = row.data();
-          for (std::int32_t tx = 0; tx < tiles_.tiles_x(); ++tx) {
+          for (std::int32_t px = 0; px < tiles_.pages_x(); ++px) {
             const std::span<const std::uint8_t> part =
-                busy_.row(tiles_, t0 + static_cast<std::uint32_t>(tx), y);
+                busy_.row(tiles_, p0 + static_cast<std::uint32_t>(px), y);
             out = std::copy(part.begin(), part.end(), out);
           }
           return row.data();
@@ -87,7 +88,7 @@ void AllocEngine::note(Note code, std::uint64_t id, geom::Rect rect,
 
 void AllocEngine::set_busy(mesh::Coord c, bool busy) {
   index_.set_busy(c, busy);
-  dirty_tiles_ |= tiles_.bit_of(c);
+  dirty_pages_.insert(tiles_.page_of(c));
 }
 
 void AllocEngine::place_live(const JobRequest& request, mesh::Coord anchor,
@@ -318,9 +319,9 @@ double AllocEngine::utilization() const {
 }
 
 void AllocEngine::publish_view() {
-  // Rebuild only the pages of tiles with a busy flip since the last publish
-  // (every page on the first one); the rest are shared with the previous
-  // view. No O(W x H) pass: fragmentation is computed by the reader.
+  // Rebuild only the pages with a busy flip since the last publish (every
+  // page on the first one); the rest are shared with the previous view. No
+  // O(W x H) pass: fragmentation is computed by the reader.
   const auto busy_rows = [this](std::int32_t y, std::int32_t x0,
                                 std::span<std::uint8_t> out) {
     const std::span<const std::uint8_t> row = index_.busy_row(y);
@@ -329,10 +330,10 @@ void AllocEngine::publish_view() {
   svc::PageStats pages;
   auto next = std::make_shared<AllocView>(
       tiles_, view_ ? svc::PagedPlane<std::uint8_t>::next(
-                          view_->busy_, tiles_, dirty_tiles_, busy_rows, pages)
+                          view_->busy_, tiles_, dirty_pages_, busy_rows, pages)
                     : svc::PagedPlane<std::uint8_t>::build(tiles_, busy_rows,
                                                            pages));
-  dirty_tiles_ = 0;
+  dirty_pages_.clear();
   next->epoch = epoch_;
   next->tick = tick_;
   next->placement_digest = digest_;

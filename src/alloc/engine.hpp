@@ -28,7 +28,7 @@
 // behind it (scan order is deterministic, so replay identity holds).
 //
 // Every transition ends in one publish of the `AllocView`. Publishing is
-// O(dirty tiles): every busy flip marks its tile, and the view's frozen busy
+// O(dirty pages): every busy flip marks its page, and the view's frozen busy
 // plane rebuilds only those pages, sharing the rest with the previous view.
 // The O(W x H) fragmentation scan is left to the readers that ask for it.
 //
@@ -144,9 +144,9 @@ struct EpochOutcome {
 
 /// Immutable published view for reader threads (RCU slot). Besides the
 /// scalar counters it carries the engine's busy plane (blocked OR occupied)
-/// frozen at publish time, paged copy-on-write along the machine's
-/// `grid::TileGrid`: a view shares every page whose tile no busy flip
-/// touched since its predecessor, so publishing costs O(dirty tiles). The
+/// frozen at publish time, paged copy-on-write along the page grid of the
+/// machine's `grid::TileGrid`: a view shares every page no busy flip
+/// touched since its predecessor, so publishing costs O(dirty pages). The
 /// O(W x H) largest-free-rectangle pass runs only when a reader asks for
 /// `largest_free_rect()` / `fragmentation()`, once per view (memoized under
 /// `std::call_once`, so concurrent readers of one view see one value).
@@ -180,12 +180,12 @@ class AllocView {
     return busy_.at(tiles_, c) != 0;
   }
   [[nodiscard]] const grid::TileGrid& tiles() const noexcept { return tiles_; }
-  /// True when this view and `prev` serve tile `t` of the busy plane from
-  /// the same page (test hook for the sharing structure, like
-  /// `svc::Snapshot::shares_page_with`).
+  /// True when this view and `prev` serve page `p` of the busy plane from
+  /// the same page object (test hook for the sharing structure, like
+  /// `svc::Snapshot::shares_pages_with`).
   [[nodiscard]] bool shares_page_with(const AllocView& prev,
-                                      std::uint32_t t) const noexcept {
-    return busy_.shares_page_with(prev.busy_, t);
+                                      std::uint32_t p) const noexcept {
+    return busy_.shares_page_with(prev.busy_, p);
   }
 
  private:
@@ -283,7 +283,7 @@ class AllocEngine {
            static_cast<std::size_t>(c.x);
   }
   void note(Note code, std::uint64_t id, geom::Rect rect, std::uint64_t extra);
-  /// Flips one cell in the index and marks its tile for the next publish.
+  /// Flips one cell in the index and marks its page for the next publish.
   void set_busy(mesh::Coord c, bool busy);
   void place_live(const JobRequest& request, mesh::Coord anchor,
                   std::uint32_t evictions);
@@ -298,8 +298,8 @@ class AllocEngine {
   std::unique_ptr<PlacementStrategy> strategy_;
   FreeRegionIndex index_;
   grid::TileGrid tiles_;
-  /// Tiles holding a busy flip since the last publish.
-  std::uint64_t dirty_tiles_ = 0;
+  /// Pages holding a busy flip since the last publish.
+  grid::PageSet dirty_pages_;
   std::vector<std::uint8_t> blocked_;
   std::vector<std::int64_t> occupant_;
   std::size_t blocked_count_ = 0;

@@ -7,16 +7,18 @@
 // only pairs that are actually requested are ever routed, which keeps the
 // footprint proportional to observed traffic rather than node_count².
 //
-// Entries live in a pooled table owned by one `shared_ptr<Table>`: shared
-// lookups hand out aliasing handles into the table instead of allocating a
-// control block per route, and `clear()` retires the whole table at once
-// (outstanding handles keep it alive). Each entry also records the tile
+// Each entry is an immutable, refcounted record (`shared_ptr<const Entry>`)
+// indexed by a flat open-addressing table, and it records the tile
 // footprint its computation consulted — the tiles of every path cell plus
-// their 4-neighborhoods (see grid::TileGrid) — so a successor cache serving
-// a changed blocked set can `adopt()` every entry whose footprint misses
-// the dirty tiles: those routes are provably identical under the new
-// blocked set, because the router only ever probes blocked cells inside the
-// footprint.
+// their 4-neighborhoods (see grid::TileGrid). A successor cache serving a
+// changed blocked set can `adopt()` every entry whose footprint misses the
+// dirty tiles: those routes are provably identical under the new blocked
+// set, because the router only ever probes blocked cells inside the
+// footprint. Adoption shares the entry rather than copying it (one refcount
+// bump and one index slot per carried route), so a route carried across
+// many epochs is one object, and retiring a cache frees only its index and
+// the entries no other cache still holds. Shared lookups hand out aliasing
+// handles to the entry, which outlive every cache that held it.
 //
 // Thread-safe: the parallel load-sweep driver (netsim/load_sweep) shares one
 // cache across all (load, seed) trials of a sweep, since every trial sees
@@ -27,10 +29,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <shared_mutex>
-#include <unordered_map>
+#include <vector>
 
 #include "grid/tiles.hpp"
 #include "routing/router.hpp"
@@ -40,10 +41,7 @@ namespace ocp::routing {
 class RouteCache {
  public:
   RouteCache(const Router& router, const mesh::Mesh2D& machine)
-      : router_(&router),
-        mesh_(machine),
-        tiles_(machine),
-        table_(std::make_shared<Table>()) {}
+      : router_(&router), mesh_(machine), tiles_(machine) {}
 
   /// The route src -> dst, computed on first request and remembered. The
   /// returned reference stays valid until `clear()` retires the entry (or
@@ -51,9 +49,10 @@ class RouteCache {
   /// must use `lookup_shared`.
   [[nodiscard]] const Route& lookup(mesh::Coord src, mesh::Coord dst) const;
 
-  /// Like `lookup`, but the returned handle keeps the route alive across a
-  /// concurrent `clear()` — the safe form for readers racing invalidation.
-  /// The handle aliases the pooled table (no per-entry allocation).
+  /// Like `lookup`, but the returned handle owns the route's entry: it
+  /// stays valid across a concurrent `clear()` and after this cache and
+  /// every cache that carried the entry are gone. The handle aliases the
+  /// entry (no per-lookup allocation).
   [[nodiscard]] std::shared_ptr<const Route> lookup_shared(
       mesh::Coord src, mesh::Coord dst) const;
 
@@ -64,7 +63,7 @@ class RouteCache {
   /// alive through their shared handles.
   void clear();
 
-  /// What `adopt` did: entries copied into this cache vs dropped because
+  /// What `adopt` did: entries shared into this cache vs dropped because
   /// their footprint intersected the dirty tiles.
   struct AdoptStats {
     std::size_t carried = 0;
@@ -76,8 +75,9 @@ class RouteCache {
   /// bitmask over the shared machine). Sound when the blocked sets backing
   /// the two caches differ only inside the dirty tiles: a surviving route
   /// never probed a changed cell, so recomputing it would yield the same
-  /// answer. Safe against concurrent lookups on `prev` (which may still be
-  /// serving); `prev` must not be this cache.
+  /// answer. A carried entry is shared, not copied: both caches serve the
+  /// same immutable object. Safe against concurrent lookups on `prev`
+  /// (which may still be serving); `prev` must not be this cache.
   AdoptStats adopt(const RouteCache& prev, std::uint64_t dirty_tiles);
 
   /// Monotonically increasing invalidation epoch: 0 at construction,
@@ -119,16 +119,45 @@ class RouteCache {
     /// their neighborhoods, plus both endpoints).
     std::uint64_t tiles = 0;
   };
-  /// One cache generation: an index over a deque pool (stable addresses,
-  /// no per-entry allocation). Retired wholesale by `clear()`.
-  struct Table {
-    std::unordered_map<std::uint64_t, const Entry*> index;
-    std::deque<Entry> pool;
+  /// Pair key -> shared entry: linear probing over a power-of-two slot
+  /// array kept at most half full. Entries live on the heap, so growing the
+  /// index never moves a route a `lookup` reference points at.
+  class Index {
+   public:
+    /// The entry under `key`, or nullptr.
+    [[nodiscard]] const std::shared_ptr<const Entry>* find(
+        std::uint64_t key) const noexcept;
+    /// Inserts or replaces the entry under `key`.
+    void assign(std::uint64_t key, std::shared_ptr<const Entry> entry);
+    /// Makes room for `n` entries without regrowing.
+    void reserve(std::size_t n);
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    /// Calls `fn(key, entry)` for every stored entry.
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+      for (const Slot& s : slots_) {
+        if (s.entry) fn(s.key, s.entry);
+      }
+    }
+
+   private:
+    struct Slot {
+      std::uint64_t key = 0;
+      std::shared_ptr<const Entry> entry;  // null: empty slot
+    };
+    [[nodiscard]] std::size_t home(std::uint64_t key) const noexcept;
+    /// The slot holding `key`, else the empty slot ending its probe run.
+    /// Precondition: slots_ is not empty.
+    [[nodiscard]] std::size_t position(std::uint64_t key) const noexcept;
+
+    std::vector<Slot> slots_;
+    std::uint32_t shift_ = 64;  // 64 - log2(slots_.size())
+    std::size_t size_ = 0;
   };
 
   /// Slow path: routes src -> dst, inserts (or finds a racing insertion)
-  /// and returns an owning handle into the current table.
-  std::shared_ptr<const Route> miss(std::uint64_t key, mesh::Coord src,
+  /// and returns the stored entry.
+  std::shared_ptr<const Entry> miss(std::uint64_t key, mesh::Coord src,
                                     mesh::Coord dst) const;
   [[nodiscard]] std::uint64_t footprint(const Route& route, mesh::Coord src,
                                         mesh::Coord dst) const;
@@ -137,7 +166,7 @@ class RouteCache {
   mesh::Mesh2D mesh_;
   grid::TileGrid tiles_;
   mutable std::shared_mutex mutex_;
-  mutable std::shared_ptr<Table> table_;
+  mutable Index index_;
   std::atomic<std::uint64_t> generation_{0};
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};

@@ -30,7 +30,8 @@ IngestEngine::IngestEngine(grid::CellSet initial_faults, IngestConfig config)
     : config_(config),
       labeling_(std::move(initial_faults), config.definition),
       tiles_(labeling_.faults().topology()),
-      engine_id_(next_engine_id()) {
+      engine_id_(next_engine_id()),
+      pending_dirty_pages_(tiles_.page_count()) {
   latest_ = Snapshot::build(epoch_, labeling_, config_.hand);
   publish(latest_);
 }
@@ -124,10 +125,11 @@ BatchOutcome IngestEngine::apply(std::span<const FaultEvent> batch) {
 
   // Apply the net delta in first-touched order (deterministic; the final
   // labeling depends only on the final fault set), folding each event's
-  // dirty extent into the pending publication masks. A chaos kill scheduled
-  // for the epoch this batch would publish fires here — mid-batch, before
-  // the rest of the delta mutates the labeling — so crash recovery is
-  // exercised against genuinely partial in-memory state.
+  // dirty extent into the pending dirty pages and route-invalidation mask.
+  // A chaos kill scheduled for the epoch this batch would publish fires
+  // here — mid-batch, before the rest of the delta mutates the labeling —
+  // so crash recovery is exercised against genuinely partial in-memory
+  // state.
   for (const auto& [node, want_faulty] : desired) {
     if (labeling_.faults().contains(node) == want_faulty) {
       continue;  // an intra-batch fault+repair pair cancelled out
@@ -137,7 +139,7 @@ BatchOutcome IngestEngine::apply(std::span<const FaultEvent> batch) {
                                            ? labeling_.add_fault(node)
                                            : labeling_.remove_fault(node);
     for (const mesh::Coord c : delta.dirty_cells) {
-      pending_dirty_tiles_ |= tiles_.bit_of(c);
+      pending_dirty_pages_.insert(tiles_.page_of(c));
       pending_padded_tiles_ |= tiles_.padded_bits(c);
     }
     pending_dirty_cells_ += delta.dirty_cells.size();
@@ -176,15 +178,15 @@ BatchOutcome IngestEngine::apply(std::span<const FaultEvent> batch) {
     // counter moves past it.
     if (outcome.applied == 0 && chaos_kill()) return outcome;
     obs::Span publish_span(config_.trace, "svc.publish");
-    // Copy-on-write against the epoch actually serving: the pending masks
-    // cover every change since `latest_`, including changes from batches
-    // the oracle withheld.
+    // Copy-on-write against the epoch actually serving: the pending pages
+    // and mask cover every change since `latest_`, including changes from
+    // batches the oracle withheld.
     auto next = Snapshot::next(*latest_, epoch_ + 1, labeling_,
-                               pending_dirty_tiles_, pending_padded_tiles_);
+                               pending_dirty_pages_, pending_padded_tiles_);
     if (config_.chaos.enabled() && config_.chaos.poison_publish()) {
       // Chaos: the oracle "finds" a violation in a perfectly good snapshot.
       // Exercises the withholding path — bounded staleness, armed pending
-      // masks, eventual retry — without a real engine bug to provoke it.
+      // dirt, eventual retry — without a real engine bug to provoke it.
       rejected = true;
       violation = check::ViolationReport{};
       violation->violations.push_back(
@@ -196,7 +198,7 @@ BatchOutcome IngestEngine::apply(std::span<const FaultEvent> batch) {
       auto report = next->validate(config_.definition, config_.oracle_checks);
       if (!report.ok()) {
         // Tripwire: withhold the bad epoch, keep serving the previous one.
-        // The pending masks stay armed for the next attempt.
+        // The pending dirty pages and mask stay armed for the next attempt.
         rejected = true;
         violation = std::move(report);
         config_.trace.counter("svc.oracle_rejects", 1);
@@ -221,7 +223,7 @@ BatchOutcome IngestEngine::apply(std::span<const FaultEvent> batch) {
           static_cast<std::int64_t>(next->cache_carry_stats().invalidated));
       config_.trace.counter(
           "svc.dirty_cells", static_cast<std::int64_t>(pending_dirty_cells_));
-      pending_dirty_tiles_ = 0;
+      pending_dirty_pages_.clear();
       pending_padded_tiles_ = 0;
       pending_dirty_cells_ = 0;
       unpublished_.clear();
@@ -261,14 +263,14 @@ std::vector<FaultEvent> IngestEngine::crash_and_recover() {
   // The crash loses everything not published: rebuild the labeling from the
   // last published snapshot's fault set (full rebuild and incremental
   // maintenance are bit-identical — the engine-equivalence invariant the
-  // fuzzer pins), and disarm the pending masks that described the now
+  // fuzzer pins), and disarm the pending dirt that described the now
   // discarded progress. The unpublished backlog is the WAL the crash did
   // NOT lose: its events are state-setting (fault = make-faulty, repair =
   // make-healthy), so the caller replaying them — possibly on top of a
   // prefix already re-applied here — converges to the pre-crash fault set.
   labeling_ =
       labeling::MaintainedLabeling(latest_->faults(), config_.definition);
-  pending_dirty_tiles_ = 0;
+  pending_dirty_pages_.clear();
   pending_padded_tiles_ = 0;
   pending_dirty_cells_ = 0;
   unpublished_dirty_cells_.clear();

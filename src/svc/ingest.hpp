@@ -13,8 +13,8 @@
 // accumulating their dirty extents, and publishes exactly one new epoch —
 // or none when the whole batch coalesced away. Publication is
 // copy-on-write: the new snapshot is built with `Snapshot::next` against
-// the previously published one, sharing every serving page outside the
-// accumulated dirty tiles and carrying the warm route cache (see
+// the previously published one, rebuilding exactly the serving pages that
+// hold an accumulated dirty cell and carrying the warm route cache (see
 // snapshot.hpp). Dirty extents accumulate across oracle-withheld epochs and
 // reset only on a successful publish, so a later snapshot always diffs
 // against the epoch actually being served.
@@ -213,7 +213,7 @@ class IngestEngine {
   /// (the staleness watermark queries and dashboards read).
   std::atomic<std::uint64_t> withheld_since_publish_{0};
   labeling::MaintainedLabeling labeling_;
-  /// Tile decomposition used to accumulate dirty masks for publication.
+  /// Page and tile decomposition the dirty accumulation below uses.
   grid::TileGrid tiles_;
   /// Distinguishes engines in the thread-local acquire slots; monotonically
   /// assigned so a slot can never alias a destroyed engine's cache.
@@ -223,9 +223,11 @@ class IngestEngine {
   /// the next copy-on-write publication.
   std::shared_ptr<const Snapshot> latest_;
   /// Dirty accumulation since `latest_` (across oracle-withheld epochs):
-  /// tiles whose cells changed, their padded neighborhoods (for route-cache
-  /// invalidation), and the summed dirty-cell count (observability).
-  std::uint64_t pending_dirty_tiles_ = 0;
+  /// the pages holding a changed cell (the pages the next snapshot
+  /// rebuilds), the tiles of those cells' padded neighborhoods (for
+  /// route-cache invalidation), and the summed dirty-cell count
+  /// (observability).
+  grid::PageSet pending_dirty_pages_;
   std::uint64_t pending_padded_tiles_ = 0;
   std::uint64_t pending_dirty_cells_ = 0;
   /// Guards only the publish slot; both critical sections are pointer-sized.

@@ -22,17 +22,19 @@ static_assert(static_cast<std::uint8_t>(NodeStatus::Enabled) == 0 &&
               static_cast<std::uint8_t>(NodeStatus::Disabled) == 1);
 auto status_rows(const grid::CellSet& faults,
                  const grid::NodeGrid<labeling::Activation>& activation) {
-  return [&faults, act = activation.data(),
+  return [fault = faults.data(), act = activation.data(),
           width = static_cast<std::size_t>(faults.topology().width())](
              std::int32_t y, std::int32_t x0, std::span<NodeStatus> out) {
     const std::size_t first =
         static_cast<std::size_t>(y) * width + static_cast<std::size_t>(x0);
     for (std::size_t k = 0; k < out.size(); ++k) {
-      // Byte arithmetic instead of nested branches, so the loop vectorizes.
+      // Byte arithmetic instead of nested branches, and planes read through
+      // raw pointers (not the set's vector, which a byte store may alias),
+      // so the loop vectorizes.
       const auto disabled = static_cast<std::uint8_t>(
           act[first + k] == labeling::Activation::Disabled);
       out[k] = static_cast<NodeStatus>(
-          faults.contains_index(first + k)
+          fault[first + k] != 0
               ? static_cast<std::uint8_t>(NodeStatus::Faulty)
               : disabled);
     }
@@ -54,7 +56,7 @@ auto key_rows(const grid::NodeGrid<std::int32_t>& keys) {
 
 Snapshot::Snapshot(std::uint64_t epoch,
                    const labeling::MaintainedLabeling& labeling,
-                   const Snapshot* prev, std::uint64_t dirty_tiles,
+                   const Snapshot* prev, const grid::PageSet* dirty_pages,
                    std::uint64_t padded_dirty_tiles, routing::Hand hand)
     : epoch_(epoch),
       tiles_(labeling.faults().topology()),
@@ -65,25 +67,19 @@ Snapshot::Snapshot(std::uint64_t epoch,
       block_records_(labeling.block_records().freeze()),
       region_records_(labeling.region_records().freeze()),
       router_(machine(), blocked_by_status_, hand),
-      cache_(router_, machine()),
-      dirty_tiles_(dirty_tiles) {
+      cache_(router_, machine()) {
   const auto statuses = status_rows(labeling.faults(), labeling.activation());
   const auto keys = key_rows(labeling.region_keys());
   if (prev == nullptr) {
     status_pages_ = PagedPlane<NodeStatus>::build(tiles_, statuses, page_stats_);
     region_key_pages_ =
         PagedPlane<std::int32_t>::build(tiles_, keys, page_stats_);
-    tile_generations_.assign(tiles_.tile_count(), epoch_);
     return;
   }
   status_pages_ = PagedPlane<NodeStatus>::next(
-      prev->status_pages_, tiles_, dirty_tiles, statuses, page_stats_);
+      prev->status_pages_, tiles_, *dirty_pages, statuses, page_stats_);
   region_key_pages_ = PagedPlane<std::int32_t>::next(
-      prev->region_key_pages_, tiles_, dirty_tiles, keys, page_stats_);
-  tile_generations_ = prev->tile_generations_;
-  for (std::uint32_t t = 0; t < tiles_.tile_count(); ++t) {
-    if ((dirty_tiles >> t) & 1u) tile_generations_[t] = epoch_;
-  }
+      prev->region_key_pages_, tiles_, *dirty_pages, keys, page_stats_);
   // Warm start: routes that never probed a dirtied neighborhood are still
   // correct under the new blocked set.
   cache_carry_stats_ = cache_.adopt(prev->cache_, padded_dirty_tiles);
@@ -124,35 +120,41 @@ Snapshot::Snapshot(std::uint64_t epoch, grid::CellSet faults,
       tiles_, status_rows(*faults_, *activation_), page_stats_);
   region_key_pages_ =
       PagedPlane<std::int32_t>::build(tiles_, key_rows(keys), page_stats_);
-  tile_generations_.assign(tiles_.tile_count(), epoch_);
 }
 
 std::shared_ptr<const Snapshot> Snapshot::build(
     std::uint64_t epoch, const labeling::MaintainedLabeling& labeling,
     routing::Hand hand) {
+  return std::shared_ptr<const Snapshot>(new Snapshot(
+      epoch, labeling, nullptr, nullptr, ~std::uint64_t{0}, hand));
+}
+
+std::shared_ptr<const Snapshot> Snapshot::next(
+    const Snapshot& prev, std::uint64_t epoch,
+    const labeling::MaintainedLabeling& labeling,
+    const grid::PageSet& dirty_pages, std::uint64_t padded_dirty_tiles) {
   return std::shared_ptr<const Snapshot>(
-      new Snapshot(epoch, labeling, nullptr, ~std::uint64_t{0},
-                   ~std::uint64_t{0}, hand));
+      new Snapshot(epoch, labeling, &prev, &dirty_pages, padded_dirty_tiles,
+                   prev.hand_));
 }
 
 std::shared_ptr<const Snapshot> Snapshot::next(
     const Snapshot& prev, std::uint64_t epoch,
     const labeling::MaintainedLabeling& labeling, std::uint64_t dirty_tiles,
     std::uint64_t padded_dirty_tiles) {
-  return std::shared_ptr<const Snapshot>(
-      new Snapshot(epoch, labeling, &prev, dirty_tiles, padded_dirty_tiles,
-                   prev.hand_));
+  return next(prev, epoch, labeling, prev.tiles_.pages_of_tiles(dirty_tiles),
+              padded_dirty_tiles);
 }
 
 template <typename Fn>
 void Snapshot::for_each_status(Fn&& fn) const {
   const auto width = static_cast<std::size_t>(machine().width());
-  for (std::uint32_t t = 0; t < tiles_.tile_count(); ++t) {
-    const grid::TileGrid::TileRect b = tiles_.bounds(t);
+  for (std::uint32_t p = 0; p < tiles_.page_count(); ++p) {
+    const grid::TileGrid::CellRect b = tiles_.page_bounds(p);
     for (std::int32_t y = b.y0; y < b.y1; ++y) {
       std::size_t i =
           static_cast<std::size_t>(y) * width + static_cast<std::size_t>(b.x0);
-      for (const NodeStatus s : status_pages_.row(tiles_, t, y)) fn(i++, s);
+      for (const NodeStatus s : status_pages_.row(tiles_, p, y)) fn(i++, s);
     }
   }
 }

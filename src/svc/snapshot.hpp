@@ -13,12 +13,15 @@
 //    with the labeling and with every other epoch that serves them;
 //  * a per-epoch `routing::RouteCache` that memoizes routes lazily.
 //
-// Epoch turnover is copy-on-write and never O(mesh): `next()` shares every
-// serving page whose tile the delta did not touch (see pages.hpp),
-// rebuilds the dirty pages row by row from the labeling's flat planes,
-// memcpys the two order arrays (8 bytes per block or region) and carries
-// the predecessor's route cache, dropping only the entries whose footprint
-// intersects the dirty tiles. A region's key
+// Epoch turnover is copy-on-write and never O(mesh): `next()` rebuilds
+// exactly the serving pages that hold a dirty cell, row by row from the
+// labeling's flat planes, shares every other page (see pages.hpp), memcpys
+// the two order arrays (8 bytes per block or region) and carries the
+// predecessor's route cache by sharing its immutable entries, dropping only
+// the ones whose footprint intersects the padded dirty tiles. Storage is
+// paged finely (32x32 at most) while invalidation stays coarse (the <= 64
+// tiles of grid::TileGrid), so an epoch costs O(dirty pages + carried
+// routes) and retiring one frees only what it built. A region's key
 // (the minimum row-major node index of its cells) is stable across events
 // that renumber the `regions()` view without touching the region itself,
 // which is what keeps pages of untouched regions shareable.
@@ -91,15 +94,24 @@ class Snapshot {
       std::uint64_t epoch, const labeling::MaintainedLabeling& labeling,
       routing::Hand hand = routing::Hand::Right);
 
-  /// Copy-on-write successor of `prev`: serving pages of tiles outside
-  /// `dirty_tiles` are shared with `prev`, dirty ones are rebuilt from
-  /// `labeling`, and `prev`'s route cache is carried over minus the entries
-  /// whose footprint intersects `padded_dirty_tiles` (the dirty tiles plus
-  /// their neighborhoods — what a routing decision can have probed).
-  /// Precondition: the labels outside the dirty tiles are identical between
-  /// `prev` and `labeling` — exactly what the maintained labeling's
-  /// `EventDelta::dirty_cells` guarantees for the accumulated deltas since
-  /// `prev` was built. Must run on the labeling's writer thread.
+  /// Copy-on-write successor of `prev`: the serving pages in `dirty_pages`
+  /// (page ids of `tiles()`) are rebuilt from `labeling`, every other page
+  /// is shared with `prev`, and `prev`'s route cache is carried over minus
+  /// the entries whose footprint intersects `padded_dirty_tiles` (the tiles
+  /// of the dirty cells plus their neighborhoods — what a routing decision
+  /// can have probed). Precondition: the labels outside the dirty pages are
+  /// identical between `prev` and `labeling` — exactly what the maintained
+  /// labeling's `EventDelta::dirty_cells` guarantees for the accumulated
+  /// deltas since `prev` was built. Must run on the labeling's writer
+  /// thread.
+  [[nodiscard]] static std::shared_ptr<const Snapshot> next(
+      const Snapshot& prev, std::uint64_t epoch,
+      const labeling::MaintainedLabeling& labeling,
+      const grid::PageSet& dirty_pages, std::uint64_t padded_dirty_tiles);
+
+  /// Coarse-mask form of `next`: rebuilds every page of the tiles in
+  /// `dirty_tiles` (a grid::TileGrid bitmask). Kept for callers that track
+  /// dirt per tile; the page-set form rebuilds only pages with dirty cells.
   [[nodiscard]] static std::shared_ptr<const Snapshot> next(
       const Snapshot& prev, std::uint64_t epoch,
       const labeling::MaintainedLabeling& labeling,
@@ -171,22 +183,10 @@ class Snapshot {
     return cache_;
   }
 
-  /// The tile decomposition the serving pages and cache footprints use.
+  /// The decomposition the serving pages (fine pages) and the cache
+  /// footprints (coarse tiles) use.
   [[nodiscard]] const grid::TileGrid& tiles() const noexcept {
     return tiles_;
-  }
-  /// Tile mask this snapshot was built against: the dirty tiles of the
-  /// delta for a `next()` successor, every tile for a fresh `build`.
-  /// Consumers deriving incremental structures from epoch turnover (the
-  /// allocation layer's free-region index) scan only these tiles.
-  [[nodiscard]] std::uint64_t dirty_tiles() const noexcept {
-    return dirty_tiles_;
-  }
-  /// Epoch at which each tile's serving pages were last rebuilt; carried
-  /// across `next()` so a page's provenance is inspectable.
-  [[nodiscard]] const std::vector<std::uint64_t>& tile_generations()
-      const noexcept {
-    return tile_generations_;
   }
   /// Serving pages rebuilt vs shared when this snapshot was created (a
   /// fresh `build` counts every page as copied).
@@ -199,12 +199,12 @@ class Snapshot {
       const noexcept {
     return cache_carry_stats_;
   }
-  /// Test hook: whether tile `t`'s status and region-key pages are shared
+  /// Test hook: whether page `p`'s status and region-key pages are shared
   /// with `prev`'s.
   [[nodiscard]] bool shares_pages_with(const Snapshot& prev,
-                                       std::uint32_t t) const noexcept {
-    return status_pages_.shares_page_with(prev.status_pages_, t) &&
-           region_key_pages_.shares_page_with(prev.region_key_pages_, t);
+                                       std::uint32_t p) const noexcept {
+    return status_pages_.shares_page_with(prev.status_pages_, p) &&
+           region_key_pages_.shares_page_with(prev.region_key_pages_, p);
   }
 
   /// Runs the 16-check invariant oracle against this snapshot's labeling
@@ -228,10 +228,10 @@ class Snapshot {
     }
   };
 
-  /// Shared implementation of `build` (prev == nullptr: all tiles dirty)
-  /// and `next`.
+  /// Shared implementation of `build` (prev == nullptr: every page built,
+  /// `dirty_pages` unread) and `next`.
   Snapshot(std::uint64_t epoch, const labeling::MaintainedLabeling& labeling,
-           const Snapshot* prev, std::uint64_t dirty_tiles,
+           const Snapshot* prev, const grid::PageSet* dirty_pages,
            std::uint64_t padded_dirty_tiles, routing::Hand hand);
   /// Position in the region order of the region containing `c`, or
   /// `region_order_.size()` when `c` is enabled.
@@ -244,7 +244,7 @@ class Snapshot {
       std::size_t rank) const noexcept;
   [[nodiscard]] std::size_t parent_index(
       const labeling::DisabledRegion& region) const noexcept;
-  /// Calls `fn(node_index, status)` for every node, row by row per tile.
+  /// Calls `fn(node_index, status)` for every node, row by row per page.
   template <typename Fn>
   void for_each_status(Fn&& fn) const;
 
@@ -264,8 +264,6 @@ class Snapshot {
   BlockedByStatus blocked_by_status_{this};
   routing::BasicFaultRingRouter<BlockedByStatus> router_;
   mutable routing::RouteCache cache_;
-  std::uint64_t dirty_tiles_ = ~std::uint64_t{0};
-  std::vector<std::uint64_t> tile_generations_;
   PageStats page_stats_;
   routing::RouteCache::AdoptStats cache_carry_stats_;
 

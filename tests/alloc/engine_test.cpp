@@ -339,12 +339,12 @@ TEST(AllocEngineTest, LazyViewValuesMatchAFreshScanOnMeshAndTorus) {
   }
 }
 
-/// Tiles whose busy page `next` rebuilt instead of sharing with `prev`.
-std::vector<std::uint32_t> rebuilt_tiles(const AllocView& next,
+/// Busy pages `next` rebuilt instead of sharing with `prev`.
+std::vector<std::uint32_t> rebuilt_pages(const AllocView& next,
                                          const AllocView& prev) {
   std::vector<std::uint32_t> rebuilt;
-  for (std::uint32_t t = 0; t < next.tiles().tile_count(); ++t) {
-    if (!next.shares_page_with(prev, t)) rebuilt.push_back(t);
+  for (std::uint32_t p = 0; p < next.tiles().page_count(); ++p) {
+    if (!next.shares_page_with(prev, p)) rebuilt.push_back(p);
   }
   return rebuilt;
 }
@@ -354,12 +354,12 @@ TEST(AllocEngineTest, PublishRebuildsOnlyDirtyPages) {
   Rig rig(m);
   const auto v0 = rig.engine->view();
   const grid::TileGrid& tiles = v0->tiles();
-  ASSERT_EQ(tiles.tile_count(), 64u);
+  ASSERT_EQ(tiles.page_count(), 64u);
 
   ASSERT_EQ(rig.engine->submit(job(1, 1, 1)).outcome, SubmitOutcome::Placed);
   const auto v1 = rig.engine->view();
-  EXPECT_EQ(rebuilt_tiles(*v1, *v0),
-            std::vector<std::uint32_t>{tiles.tile_of({0, 0})});
+  EXPECT_EQ(rebuilt_pages(*v1, *v0),
+            std::vector<std::uint32_t>{tiles.page_of({0, 0})});
   EXPECT_TRUE(v1->busy_at({0, 0}));
   EXPECT_FALSE(v0->busy_at({0, 0}));
   EXPECT_EQ(v1->largest_free_rect(), 64 * 63);
@@ -367,9 +367,9 @@ TEST(AllocEngineTest, PublishRebuildsOnlyDirtyPages) {
   // A transition that flips no cell shares every page.
   static_cast<void>(rig.engine->tick());
   const auto v2 = rig.engine->view();
-  EXPECT_TRUE(rebuilt_tiles(*v2, *v1).empty());
+  EXPECT_TRUE(rebuilt_pages(*v2, *v1).empty());
 
-  // A single-dirty-cell epoch rebuilds at most the dirty cell's tile, and
+  // A single-dirty-cell epoch rebuilds at most the dirty cell's page, and
   // nothing when the cell's busy state did not flip.
   svc::IngestEngine ingest{grid::CellSet(m)};
   AllocEngine engine(*ingest.snapshot());
@@ -380,12 +380,12 @@ TEST(AllocEngineTest, PublishRebuildsOnlyDirtyPages) {
   static_cast<void>(
       engine.observe_epoch(*ingest.snapshot(), std::span<const Coord>(&c, 1)));
   const auto after = engine.view();
-  EXPECT_EQ(rebuilt_tiles(*after, *before),
-            std::vector<std::uint32_t>{tiles.tile_of(c)});
+  EXPECT_EQ(rebuilt_pages(*after, *before),
+            std::vector<std::uint32_t>{tiles.page_of(c)});
   EXPECT_TRUE(after->busy_at(c));
   static_cast<void>(
       engine.observe_epoch(*ingest.snapshot(), std::span<const Coord>(&c, 1)));
-  EXPECT_TRUE(rebuilt_tiles(*engine.view(), *after).empty());
+  EXPECT_TRUE(rebuilt_pages(*engine.view(), *after).empty());
   EXPECT_TRUE(check_engine(engine, *ingest.snapshot()).ok());
 }
 

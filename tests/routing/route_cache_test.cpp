@@ -265,6 +265,28 @@ TEST(RouteCacheTest, AdoptCarriesCleanEntriesAndDropsDirtyOnes) {
   EXPECT_NE(recomputed.path, near_before.path);
 }
 
+// Adoption shares the entry: the successor serves the predecessor's route
+// object, and a shared handle outlives both caches.
+TEST(RouteCacheTest, AdoptSharesEntriesAndHandlesOutliveBothCaches) {
+  const Mesh2D m(32, 32);
+  const grid::CellSet blocked{m, {{16, 16}}};
+  const FaultRingRouter router(m, blocked);
+  std::shared_ptr<const Route> held;
+  {
+    RouteCache old_cache(router, m);
+    const Route& first = old_cache.lookup({1, 1}, {6, 2});
+    RouteCache new_cache(router, m);
+    const grid::TileGrid tiles(m);
+    ASSERT_EQ(new_cache.adopt(old_cache, tiles.padded_bits({30, 30})).carried,
+              1u);
+    EXPECT_EQ(&new_cache.lookup({1, 1}, {6, 2}), &first);
+    held = old_cache.lookup_shared({1, 1}, {6, 2});
+    EXPECT_EQ(held.get(), &first);
+  }
+  EXPECT_TRUE(held->delivered());
+  EXPECT_EQ(held->path, router.route({1, 1}, {6, 2}).path);
+}
+
 // Exhaustive soundness sweep: carry over every pair of a dense probe set,
 // then check each surviving entry against a fresh computation under the
 // changed blocked set. Any footprint under-approximation would surface as a
