@@ -22,9 +22,9 @@
 #                                       # against the committed
 #                                       # BENCH_alloc.json the same way
 #   bench/run_bench.sh --svc-sweep      # closed-loop sweep: runs
-#                                       # BM_SvcClosedLoop at 1/2/4/8 query
-#                                       # threads plus the sharded fleet
-#                                       # (BM_SvcShardedClosedLoop, 1/2/4
+#                                       # BM_SvcClosedLoop (the 1-shard
+#                                       # service) at 1/2/4/8 query threads
+#                                       # plus BM_SvcShardedClosedLoop (2/4
 #                                       # shards x 1/2/4/8 query threads) and
 #                                       # prints a qps table — the scaling
 #                                       # evidence for the epoch-handle
@@ -136,9 +136,11 @@ for bin in perf_labeling perf_netsim svc_load alloc_load bench_to_json; do
 done
 
 # Suites timed as the median of several repetitions. One pass of the
-# labeling and alloc suites swings 10-36% with the host's busy and quiet
-# phases on unchanged code; bench_to_json writes and compares the medians.
-REPEATED_SUITES="perf_labeling alloc_load"
+# labeling, svc and alloc suites swings 10-36% with the host's busy and
+# quiet phases on unchanged code; bench_to_json writes and compares the
+# medians, so the --svc gate compares medians against BENCH_svc.json's
+# medians.
+REPEATED_SUITES="perf_labeling svc_load alloc_load"
 
 # Runs one suite; writes its compact form to $3 in `write` mode, else
 # compares the fresh run against the committed baseline $3 (exit 1 past the
@@ -207,9 +209,9 @@ if [ "$NETSIM_ONLY" = 1 ]; then
   exit 0
 fi
 
-# --svc-sweep: the closed-loop generator at 1/2/4/8 query threads — single
-# writer AND the sharded fleet at 1/2/4 shards (BM_SvcShardedClosedLoop's
-# first arg) — printed as a qps table. Pulls items_per_second straight out
+# --svc-sweep: the closed-loop generator at 1/2/4/8 query threads — the
+# 1-shard service (BM_SvcClosedLoop) AND 2/4-shard fleets
+# (BM_SvcShardedClosedLoop's first arg) — printed as a qps table. Pulls items_per_second straight out
 # of the full benchmark JSON (one field per line) — the number
 # BENCH_svc.json commits for the same benchmarks.
 if [ "$SVC_SWEEP" = 1 ]; then
@@ -220,8 +222,8 @@ if [ "$SVC_SWEEP" = 1 ]; then
     --benchmark_min_time="$MIN_TIME" \
     --benchmark_filter='BM_SvcClosedLoop/|BM_SvcShardedClosedLoop/' \
     >&2
-  echo "== closed-loop sweep (answers/s, real time; sharded rows are"
-  echo "   BM_SvcShardedClosedLoop/<shards>/<query_threads>)"
+  echo "== closed-loop sweep (answers/s, real time; BM_SvcClosedLoop rows are"
+  echo "   1 shard, BM_SvcShardedClosedLoop/<shards>/<query_threads> 2 or 4)"
   printf '%-38s %14s %10s %10s\n' "benchmark" "qps" "p50_us" "p99_us"
   awk '
     /"name":/            { gsub(/[",]/, ""); name = $2 }

@@ -236,6 +236,7 @@ void run_closed_loop(benchmark::State& state,
   std::int64_t answers = 0;
   double p50 = 0.0;
   double p99 = 0.0;
+  double halo_deltas = 0.0;
   for (auto _ : state) {
     const svc::SvcLoadResult result = svc::run_svc_load(config);
     // queries_ok counts each batch once; swap that for its delivered items.
@@ -244,11 +245,13 @@ void run_closed_loop(benchmark::State& state,
         result.batch_items);
     p50 = result.p50_us;
     p99 = result.p99_us;
+    halo_deltas = static_cast<double>(result.halo_deltas);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(answers);
   state.counters["p50_us"] = p50;
   state.counters["p99_us"] = p99;
+  state.counters["halo_deltas"] = halo_deltas;
   state.SetLabel("items = answers");
 }
 
@@ -319,41 +322,17 @@ BENCHMARK(BM_SvcShardedIngest)->Arg(1)->Arg(2)->Arg(4)
 
 // The sharded runtime end to end under closed-loop load: S ingest workers
 // (one per shard) racing N query threads, queries scatter-gathered against
-// the composite epoch vector. Args are (shards, query_threads); the
-// 1-shard rows are the degenerate fleet whose gap to BM_SvcClosedLoop is
-// the sharding layer's fixed overhead.
+// the composite epoch vector. Args are (shards, query_threads); one shard
+// is BM_SvcClosedLoop itself.
 void BM_SvcShardedClosedLoop(benchmark::State& state) {
-  const auto shard_count = state.range(0);
-  svc::ShardedServiceConfig fleet;
-  fleet.shard_rows = shard_count >= 4 ? 2 : 1;
-  fleet.shard_cols = static_cast<std::int32_t>(shard_count) /
-                     fleet.shard_rows;
-  const svc::SvcLoadConfig config =
+  const auto shard_count = static_cast<std::int32_t>(state.range(0));
+  svc::SvcLoadConfig config =
       svc::query_heavy_profile(static_cast<std::size_t>(state.range(1)));
-
-  std::int64_t answers = 0;
-  double p50 = 0.0;
-  double p99 = 0.0;
-  double halo_deltas = 0.0;
-  for (auto _ : state) {
-    const svc::ShardedLoadResult result =
-        svc::run_sharded_load(config, fleet);
-    answers += static_cast<std::int64_t>(
-        result.queries_ok - result.batch_items / config.batch_size +
-        result.batch_items);
-    p50 = result.p50_us;
-    p99 = result.p99_us;
-    halo_deltas = static_cast<double>(result.halo_deltas);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(answers);
-  state.counters["p50_us"] = p50;
-  state.counters["p99_us"] = p99;
-  state.counters["halo_deltas"] = halo_deltas;
-  state.SetLabel("items = answers");
+  config.service.shard_rows = shard_count >= 4 ? 2 : 1;
+  config.service.shard_cols = shard_count / config.service.shard_rows;
+  run_closed_loop(state, config);
 }
 BENCHMARK(BM_SvcShardedClosedLoop)
-    ->Args({1, 1})->Args({1, 2})->Args({1, 4})->Args({1, 8})
     ->Args({2, 1})->Args({2, 2})->Args({2, 4})->Args({2, 8})
     ->Args({4, 1})->Args({4, 2})->Args({4, 4})->Args({4, 8})
     ->Unit(benchmark::kMillisecond)->UseRealTime();

@@ -34,6 +34,22 @@ std::uint64_t submit_stream(svc::Service& service,
   return retries;
 }
 
+/// Restarts every chaos-killed shard; returns how many came back.
+std::uint64_t restart_crashed(svc::Service& service) {
+  std::uint64_t restarted = 0;
+  for (std::uint32_t s = 0; s < service.shard_grid().count(); ++s) {
+    if (service.restart_shard(s)) ++restarted;
+  }
+  return restarted;
+}
+
+/// Serving epochs summed over shards (the epoch itself at 1x1).
+std::uint64_t epoch_sum(const svc::Service& service) {
+  std::uint64_t sum = 0;
+  for (const std::uint64_t epoch : service.stats().shard_epochs) sum += epoch;
+  return sum;
+}
+
 }  // namespace
 
 ChaosLoadResult run_chaos_load(const ChaosLoadConfig& config) {
@@ -62,9 +78,8 @@ ChaosLoadResult run_chaos_load(const ChaosLoadConfig& config) {
     svc::Service clean(initial, clean_config);
     result.submit_retries += submit_stream(clean, stream, {});
     clean.flush();
-    const auto snap = clean.snapshot();
-    result.clean_digest = snap->label_digest();
-    result.clean_epoch = snap->epoch();
+    result.clean_digest = clean.composite_digest();
+    result.clean_epoch = epoch_sum(clean);
   }
 
   // Chaotic run: armed plan, racing query threads, supervisor restarts.
@@ -78,13 +93,11 @@ ChaosLoadResult run_chaos_load(const ChaosLoadConfig& config) {
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> restarts{0};
   std::atomic<std::uint64_t> max_stale{0};
-  // Supervisor: restart a chaos-killed writer, track the staleness
+  // Supervisor: restart chaos-killed writers, track the staleness
   // high-water mark while the storm runs.
   std::thread monitor([&] {
     while (!done.load(std::memory_order_relaxed)) {
-      if (service.ingest_crashed() && service.restart_ingest()) {
-        restarts.fetch_add(1, std::memory_order_relaxed);
-      }
+      restarts.fetch_add(restart_crashed(service), std::memory_order_relaxed);
       const std::uint64_t stale = service.stale_epochs_pending();
       std::uint64_t seen = max_stale.load(std::memory_order_relaxed);
       while (stale > seen &&
@@ -108,7 +121,8 @@ ChaosLoadResult run_chaos_load(const ChaosLoadConfig& config) {
     workers.emplace_back([&, t] {
       stats::Rng rng(worker_seeds[t]);
       WorkerRecord& rec = records[t];
-      std::uint64_t last_epoch = 0;
+      // Per shard: an answer's epoch is its owning shard's.
+      std::vector<std::uint64_t> last_epochs(service.shard_grid().count(), 0);
       const auto node = [&] {
         return machine.coord(static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(machine.node_count()) - 1)));
@@ -117,23 +131,26 @@ ChaosLoadResult run_chaos_load(const ChaosLoadConfig& config) {
         svc::QueryStatus status;
         std::uint64_t epoch;
         const double pick = rng.uniform();
+        const mesh::Coord owner_key = node();
         if (pick < 0.5) {
-          const svc::StatusAnswer answer = service.query_status(node());
+          const svc::StatusAnswer answer = service.query_status(owner_key);
           status = answer.status;
           epoch = answer.epoch;
         } else if (pick < 0.8) {
-          const svc::RegionAnswer answer = service.query_region(node());
+          const svc::RegionAnswer answer = service.query_region(owner_key);
           status = answer.status;
           epoch = answer.epoch;
         } else {
-          const svc::RouteAnswer answer = service.query_route(node(), node());
+          const svc::RouteAnswer answer =
+              service.query_route(owner_key, node());
           status = answer.status;
           epoch = answer.epoch;
         }
         if (status == svc::QueryStatus::Ok) {
           ++rec.ok;
-          if (epoch < last_epoch) rec.monotone = false;
-          last_epoch = std::max(last_epoch, epoch);
+          std::uint64_t& last = last_epochs[service.shard_of(owner_key)];
+          if (epoch < last) rec.monotone = false;
+          last = std::max(last, epoch);
         } else {
           ++rec.rejected;
         }
@@ -154,8 +171,8 @@ ChaosLoadResult run_chaos_load(const ChaosLoadConfig& config) {
   // restarting killed writers; this loop just waits (bounded) for the
   // queue to empty, polling instead of flush() so an adversarial plan
   // cannot wedge the barrier.
-  for (int i = 0;
-       i < 4000 && (service.ingest_crashed() || service.stats().queue_depth > 0);
+  for (int i = 0; i < 4000 && (service.any_shard_crashed() ||
+                               service.stats().queue_depth > 0);
        ++i) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
@@ -164,19 +181,18 @@ ChaosLoadResult run_chaos_load(const ChaosLoadConfig& config) {
   // in-flight kill, drain, and retry any withheld publication.
   plan.disarm();
   for (int i = 0; i < 8; ++i) {
-    if (service.restart_ingest()) restarts.fetch_add(1);
+    restarts.fetch_add(restart_crashed(service));
     service.flush();
-    if (!service.ingest_crashed()) break;
+    if (!service.any_shard_crashed()) break;
   }
   service.retry_publish();
   service.flush();
   done.store(true, std::memory_order_relaxed);
   monitor.join();
 
-  const auto snap = service.snapshot();
-  result.chaos_digest = snap->label_digest();
-  result.chaos_epoch = snap->epoch();
-  result.final_faults = snap->faults().size();
+  result.chaos_digest = service.composite_digest();
+  result.chaos_epoch = epoch_sum(service);
+  result.final_faults = service.fault_count();
   result.digest_match = result.chaos_digest == result.clean_digest;
   result.stale_epochs_pending = service.stale_epochs_pending();
   result.max_stale_pending = max_stale.load(std::memory_order_relaxed);

@@ -2,15 +2,15 @@
 // digest-compared.
 //
 // `run_chaos_load` replays the same seeded event stream twice through a
-// `svc::Service` — once with an armed chaos plan (denied admissions,
-// duplicated / deferred / stalled batches, poisoned oracle verdicts,
-// mid-batch kills with restart) while query threads race it, and once
-// untouched — then asserts the degraded-mode contract: the chaotic run's
-// final published labeling is bit-identical (`label_digest`) to the clean
-// run's, every query thread observed monotone epochs, and the staleness
-// watermark drained to zero. A monitor thread plays supervisor: it polls
-// for a killed ingest thread and restarts it, the way an init system would
-// restart a crashed process.
+// `svc::Service` of `config.service`'s shape — once with an armed chaos
+// plan (denied admissions, duplicated / deferred / stalled batches,
+// poisoned oracle verdicts, mid-batch kills with restart) while query
+// threads race it, and once untouched — then asserts the degraded-mode
+// contract: the chaotic run's final published labeling is bit-identical
+// (composite digest) to the clean run's, every query thread observed
+// per-shard monotone epochs, and the staleness watermark drained to zero.
+// A monitor thread plays supervisor: it polls for killed shard writers and
+// restarts them, the way an init system would restart a crashed process.
 //
 // This is the engine behind the `chaos`-labeled ctests (1/2/8 query
 // threads) and the `bench/chaos_soak` CLI's seed sweeps.
@@ -40,15 +40,16 @@ struct ChaosLoadConfig {
 };
 
 struct ChaosLoadResult {
-  /// `label_digest` of the final quiesced snapshot of each run; the
-  /// acceptance invariant is `digest_match` (chaos changed nothing about
-  /// the converged state).
+  /// Composite digest of each run's final quiesced fleet; the acceptance
+  /// invariant is `digest_match` (chaos changed nothing about the converged
+  /// state).
   std::uint64_t clean_digest = 0;
   std::uint64_t chaos_digest = 0;
   bool digest_match = false;
   std::size_t final_faults = 0;
-  /// Epoch counts CAN differ between the runs (defers merge batches,
-  /// withheld epochs retry); exposed for reporting, not asserted.
+  /// Final serving epochs summed over shards. Epoch counts CAN differ
+  /// between the runs (defers merge batches, withheld epochs retry);
+  /// exposed for reporting, not asserted.
   std::uint64_t clean_epoch = 0;
   std::uint64_t chaos_epoch = 0;
 

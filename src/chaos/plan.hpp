@@ -112,7 +112,7 @@ class FaultPlan {
   [[nodiscard]] bool kill_now(std::uint64_t publish_stamp);
 
   /// Harness hook: arms one additional kill at `publish_stamp` after
-  /// construction. The sharded schedule explorer uses this to target a live
+  /// construction. The schedule explorer uses this to target a live
   /// shard's *next* epoch — a stamp it cannot know when the plan is built.
   void arm_kill(std::uint64_t publish_stamp);
 

@@ -28,232 +28,25 @@ char op_letter(OpKind kind) {
     case OpKind::Query: return 'Q';
     case OpKind::RetryPublish: return 'Y';
     case OpKind::Restart: return 'K';
+    case OpKind::Kill: return 'D';
   }
   return '?';
+}
+
+bool has_count(OpKind kind) {
+  return kind == OpKind::Submit || kind == OpKind::Query ||
+         kind == OpKind::Kill;
+}
+
+bool has_shard(OpKind kind) {
+  return kind == OpKind::Restart || kind == OpKind::Kill;
 }
 
 }  // namespace
 
 std::vector<Op> generate_schedule(std::uint64_t seed, std::size_t ops,
+                                  std::uint32_t shards,
                                   std::size_t max_burst) {
-  stats::Rng rng(seed);
-  const auto burst = [&rng, max_burst] {
-    return static_cast<std::uint16_t>(rng.uniform_int(
-        1, static_cast<std::int64_t>(std::max<std::size_t>(1, max_burst))));
-  };
-  std::vector<Op> schedule;
-  schedule.reserve(ops);
-  for (std::size_t i = 0; i < ops; ++i) {
-    const double pick = rng.uniform();
-    // Submit/query heavy so most schedules actually move state; barriers
-    // and lifecycle ops are spice, not the meal.
-    if (pick < 0.32) {
-      schedule.push_back({OpKind::Submit, burst()});
-    } else if (pick < 0.64) {
-      schedule.push_back({OpKind::Query, burst()});
-    } else if (pick < 0.74) {
-      schedule.push_back({OpKind::Flush, 0});
-    } else if (pick < 0.82) {
-      schedule.push_back({OpKind::Pause, 0});
-    } else if (pick < 0.92) {
-      schedule.push_back({OpKind::Resume, 0});
-    } else if (pick < 0.96) {
-      schedule.push_back({OpKind::RetryPublish, 0});
-    } else {
-      schedule.push_back({OpKind::Restart, 0});
-    }
-  }
-  return schedule;
-}
-
-ScheduleResult run_schedule(const ScheduleConfig& config,
-                            const std::vector<Op>& schedule) {
-  const mesh::Mesh2D machine(config.mesh_side, config.mesh_side,
-                             mesh::Topology::Mesh);
-  stats::Rng master(config.seed);
-  stats::Rng fault_rng(master.fork_seed());
-  const std::uint64_t stream_seed = master.fork_seed();
-  stats::Rng query_rng(master.fork_seed());
-
-  const grid::CellSet initial =
-      fault::uniform_random(machine, config.initial_faults, fault_rng);
-  const std::vector<svc::FaultEvent> stream = svc::generate_event_stream(
-      machine, initial, config.events, config.repair_fraction, stream_seed);
-
-  // The expected end state is schedule-independent: every stream event is
-  // eventually submitted (leftovers at quiesce), nothing is ever shed, and
-  // events are state-setting — so the net fault set is this shadow replay.
-  grid::CellSet shadow = initial;
-  for (const svc::FaultEvent& e : stream) {
-    if (e.kind == svc::EventKind::Fault) {
-      shadow.insert(e.node);
-    } else {
-      shadow.erase(e.node);
-    }
-  }
-
-  FaultPlan plan(config.plan);
-  svc::ServiceConfig svc_config = config.service;
-  // Room for the whole stream plus crash-requeued backlogs: genuine
-  // Overloaded must be impossible so the only denials are chaos's.
-  svc_config.queue_capacity =
-      std::max(svc_config.queue_capacity, 2 * config.events + 64);
-  svc_config.ingest.chaos.plan = &plan;
-  svc::Service service(initial, svc_config);
-
-  ScheduleResult result;
-  std::size_t next_event = 0;
-  std::uint64_t last_epoch = 0;
-
-  const auto violate = [&result](std::string what) {
-    result.violations.push_back(std::move(what));
-  };
-  const auto note_epoch = [&](std::uint64_t epoch, const char* where) {
-    if (epoch < last_epoch) {
-      std::ostringstream msg;
-      msg << where << ": epoch went backwards (" << last_epoch << " -> "
-          << epoch << ")";
-      violate(msg.str());
-    }
-    last_epoch = std::max(last_epoch, epoch);
-  };
-
-  const auto submit_n = [&](std::size_t n) {
-    const svc::BackoffPolicy backoff{.seed = config.seed};
-    for (; n > 0 && next_event < stream.size(); --n, ++next_event) {
-      std::uint64_t attempt = 0;
-      for (;;) {
-        const svc::SubmitStatus status = service.submit(stream[next_event]);
-        if (status == svc::SubmitStatus::Accepted) break;
-        if (status == svc::SubmitStatus::Closed) {
-          violate("submit: queue reported Closed while the service runs");
-          return;
-        }
-        ++result.submit_retries;
-        if (attempt >= kSubmitRetryLimit) {
-          violate("submit: live-locked retrying an Overloaded verdict");
-          return;
-        }
-        const std::uint32_t delay_us = backoff_delay_us(backoff, attempt++);
-        if (delay_us == 0) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-        }
-      }
-    }
-  };
-
-  const auto query_burst = [&](std::size_t n) {
-    for (std::size_t q = 0; q < n; ++q) {
-      const auto node = [&] {
-        return machine.coord(static_cast<std::size_t>(query_rng.uniform_int(
-            0, static_cast<std::int64_t>(machine.node_count()) - 1)));
-      };
-      const double pick = query_rng.uniform();
-      svc::QueryStatus status;
-      std::uint64_t epoch;
-      if (pick < 0.5) {
-        const svc::StatusAnswer answer = service.query_status(node());
-        status = answer.status;
-        epoch = answer.epoch;
-      } else if (pick < 0.8) {
-        const svc::RegionAnswer answer = service.query_region(node());
-        status = answer.status;
-        epoch = answer.epoch;
-      } else {
-        const svc::RouteAnswer answer = service.query_route(node(), node());
-        status = answer.status;
-        epoch = answer.epoch;
-      }
-      if (status != svc::QueryStatus::Ok) {
-        // Degraded-mode guarantee: valid queries answer from the last good
-        // epoch no matter what chaos does to the write side.
-        std::ostringstream msg;
-        msg << "query: expected Ok, got " << svc::to_string(status);
-        violate(msg.str());
-        ++result.queries_rejected;
-      } else {
-        ++result.queries_ok;
-        note_epoch(epoch, "query");
-      }
-    }
-  };
-
-  for (const Op& op : schedule) {
-    switch (op.kind) {
-      case OpKind::Submit:
-        submit_n(op.count);
-        break;
-      case OpKind::Pause:
-        service.pause();
-        break;
-      case OpKind::Resume:
-        service.resume();
-        break;
-      case OpKind::Flush: {
-        service.flush();
-        const svc::ServiceStats stats = service.stats();
-        if (!stats.ingest_crashed && stats.queue_depth != 0) {
-          violate("flush: returned with a non-empty queue and a live writer");
-        }
-        break;
-      }
-      case OpKind::Query:
-        query_burst(op.count);
-        break;
-      case OpKind::RetryPublish:
-        service.retry_publish();
-        break;
-      case OpKind::Restart:
-        if (service.restart_ingest()) ++result.restarts;
-        break;
-    }
-  }
-
-  // Quiesce: no further injections, every event delivered and drained, any
-  // pending kill already disarmed, withheld publications retried. The loop
-  // bound is defensive — one pass suffices once the plan is disarmed.
-  plan.disarm();
-  submit_n(stream.size() - next_event);
-  service.resume();
-  for (int i = 0; i < 8; ++i) {
-    if (service.restart_ingest()) ++result.restarts;
-    service.flush();
-    if (!service.ingest_crashed()) break;
-  }
-  service.retry_publish();
-  service.flush();
-
-  const std::shared_ptr<const svc::Snapshot> snap = service.snapshot();
-  result.final_digest = snap->label_digest();
-  result.final_faults = snap->faults().size();
-  result.final_epoch = snap->epoch();
-  result.stale_epochs_pending = service.stale_epochs_pending();
-  note_epoch(result.final_epoch, "final");
-  const labeling::MaintainedLabeling expected(shadow,
-                                              svc_config.ingest.definition);
-  result.expected_digest =
-      svc::Snapshot::build(0, expected, svc_config.ingest.hand)->label_digest();
-  if (result.final_digest != result.expected_digest) {
-    std::ostringstream msg;
-    msg << "digest: final labeling diverged from the net fault set ("
-        << std::hex << result.final_digest << " != " << result.expected_digest
-        << std::dec << ", " << result.final_faults << " vs " << shadow.size()
-        << " faults)";
-    violate(msg.str());
-  }
-  if (result.stale_epochs_pending != 0) {
-    violate("staleness: watermark non-zero after quiesce");
-  }
-  result.injected = plan.stats();
-  return result;
-}
-
-std::vector<ShardedOp> generate_sharded_schedule(std::uint64_t seed,
-                                                 std::size_t ops,
-                                                 std::uint32_t shards,
-                                                 std::size_t max_burst) {
   stats::Rng rng(seed);
   const auto burst = [&rng, max_burst] {
     return static_cast<std::uint16_t>(rng.uniform_int(
@@ -263,30 +56,35 @@ std::vector<ShardedOp> generate_sharded_schedule(std::uint64_t seed,
     return static_cast<std::uint8_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(std::max<std::uint32_t>(1, shards)) - 1));
   };
-  std::vector<ShardedOp> schedule;
+  std::vector<Op> schedule;
   schedule.reserve(ops);
   for (std::size_t i = 0; i < ops; ++i) {
     const double pick = rng.uniform();
-    // Kill/restart ops are frequent by single-writer standards: the whole
-    // point of the sharded explorer is shards dying mid-gossip.
-    if (pick < 0.34) {
-      schedule.push_back({ShardedOpKind::Submit, burst(), 0});
-    } else if (pick < 0.62) {
-      schedule.push_back({ShardedOpKind::Query, burst(), 0});
-    } else if (pick < 0.74) {
-      schedule.push_back({ShardedOpKind::Flush, 0, 0});
-    } else if (pick < 0.87) {
-      schedule.push_back({ShardedOpKind::KillShard, burst(), shard()});
+    // Submit/query heavy so most schedules actually move state; barriers
+    // and lifecycle ops are spice, not the meal.
+    if (pick < 0.30) {
+      schedule.push_back({OpKind::Submit, burst()});
+    } else if (pick < 0.56) {
+      schedule.push_back({OpKind::Query, burst()});
+    } else if (pick < 0.64) {
+      schedule.push_back({OpKind::Flush, 0});
+    } else if (pick < 0.70) {
+      schedule.push_back({OpKind::Pause, 0});
+    } else if (pick < 0.77) {
+      schedule.push_back({OpKind::Resume, 0});
+    } else if (pick < 0.80) {
+      schedule.push_back({OpKind::RetryPublish, 0});
+    } else if (pick < 0.92) {
+      schedule.push_back({OpKind::Kill, burst(), shard()});
     } else {
-      schedule.push_back({ShardedOpKind::RestartShard, 0, shard()});
+      schedule.push_back({OpKind::Restart, 0, shard()});
     }
   }
   return schedule;
 }
 
-ShardedScheduleResult run_sharded_schedule(
-    const ShardedScheduleConfig& config,
-    const std::vector<ShardedOp>& schedule) {
+ScheduleResult run_schedule(const ScheduleConfig& config,
+                            const std::vector<Op>& schedule) {
   const mesh::Mesh2D machine(config.mesh_side, config.mesh_side,
                              config.topology);
   stats::Rng master(config.seed);
@@ -299,9 +97,10 @@ ShardedScheduleResult run_sharded_schedule(
   const std::vector<svc::FaultEvent> stream = svc::generate_event_stream(
       machine, initial, config.events, config.repair_fraction, stream_seed);
 
-  // Schedule-independent expected end state: leftovers are submitted at
-  // quiesce and events are state-setting, so the net fault set is this
-  // shadow replay regardless of op order, kills or gossip interleaving.
+  // The expected end state is schedule-independent: every stream event is
+  // eventually submitted (leftovers at quiesce), nothing is ever shed, and
+  // events are state-setting — so the net fault set is this shadow replay,
+  // regardless of op order, kills or gossip interleaving.
   grid::CellSet shadow = initial;
   for (const svc::FaultEvent& e : stream) {
     if (e.kind == svc::EventKind::Fault) {
@@ -311,27 +110,28 @@ ShardedScheduleResult run_sharded_schedule(
     }
   }
 
-  svc::ShardedServiceConfig svc_config = config.service;
+  svc::ServiceConfig svc_config = config.service;
+  // Room for the whole stream plus crash-requeued backlogs: genuine
+  // Overloaded must be impossible so the only denials are chaos's.
   svc_config.queue_capacity =
       std::max(svc_config.queue_capacity, 2 * config.events + 64);
-  const svc::ShardGrid grid(machine, svc_config.shard_rows,
-                            svc_config.shard_cols);
-  const std::uint32_t shard_count = grid.count();
-
-  // One plan per shard, no probabilistic injections: kills are armed
-  // dynamically (arm_kill) against the victim's live epoch, so the schedule
-  // — not the spec — decides who dies and when.
+  const std::uint32_t shard_count =
+      svc::ShardGrid(machine, svc_config.shard_rows, svc_config.shard_cols)
+          .count();
+  // One plan per shard, so a kill op can arm its victim's next stamp
+  // (arm_kill) without touching the rest of the fleet.
   std::vector<std::unique_ptr<FaultPlan>> plans;
   plans.reserve(shard_count);
   svc_config.shard_chaos.clear();
   for (std::uint32_t s = 0; s < shard_count; ++s) {
-    plans.push_back(std::make_unique<FaultPlan>(
-        PlanSpec{.seed = config.seed + s}));
+    PlanSpec spec = config.plan;
+    spec.seed += s;
+    plans.push_back(std::make_unique<FaultPlan>(std::move(spec)));
     svc_config.shard_chaos.push_back(ChaosConfig{plans.back().get()});
   }
-  svc::ShardedService service(initial, svc_config);
+  svc::Service service(initial, svc_config);
 
-  ShardedScheduleResult result;
+  ScheduleResult result;
   std::size_t next_event = 0;
   std::vector<std::uint64_t> last_epochs(shard_count, 0);
 
@@ -384,32 +184,29 @@ ShardedScheduleResult run_sharded_schedule(
       const double pick = query_rng.uniform();
       svc::QueryStatus status;
       std::uint64_t epoch;
-      mesh::Coord owner_key;
+      // A point answer's epoch is its owning shard's (a route's: the
+      // source owner's).
+      const mesh::Coord owner_key = node();
       if (pick < 0.5) {
-        const mesh::Coord n0 = node();
-        const svc::StatusAnswer answer = service.query_status(n0);
+        const svc::StatusAnswer answer = service.query_status(owner_key);
         status = answer.status;
         epoch = answer.epoch;
-        owner_key = n0;
       } else if (pick < 0.8) {
-        const mesh::Coord n0 = node();
-        const svc::RegionAnswer answer = service.query_region(n0);
+        const svc::RegionAnswer answer = service.query_region(owner_key);
         status = answer.status;
         epoch = answer.epoch;
-        owner_key = n0;
       } else {
-        const mesh::Coord src = node();
-        const svc::RouteAnswer answer = service.query_route(src, node());
+        const svc::RouteAnswer answer = service.query_route(owner_key, node());
         status = answer.status;
         epoch = answer.epoch;
-        owner_key = src;  // a route answer's epoch is the source owner's
       }
       if (status != svc::QueryStatus::Ok) {
-        // Degraded-mode guarantee: point queries answer from the owner's
-        // last good epoch even while a sibling shard is down.
+        // Degraded-mode guarantee: valid queries answer from the owner's
+        // last good epoch no matter what chaos does to the write side.
         std::ostringstream msg;
         msg << "query: expected Ok, got " << svc::to_string(status);
         violate(msg.str());
+        ++result.queries_rejected;
       } else {
         ++result.queries_ok;
         note_epoch(service.shard_of(owner_key), epoch, "query");
@@ -417,44 +214,52 @@ ShardedScheduleResult run_sharded_schedule(
     }
   };
 
-  for (const ShardedOp& op : schedule) {
+  for (const Op& op : schedule) {
     const std::uint32_t target = op.shard % shard_count;
     switch (op.kind) {
-      case ShardedOpKind::Submit:
+      case OpKind::Submit:
         submit_n(op.count);
         break;
-      case ShardedOpKind::Flush: {
+      case OpKind::Pause:
+        service.pause();
+        break;
+      case OpKind::Resume:
+        service.resume();
+        break;
+      case OpKind::Flush: {
         service.flush();
-        const svc::ShardedStats stats = service.stats();
+        const svc::ServiceStats stats = service.stats();
         if (stats.shards_crashed == 0 && stats.queue_depth != 0) {
           violate("flush: returned with a non-empty queue and live writers");
         }
         break;
       }
-      case ShardedOpKind::Query:
+      case OpKind::Query:
         query_burst(op.count);
         break;
-      case ShardedOpKind::KillShard: {
+      case OpKind::RetryPublish:
+        service.retry_publish();
+        break;
+      case OpKind::Restart:
+        if (service.restart_shard(target)) ++result.restarts;
+        break;
+      case OpKind::Kill:
         // Arm the kill at the victim's next publish, then push a burst: the
         // burst is what makes the victim publish (and die) while neighbors
         // keep draining the halo deltas its last good batches emitted.
-        const std::uint64_t next_epoch =
-            service.stats().shard_epochs[target] + 1;
-        plans[target]->arm_kill(next_epoch);
+        plans[target]->arm_kill(service.stats().shard_epochs[target] + 1);
         submit_n(op.count);
-        break;
-      }
-      case ShardedOpKind::RestartShard:
-        if (service.restart_shard(target)) ++result.restarts;
         break;
     }
   }
 
-  // Quiesce: disarm every plan (un-fired armed kills become no-ops), submit
-  // leftovers, then restart + flush until the whole fleet is alive and at
-  // fixpoint. The loop bound is defensive — one pass suffices disarmed.
+  // Quiesce: no further injections (un-fired armed kills become no-ops),
+  // every event delivered and drained, every shard alive, withheld
+  // publications retried. The loop bound is defensive — one pass suffices
+  // once the plans are disarmed.
   for (const auto& plan : plans) plan->disarm();
   submit_n(stream.size() - next_event);
+  service.resume();
   for (int i = 0; i < 8; ++i) {
     for (std::uint32_t s = 0; s < shard_count; ++s) {
       if (service.restart_shard(s)) ++result.restarts;
@@ -462,28 +267,40 @@ ShardedScheduleResult run_sharded_schedule(
     service.flush();
     if (!service.any_shard_crashed()) break;
   }
+  service.retry_publish();
   service.flush();
 
   result.final_digest = service.composite_digest();
-  const svc::ShardedStats stats = service.stats();
+  result.final_faults = service.fault_count();
+  result.stale_epochs_pending = service.stale_epochs_pending();
+  const svc::ServiceStats stats = service.stats();
   result.halo_deltas = stats.halo_deltas;
   result.halo_events = stats.halo_events;
   for (std::uint32_t s = 0; s < shard_count; ++s) {
+    result.final_epoch += stats.shard_epochs[s];
     note_epoch(s, stats.shard_epochs[s], "final");
-    result.kills += plans[s]->stats().kills;
+    const PlanStats injected = plans[s]->stats();
+    result.injected.denies += injected.denies;
+    result.injected.duplicates += injected.duplicates;
+    result.injected.defers += injected.defers;
+    result.injected.stalls += injected.stalls;
+    result.injected.poisons += injected.poisons;
+    result.injected.kills += injected.kills;
   }
   const labeling::MaintainedLabeling expected(shadow,
                                               svc_config.ingest.definition);
-  const std::shared_ptr<const svc::Snapshot> expected_snap =
-      svc::Snapshot::build(0, expected, svc_config.ingest.hand);
-  result.expected_digest = expected_snap->label_digest();
-  result.final_faults = expected_snap->faults().size();
+  result.expected_digest =
+      svc::Snapshot::build(0, expected, svc_config.ingest.hand)->label_digest();
   if (result.final_digest != result.expected_digest) {
     std::ostringstream msg;
-    msg << "digest: composite labeling diverged from the net fault set ("
+    msg << "digest: final labeling diverged from the net fault set ("
         << std::hex << result.final_digest << " != " << result.expected_digest
-        << std::dec << ")";
+        << std::dec << ", " << result.final_faults << " vs " << shadow.size()
+        << " faults)";
     violate(msg.str());
+  }
+  if (result.stale_epochs_pending != 0) {
+    violate("staleness: watermark non-zero after quiesce");
   }
   return result;
 }
@@ -539,8 +356,9 @@ std::string to_string(const std::vector<Op>& schedule) {
     if (!first) out << ' ';
     first = false;
     out << op_letter(op.kind);
-    if (op.kind == OpKind::Submit || op.kind == OpKind::Query) {
-      out << op.count;
+    if (has_count(op.kind)) out << op.count;
+    if (has_shard(op.kind) && op.shard != 0) {
+      out << '@' << static_cast<unsigned>(op.shard);
     }
   }
   return out.str();
@@ -563,17 +381,23 @@ std::optional<std::vector<Op>> parse_schedule(std::string_view text) {
       case 'F': op.kind = OpKind::Flush; break;
       case 'Y': op.kind = OpKind::RetryPublish; break;
       case 'K': op.kind = OpKind::Restart; break;
+      case 'D': op.kind = OpKind::Kill; break;
       default: return std::nullopt;
     }
     ++i;
-    if (op.kind == OpKind::Submit || op.kind == OpKind::Query) {
+    // A decimal field at the cursor; false when absent or out of range.
+    const auto number = [&](auto& value) {
       const char* begin = text.data() + i;
-      const char* end = text.data() + text.size();
-      std::uint16_t count = 0;
-      const auto [ptr, ec] = std::from_chars(begin, end, count);
-      if (ec != std::errc{} || ptr == begin) return std::nullopt;
-      op.count = count;
+      const auto [ptr, ec] =
+          std::from_chars(begin, text.data() + text.size(), value);
+      if (ec != std::errc{} || ptr == begin) return false;
       i += static_cast<std::size_t>(ptr - begin);
+      return true;
+    };
+    if (has_count(op.kind) && !number(op.count)) return std::nullopt;
+    if (has_shard(op.kind) && i < text.size() && text[i] == '@') {
+      ++i;
+      if (!number(op.shard)) return std::nullopt;
     }
     schedule.push_back(op);
   }

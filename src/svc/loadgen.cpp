@@ -1,5 +1,6 @@
 #include "svc/loadgen.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -120,6 +121,7 @@ SvcLoadResult run_svc_load(const SvcLoadConfig& config) {
   result.stream_digest = event_stream_digest(stream);
 
   Service service(initial, config.service);
+  const std::uint32_t shard_count = service.shard_grid().count();
 
   // Writer: replays the stream in order with closed-loop backpressure.
   // An `Overloaded` verdict retries under the seeded backoff policy instead
@@ -166,10 +168,11 @@ SvcLoadResult run_svc_load(const SvcLoadConfig& config) {
     workers.emplace_back([&, t] {
       stats::Rng rng(worker_seeds[t]);
       WorkerRecord& rec = records[t];
-      std::uint64_t last_epoch = 0;
-      const auto note_epoch = [&rec, &last_epoch](std::uint64_t epoch) {
-        if (epoch < last_epoch) rec.epochs_monotone = false;
-        last_epoch = epoch;
+      std::vector<std::uint64_t> last_epochs(shard_count, 0);
+      const auto note_epoch = [&rec, &last_epochs](std::uint32_t shard,
+                                                   std::uint64_t epoch) {
+        if (epoch < last_epochs[shard]) rec.epochs_monotone = false;
+        last_epochs[shard] = std::max(last_epochs[shard], epoch);
       };
       for (std::size_t q = 0; q < config.queries_per_thread; ++q) {
         const auto begin = Clock::now();
@@ -191,39 +194,38 @@ SvcLoadResult run_svc_load(const SvcLoadConfig& config) {
             ++rec.ok;
             ++rec.batches_ok;
             rec.batch_items += answer.items.size();
-            note_epoch(answer.epoch);
+            for (const CompositeEpoch& e : answer.epochs) {
+              note_epoch(e.shard, e.epoch);
+            }
           } else {
             ++rec.rejected;
           }
         } else {
+          // A point answer's epoch is its owning shard's (a route's: the
+          // source owner's).
           const double pick = rng.uniform();
+          const mesh::Coord node = random_node(machine, rng);
+          QueryStatus status;
+          std::uint64_t epoch;
           if (pick < 0.5) {
-            const StatusAnswer answer =
-                service.query_status(random_node(machine, rng));
-            if (answer.status == QueryStatus::Ok) {
-              ++rec.ok;
-              note_epoch(answer.epoch);
-            } else {
-              ++rec.rejected;
-            }
+            const StatusAnswer answer = service.query_status(node);
+            status = answer.status;
+            epoch = answer.epoch;
           } else if (pick < 0.8) {
-            const RegionAnswer answer =
-                service.query_region(random_node(machine, rng));
-            if (answer.status == QueryStatus::Ok) {
-              ++rec.ok;
-              note_epoch(answer.epoch);
-            } else {
-              ++rec.rejected;
-            }
+            const RegionAnswer answer = service.query_region(node);
+            status = answer.status;
+            epoch = answer.epoch;
           } else {
-            const RouteAnswer answer = service.query_route(
-                random_node(machine, rng), random_node(machine, rng));
-            if (answer.status == QueryStatus::Ok) {
-              ++rec.ok;
-              note_epoch(answer.epoch);
-            } else {
-              ++rec.rejected;
-            }
+            const RouteAnswer answer =
+                service.query_route(node, random_node(machine, rng));
+            status = answer.status;
+            epoch = answer.epoch;
+          }
+          if (status == QueryStatus::Ok) {
+            ++rec.ok;
+            note_epoch(service.shard_of(node), epoch);
+          } else {
+            ++rec.rejected;
           }
         }
         rec.latency_us.add(us_between(begin, Clock::now()));
@@ -233,7 +235,8 @@ SvcLoadResult run_svc_load(const SvcLoadConfig& config) {
 
   for (auto& worker : workers) worker.join();
   writer.join();
-  // Quiesce: every accepted event applied and its epoch published.
+  // Quiesce: every accepted event applied, every halo delta drained, the
+  // resulting epochs published.
   service.flush();
   const auto end = Clock::now();
 
@@ -263,187 +266,13 @@ SvcLoadResult run_svc_load(const SvcLoadConfig& config) {
   result.p99_us = latency.p99();
   result.latency_overflow = latency.overflow();
 
-  const auto final_snapshot = service.snapshot();
-  result.final_digest = final_snapshot->label_digest();
-  result.final_faults = final_snapshot->faults().size();
-  result.final_epoch = final_snapshot->epoch();
-  result.epochs_published = service.stats().ingest.epochs_published;
-  return result;
-}
-
-ShardedLoadResult run_sharded_load(const SvcLoadConfig& config,
-                                   const ShardedServiceConfig& service_config) {
-  const mesh::Mesh2D machine(config.mesh_side, config.mesh_side,
-                             config.topology);
-  // Fork order matches run_svc_load exactly: identical (config, seed) means
-  // identical initial faults, stream and query mixes, so the two runners'
-  // replay digests are directly comparable.
-  stats::Rng master(config.seed);
-  stats::Rng fault_rng(master.fork_seed());
-  const std::uint64_t stream_seed = master.fork_seed();
-  const auto worker_seeds =
-      analysis::fork_trial_seeds(master, config.query_threads);
-
-  const grid::CellSet initial =
-      fault::uniform_random(machine, config.initial_faults, fault_rng);
-  const std::vector<FaultEvent> stream = generate_event_stream(
-      machine, initial, config.events, config.repair_fraction, stream_seed);
-
-  ShardedLoadResult result;
-  result.stream_digest = event_stream_digest(stream);
-
-  ShardedService service(initial, service_config);
-  const std::uint32_t shard_count = service.shard_grid().count();
-
-  const BackoffPolicy& backoff = config.submit_backoff;
-  std::uint64_t submit_retries = 0;
-  std::uint64_t submit_backoff_us = 0;
-  std::uint64_t submits_shed = 0;
-  std::thread writer([&] {
-    for (const FaultEvent& event : stream) {
-      std::uint64_t attempt = 0;
-      for (;;) {
-        const SubmitStatus status = service.submit(event);
-        if (status == SubmitStatus::Accepted) break;
-        if (status == SubmitStatus::Closed) {
-          ++submits_shed;
-          break;
-        }
-        if (backoff.retry_budget != 0 && attempt >= backoff.retry_budget) {
-          ++submits_shed;
-          break;
-        }
-        ++submit_retries;
-        const std::uint32_t delay_us = backoff_delay_us(backoff, attempt++);
-        submit_backoff_us += delay_us;
-        if (delay_us == 0) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-        }
-      }
-    }
-  });
-
-  std::vector<WorkerRecord> records(config.query_threads);
-  std::vector<std::thread> workers;
-  workers.reserve(config.query_threads);
-  const auto start = Clock::now();
-  for (std::size_t t = 0; t < config.query_threads; ++t) {
-    workers.emplace_back([&, t] {
-      stats::Rng rng(worker_seeds[t]);
-      WorkerRecord& rec = records[t];
-      // Epoch monotonicity is per shard: a point answer carries its owning
-      // shard's epoch, and different shards' counters are incomparable.
-      std::vector<std::uint64_t> last_epochs(shard_count, 0);
-      const auto note_epoch = [&rec, &last_epochs](std::uint32_t shard,
-                                                   std::uint64_t epoch) {
-        if (epoch < last_epochs[shard]) rec.epochs_monotone = false;
-        last_epochs[shard] = std::max(last_epochs[shard], epoch);
-      };
-      for (std::size_t q = 0; q < config.queries_per_thread; ++q) {
-        const auto begin = Clock::now();
-        if (config.batch_every != 0 && q % config.batch_every == 0) {
-          std::vector<QueryItem> items(config.batch_size);
-          for (auto& item : items) {
-            const double pick = rng.uniform();
-            if (pick < 0.5) {
-              item = {QueryKind::Status, random_node(machine, rng), {}};
-            } else if (pick < 0.8) {
-              item = {QueryKind::Region, random_node(machine, rng), {}};
-            } else {
-              item = {QueryKind::Route, random_node(machine, rng),
-                      random_node(machine, rng)};
-            }
-          }
-          const ShardedBatchAnswer answer = service.query_batch(items);
-          if (answer.status == QueryStatus::Ok) {
-            ++rec.ok;
-            ++rec.batches_ok;
-            rec.batch_items += answer.items.size();
-            for (const CompositeEpoch& e : answer.epochs) {
-              note_epoch(e.shard, e.epoch);
-            }
-          } else {
-            ++rec.rejected;
-          }
-        } else {
-          const double pick = rng.uniform();
-          if (pick < 0.5) {
-            const mesh::Coord node = random_node(machine, rng);
-            const StatusAnswer answer = service.query_status(node);
-            if (answer.status == QueryStatus::Ok) {
-              ++rec.ok;
-              note_epoch(service.shard_of(node), answer.epoch);
-            } else {
-              ++rec.rejected;
-            }
-          } else if (pick < 0.8) {
-            const mesh::Coord node = random_node(machine, rng);
-            const RegionAnswer answer = service.query_region(node);
-            if (answer.status == QueryStatus::Ok) {
-              ++rec.ok;
-              note_epoch(service.shard_of(node), answer.epoch);
-            } else {
-              ++rec.rejected;
-            }
-          } else {
-            const mesh::Coord src = random_node(machine, rng);
-            const RouteAnswer answer =
-                service.query_route(src, random_node(machine, rng));
-            if (answer.status == QueryStatus::Ok) {
-              ++rec.ok;
-              note_epoch(service.shard_of(src), answer.epoch);
-            } else {
-              ++rec.rejected;
-            }
-          }
-        }
-        rec.latency_us.add(us_between(begin, Clock::now()));
-      }
-    });
-  }
-
-  for (auto& worker : workers) worker.join();
-  writer.join();
-  // Quiesce: every accepted event applied, every halo delta drained.
-  service.flush();
-  const auto end = Clock::now();
-
-  stats::Histogram latency{0.0, 1000.0, 2000};
-  std::size_t batches_ok = 0;
-  for (const WorkerRecord& rec : records) {
-    result.queries_ok += rec.ok;
-    result.queries_rejected += rec.rejected;
-    result.batch_items += rec.batch_items;
-    batches_ok += rec.batches_ok;
-    result.epochs_monotone = result.epochs_monotone && rec.epochs_monotone;
-    latency.merge(rec.latency_us);
-  }
-  result.submit_retries = submit_retries;
-  result.submit_backoff_us = submit_backoff_us;
-  result.submits_shed = submits_shed;
-  result.wall_seconds = us_between(start, end) / 1e6;
-  const double answers = static_cast<double>(result.queries_ok - batches_ok +
-                                             result.batch_items);
-  result.qps = result.wall_seconds > 0 ? answers / result.wall_seconds : 0.0;
-  result.p50_us = latency.median();
-  result.p99_us = latency.p99();
-  result.latency_overflow = latency.overflow();
-
   result.final_digest = service.composite_digest();
-  const auto snapshots = service.snapshots();
-  const auto node_count = static_cast<std::size_t>(machine.node_count());
-  for (std::size_t i = 0; i < node_count; ++i) {
-    const mesh::Coord c = machine.coord(i);
-    if (snapshots[service.shard_of(c)]->faults().contains(c)) {
-      ++result.final_faults;
-    }
-  }
-  const ShardedStats stats = service.stats();
+  result.final_faults = service.fault_count();
+  const ServiceStats stats = service.stats();
+  result.epochs_published = stats.ingest.epochs_published;
+  result.shard_epochs = stats.shard_epochs;
   result.halo_deltas = stats.halo_deltas;
   result.halo_events = stats.halo_events;
-  result.shard_epochs = stats.shard_epochs;
   return result;
 }
 

@@ -10,19 +10,22 @@
 // stream, independent of timing and of how many query threads race it).
 // Query threads hammer the query front with a seeded mix of status /
 // region / route / batch queries, recording per-query latency histograms
-// and checking that the epochs they observe never decrease.
+// and checking that the epochs they observe never decrease, per shard (an
+// answer's epoch is its owning shard's; different shards' epochs are
+// incomparable by design).
 //
-// Timing-derived outputs (qps, percentiles, epochs-published) vary run to
-// run; the replay-identity outputs (`stream_digest`, `final_digest`,
-// `final_faults`) are bit-identical for any query-thread count — the
-// property the stress suite and the acceptance criteria pin down.
+// The fleet shape comes from `config.service`: 1x1, the default, is the
+// single writer. Timing-derived outputs (qps, percentiles, epochs) vary run
+// to run; the replay-identity outputs (`stream_digest`, `final_digest`,
+// `final_faults`) are bit-identical for any query-thread count AND any
+// shape — the composite digest at quiesce equals the single writer's — the
+// property the stress suite and the sharded tests pin down.
 #pragma once
 
 #include <cstdint>
 
 #include "svc/backoff.hpp"
 #include "svc/service.hpp"
-#include "svc/sharded_service.hpp"
 
 namespace ocp::svc {
 
@@ -57,9 +60,10 @@ struct SvcLoadResult {
   std::size_t queries_rejected = 0;
   /// Individual answers delivered inside batched queries.
   std::size_t batch_items = 0;
+  /// Epochs published, summed over shards; depends on how events batched.
   std::uint64_t epochs_published = 0;
-  /// Final epoch number == epochs published; depends on how events batched.
-  std::uint64_t final_epoch = 0;
+  /// Final serving epoch of every shard, in shard order.
+  std::vector<std::uint64_t> shard_epochs;
   std::uint64_t submit_retries = 0;
   /// Total backoff the writer slept across all retries (microseconds), and
   /// events abandoned after exhausting a finite retry budget (always 0 with
@@ -74,22 +78,27 @@ struct SvcLoadResult {
   double p99_us = 0.0;
   /// Latency samples beyond the histogram range (tail truncation marker).
   std::uint64_t latency_overflow = 0;
+  /// Halo exchange volume at quiesce (gossip overhead; 0 at 1x1).
+  std::uint64_t halo_deltas = 0;
+  std::uint64_t halo_events = 0;
 
-  // -- replay identity (bit-identical for any query-thread count) ---------
+  // -- replay identity (bit-identical for any thread count and shape) -----
   /// FNV-1a over the generated event stream.
   std::uint64_t stream_digest = 0;
-  /// `Snapshot::label_digest()` of the final quiesced snapshot.
+  /// The composite digest of the quiesced fleet — at 1x1 the single
+  /// snapshot's `label_digest()`.
   std::uint64_t final_digest = 0;
   std::size_t final_faults = 0;
 
   // -- serving invariants --------------------------------------------------
-  /// Every query thread observed monotonically non-decreasing epochs.
+  /// Every query thread observed per-shard non-decreasing epochs.
   bool epochs_monotone = true;
 };
 
-/// Runs the closed-loop workload to completion (all events applied, all
-/// queries answered) and reports throughput, tail latency and the replay
-/// digests.
+/// Runs the closed-loop workload to completion (all events applied and
+/// gossiped to fixpoint, all queries answered) against a `Service` of
+/// `config.service`'s shape and reports throughput, tail latency and the
+/// replay digests.
 [[nodiscard]] SvcLoadResult run_svc_load(const SvcLoadConfig& config);
 
 /// Canned profiles shared by the bench harness (`bench/svc_load`) and the
@@ -104,48 +113,6 @@ struct SvcLoadResult {
 /// Mixed-rate: heavy churn AND a full query front racing it — the regime
 /// where route-cache carry-over and page sharing pay off together.
 [[nodiscard]] SvcLoadConfig mixed_rate_profile(std::size_t query_threads);
-
-/// Sharded twin of `SvcLoadResult`: same timing-derived and replay-identity
-/// split, with the final digest being the composite digest at quiesce and
-/// monotonicity checked per shard (a query's epoch is its owning shard's —
-/// different shards' epochs are incomparable by design).
-struct ShardedLoadResult {
-  // -- timing-derived ------------------------------------------------------
-  std::size_t queries_ok = 0;
-  std::size_t queries_rejected = 0;
-  std::size_t batch_items = 0;
-  std::uint64_t submit_retries = 0;
-  std::uint64_t submit_backoff_us = 0;
-  std::uint64_t submits_shed = 0;
-  double wall_seconds = 0.0;
-  double qps = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  std::uint64_t latency_overflow = 0;
-  /// Halo exchange volume at quiesce (gossip overhead of the sharding).
-  std::uint64_t halo_deltas = 0;
-  std::uint64_t halo_events = 0;
-
-  // -- replay identity (bit-identical for any query-thread count) ---------
-  std::uint64_t stream_digest = 0;
-  /// `composite_label_digest` over the quiesced fleet — comparable 1:1 with
-  /// `SvcLoadResult::final_digest` for the same (config, seed).
-  std::uint64_t final_digest = 0;
-  std::size_t final_faults = 0;
-
-  // -- serving invariants --------------------------------------------------
-  /// Every query thread observed per-shard monotone epochs.
-  bool epochs_monotone = true;
-  std::vector<std::uint64_t> shard_epochs;
-};
-
-/// Runs the closed-loop workload against a `ShardedService`. The workload
-/// shape and every seed fork come from `config` exactly as in
-/// `run_svc_load` — identical (config, seed) produces the identical event
-/// stream, so `final_digest` here must equal the single-writer run's
-/// (`config.service` is ignored; the fleet shape comes from `service`).
-[[nodiscard]] ShardedLoadResult run_sharded_load(
-    const SvcLoadConfig& config, const ShardedServiceConfig& service);
 
 /// The seeded churn stream the generator replays, exposed for tests that
 /// drive `IngestEngine::apply` directly with deterministic batching.

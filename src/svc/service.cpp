@@ -1,17 +1,22 @@
 #include "svc/service.hpp"
 
+#include <algorithm>
+#include <array>
+#include <iterator>
+#include <thread>
 #include <utility>
 
 namespace ocp::svc {
 
-/// RAII admission token for the query front: one increment per executing
-/// query; rejected entries never hold the slot.
+/// RAII admission token for the query front: one fleet-wide increment per
+/// executing query under a cap (uncapped fronts count nothing); rejected
+/// entries never hold the slot.
 class Service::InflightGate {
  public:
   explicit InflightGate(const Service& service)
       : service_(service), admitted_(service.admit_query()) {}
   ~InflightGate() {
-    if (admitted_) {
+    if (admitted_ && service_.config_.max_inflight_queries != 0) {
       service_.inflight_queries_.fetch_sub(1, std::memory_order_relaxed);
     }
   }
@@ -25,50 +30,138 @@ class Service::InflightGate {
   bool admitted_;
 };
 
+struct Service::ShardRuntime {
+  ShardRuntime(std::uint32_t index, const ShardGrid& grid,
+               grid::CellSet initial, const IngestConfig& config,
+               std::size_t capacity)
+      : queue(capacity, config.chaos),
+        shard(index, grid, std::move(initial), config) {}
+
+  /// Work the worker has yet to apply; guarded by the service mutex.
+  [[nodiscard]] bool pending() const {
+    return queue.depth() > 0 || !inbox.empty() || !deferred.empty();
+  }
+
+  EventQueue queue;
+  Shard shard;
+  /// Halo deltas awaiting this shard's next batch; guarded by the service
+  /// mutex, like everything below.
+  std::vector<HaloDelta> inbox;
+  /// A chaos-deferred drain batch, re-drained (ahead of new events) on the
+  /// next loop iteration. Part of the flush barrier's "accepted but not yet
+  /// applied" accounting.
+  std::vector<FaultEvent> deferred;
+  /// True between a drain and the corresponding apply completing — the
+  /// window the flush barrier must not cross.
+  bool draining = false;
+  /// Worker terminated by a chaos kill; restart_shard clears it.
+  bool crashed = false;
+  /// One-shot publish-retry nudge consumed by the next loop iteration.
+  bool retry_publish = false;
+  std::thread worker;
+};
+
+/// Per-call pin set: at most one `read` per shard per query, so every read
+/// of a shard inside one query sees one epoch AND no pinned reference can
+/// be retired by a later same-shard acquire observing a fresh publish
+/// (acquire retires the thread's previous handle — see ingest.hpp).
+struct Service::ShardPinSet {
+  const Service& svc;
+  /// Bit s set = `pinned[s]` holds shard s's pinned epoch (the slots are
+  /// left uninitialized until then).
+  std::uint32_t mask = 0;
+  std::array<const Snapshot*, kMaxShards> pinned;
+
+  explicit ShardPinSet(const Service& s) : svc(s) {}
+
+  const Snapshot& get(std::uint32_t shard) {
+    if ((mask >> shard & 1u) == 0) {
+      pinned[shard] = &svc.read(shard);
+      mask |= 1u << shard;
+    }
+    return *pinned[shard];
+  }
+};
+
 Service::Service(grid::CellSet initial_faults, ServiceConfig config)
-    : config_(config),
-      queue_(config.queue_capacity, config.ingest.chaos),
-      engine_(std::move(initial_faults), config.ingest),
-      paused_(config.start_paused) {
-  ingest_thread_ = std::thread([this] { ingest_loop(); });
+    : config_(std::move(config)),
+      grid_(initial_faults.topology(), config_.shard_rows, config_.shard_cols),
+      paused_(config_.start_paused) {
+  shards_.reserve(grid_.count());
+  for (std::uint32_t i = 0; i < grid_.count(); ++i) {
+    IngestConfig ingest = config_.ingest;
+    if (i < config_.shard_chaos.size()) ingest.chaos = config_.shard_chaos[i];
+    shards_.push_back(std::make_unique<ShardRuntime>(
+        i, grid_, initial_faults, ingest, config_.queue_capacity));
+  }
+  for (std::uint32_t i = 0; i < grid_.count(); ++i) {
+    shards_[i]->worker = std::thread([this, i] { worker_loop(i); });
+  }
 }
 
 Service::~Service() {
-  // A chaos-killed writer still owes accepted events an application — bring
-  // it back so shutdown drains the queue instead of dropping it.
-  restart_ingest();
+  // Dead writers still owe accepted events an application — bring them
+  // back so shutdown drains the queues instead of dropping them.
+  for (std::uint32_t i = 0; i < grid_.count(); ++i) restart_shard(i);
   {
     std::lock_guard lock(mu_);
     stopping_ = true;
   }
-  queue_.close();
+  for (auto& rt : shards_) rt->queue.close();
   wake_.notify_all();
   progress_.notify_all();
-  if (ingest_thread_.joinable()) ingest_thread_.join();
+  for (auto& rt : shards_) {
+    if (rt->worker.joinable()) rt->worker.join();
+  }
 }
 
-void Service::ingest_loop() {
+void Service::worker_loop(std::uint32_t index) {
+  ShardRuntime& rt = *shards_[index];
   const obs::TraceConfig& trace = config_.ingest.trace;
-  const chaos::ChaosConfig& chaos = config_.ingest.chaos;
-  // Crash epilogue for a mid-batch chaos kill: the engine already recovered
-  // itself to the last published snapshot; put the events the crash did not
-  // lose — the unpublished backlog, then the whole interrupted batch — back
-  // at the queue head (replaying an applied prefix is harmless: events are
-  // state-setting) and let the thread die. `restart_ingest` resurrects it.
-  const auto apply_batch = [&](const std::vector<FaultEvent>& b) -> bool {
-    BatchOutcome outcome = engine_.apply(b);
-    if (!outcome.crashed) return true;
-    std::vector<FaultEvent> replay = std::move(outcome.requeue);
-    replay.insert(replay.end(), b.begin(), b.end());
-    queue_.requeue_front(std::move(replay));
+  const chaos::ChaosConfig& chaos = rt.shard.engine().config().chaos;
+  // Swapped with the inbox each batch, so both keep their capacity.
+  std::vector<HaloDelta> halo;
+  // Applies one drained batch and delivers its halo deltas before the
+  // caller clears the draining flag, so the flush barrier can never observe
+  // "nothing queued, nobody draining" while a delta is in flight. False
+  // after a mid-batch chaos kill: the engine already recovered itself to
+  // the last published snapshot; the unpublished backlog, then the whole
+  // interrupted batch (external plus halo-derived events — the version gate
+  // already consumed the deltas, so the events are the only carrier of that
+  // knowledge now), go back to the queue head (replaying an applied prefix
+  // is harmless: events are state-setting) and the thread dies.
+  // `restart_shard` resurrects it.
+  const auto apply_batch = [&](std::span<const FaultEvent> external) -> bool {
+    Shard::ApplyResult result = rt.shard.apply(external, halo);
+    if (result.outcome.crashed) {
+      std::vector<FaultEvent> replay = std::move(result.outcome.requeue);
+      replay.insert(replay.end(), result.interrupted.begin(),
+                    result.interrupted.end());
+      rt.queue.requeue_front(std::move(replay));
+      {
+        std::lock_guard lock(mu_);
+        rt.crashed = true;
+        rt.draining = false;
+      }
+      trace.counter("svc.shard_kills", 1);
+      progress_.notify_all();
+      return false;
+    }
+    if (result.outgoing.empty() && result.halo_events == 0) return true;
     {
       std::lock_guard lock(mu_);
-      crashed_ = true;
-      draining_ = false;
+      for (auto& [target, delta] : result.outgoing) {
+        shards_[target]->inbox.push_back(std::move(delta));
+        ++halo_deltas_;
+      }
+      halo_events_ += result.halo_events;
     }
-    trace.counter("svc.ingest_thread_kills", 1);
-    progress_.notify_all();
-    return false;
+    if (!result.outgoing.empty()) {
+      trace.counter("svc.halo_deltas",
+                    static_cast<std::int64_t>(result.outgoing.size()));
+      wake_.notify_all();
+    }
+    return true;
   };
   for (;;) {
     std::vector<FaultEvent> batch;
@@ -77,30 +170,35 @@ void Service::ingest_loop() {
     {
       std::unique_lock lock(mu_);
       // Shutdown overrides pause: accepted events are applied, not dropped.
-      wake_.wait(lock, [this] {
-        return stopping_ || (!paused_ && (queue_.depth() > 0 ||
-                                          !deferred_.empty() ||
-                                          retry_publish_));
+      wake_.wait(lock, [this, &rt] {
+        return stopping_ || (!paused_ && (rt.pending() || rt.retry_publish));
       });
-      if (queue_.depth() == 0 && deferred_.empty() && stopping_) break;
+      if (stopping_ && !rt.pending()) break;
       stop_seen = stopping_;
-      if (stopping_ || !paused_) {
-        nudge = std::exchange(retry_publish_, false);
+      nudge = std::exchange(rt.retry_publish, false);
+      batch = rt.queue.try_drain(config_.max_batch);
+      if (!rt.deferred.empty()) {
         // A previously deferred batch drains first, ahead of anything
         // submitted since — FIFO application order is preserved; only the
         // batch boundary (and thus the epoch boundary) moved.
-        batch = std::move(deferred_);
-        deferred_.clear();
-        std::vector<FaultEvent> drained = queue_.try_drain(config_.max_batch);
-        batch.insert(batch.end(), drained.begin(), drained.end());
-        draining_ = !batch.empty() || nudge;
+        rt.deferred.insert(rt.deferred.end(), batch.begin(), batch.end());
+        batch = std::move(rt.deferred);
+        rt.deferred.clear();
       }
+      halo.clear();
+      // A bare nudge leaves the inbox for the next batch: only a call with
+      // no events and no deltas re-attempts a withheld publication (see
+      // Shard::apply).
+      if (!nudge || !batch.empty()) halo.swap(rt.inbox);
+      rt.draining = !batch.empty() || !halo.empty() || nudge;
     }
     chaos::BatchDecision decision;
-    if (!batch.empty() && chaos.enabled()) decision = chaos.on_batch();
+    if ((!batch.empty() || !halo.empty()) && chaos.enabled()) {
+      decision = chaos.on_batch();
+    }
     if (decision.stall_us > 0) {
       // Mid-drain stall: the batch is out of the queue but not applied —
-      // the window the flush barrier must not cross early (draining_ stays
+      // the window the flush barrier must not cross early (draining stays
       // set) while overload pressure builds at the admission edge.
       trace.counter("svc.chaos_stalls", 1);
       std::this_thread::sleep_for(std::chrono::microseconds(decision.stall_us));
@@ -108,67 +206,77 @@ void Service::ingest_loop() {
     if (decision.defer && !stop_seen) {
       trace.counter("svc.chaos_defers", 1);
       std::lock_guard lock(mu_);
-      deferred_ = std::move(batch);
-      draining_ = false;
+      rt.deferred = std::move(batch);
+      rt.inbox.insert(rt.inbox.begin(), std::make_move_iterator(halo.begin()),
+                      std::make_move_iterator(halo.end()));
+      rt.draining = false;
       continue;
     }
-    if (!batch.empty() || nudge) {
-      trace.instant("svc.batch_drained",
-                    static_cast<std::int64_t>(batch.size()));
-      if (!apply_batch(batch)) return;  // killed; thread "process" dies here
-      if (decision.duplicate) {
-        // Replay the whole batch as an at-least-once delivery fault; every
-        // event re-coalesces to nothing, so this must not change the
-        // published state (the digest invariant chaos tests pin).
-        trace.counter("svc.chaos_duplicates", 1);
-        if (!apply_batch(batch)) return;
-      }
-      {
-        std::lock_guard lock(mu_);
-        draining_ = false;
-      }
-      progress_.notify_all();
+    if (batch.empty() && halo.empty() && !nudge) continue;
+    trace.instant("svc.batch_drained", static_cast<std::int64_t>(batch.size()));
+    if (!apply_batch(batch)) return;  // killed; the thread "process" dies
+    if (decision.duplicate) {
+      // Replay the whole batch as an at-least-once delivery fault; every
+      // event re-coalesces to nothing (and every delta fails its version
+      // gate), so this must not change the published state — the digest
+      // invariant chaos tests pin.
+      trace.counter("svc.chaos_duplicates", 1);
+      if (!apply_batch(batch)) return;
     }
+    {
+      std::lock_guard lock(mu_);
+      rt.draining = false;
+    }
+    progress_.notify_all();
   }
 }
 
 SubmitStatus Service::submit(FaultEvent event) {
-  const SubmitStatus status = queue_.push(event);
+  const std::uint32_t target =
+      grid_.machine().contains(event.node) ? grid_.shard_of(event.node) : 0;
+  EventQueue& queue = shards_[target]->queue;
+  const SubmitStatus status = queue.push(event);
   if (status == SubmitStatus::Accepted) {
-    // Briefly serialize against the waiter so the wakeup cannot be lost
-    // between its predicate check and its wait.
+    // Briefly serialize against the waiters so the wakeup cannot be lost
+    // between a predicate check and its wait.
     { std::lock_guard lock(mu_); }
-    wake_.notify_one();
+    wake_.notify_all();
   } else {
     config_.ingest.trace.counter("svc.submit_rejects", 1);
   }
-  config_.ingest.trace.instant("svc.queue_depth",
-                               static_cast<std::int64_t>(queue_.depth()));
+  if (config_.ingest.trace.enabled()) {
+    // depth() takes the queue lock: read it only for a live trace.
+    config_.ingest.trace.instant("svc.queue_depth",
+                                 static_cast<std::int64_t>(queue.depth()));
+  }
   return status;
 }
 
 void Service::flush() {
   {
     std::lock_guard lock(mu_);
-    // Flushing a paused service with pending events would deadlock; the
+    // Flushing a paused fleet with pending work would deadlock; the
     // barrier takes precedence over the hold.
-    if (paused_ &&
-        (queue_.depth() > 0 || !deferred_.empty() || retry_publish_)) {
+    if (paused_ && std::any_of(shards_.begin(), shards_.end(),
+                               [](const auto& rt) {
+                                 return rt->pending() || rt->retry_publish;
+                               })) {
       paused_ = false;
     }
   }
   wake_.notify_all();
   std::unique_lock lock(mu_);
   progress_.wait(lock, [this] {
-    // A dead writer cannot barrier: when a chaos kill takes the ingest
-    // thread down (before or during the wait), flush returns — with
-    // ingest_crashed() observable — instead of hanging on events nothing
-    // will apply. Recovery is the caller's explicit restart_ingest().
-    // An unconsumed retry_publish() nudge also holds the barrier: flush
-    // after a nudge means the publish re-attempt has actually run.
-    return stopping_ || crashed_ ||
-           (queue_.depth() == 0 && deferred_.empty() && !draining_ &&
-            !retry_publish_);
+    if (stopping_) return true;
+    for (const auto& rt : shards_) {
+      // A dead writer cannot barrier: flush returns with shard_crashed()
+      // observable instead of hanging on events nothing will apply. An
+      // unconsumed retry_publish() nudge also holds the barrier: flush
+      // after a nudge means the publish re-attempt has actually run.
+      if (rt->crashed) return true;
+      if (rt->pending() || rt->draining || rt->retry_publish) return false;
+    }
+    return true;  // fixpoint: no events, no deltas, nobody mid-apply
   });
 }
 
@@ -185,15 +293,17 @@ void Service::resume() {
   wake_.notify_all();
 }
 
-QueryStatus Service::wait_for_epoch(std::uint64_t epoch,
+QueryStatus Service::wait_for_epoch(std::uint32_t shard, std::uint64_t epoch,
                                     std::chrono::milliseconds timeout) {
+  if (shard >= shards_.size()) return QueryStatus::InvalidArgument;
+  const IngestEngine& engine = shards_[shard]->shard.engine();
   // wait_for re-evaluates the predicate at the deadline regardless of
   // notifications, so a never-arriving epoch — withheld by the oracle gate,
-  // or owed by a killed ingest thread — degrades to a typed Timeout instead
-  // of a hang (pinned by the chaos regression tests).
+  // or owed by a killed worker — degrades to a typed Timeout instead of a
+  // hang (pinned by the chaos regression tests).
   std::unique_lock lock(mu_);
-  const bool reached = progress_.wait_for(lock, timeout, [this, epoch] {
-    return engine_.snapshot()->epoch() >= epoch;
+  const bool reached = progress_.wait_for(lock, timeout, [&engine, epoch] {
+    return engine.snapshot()->epoch() >= epoch;
   });
   return reached ? QueryStatus::Ok : QueryStatus::Timeout;
 }
@@ -201,46 +311,55 @@ QueryStatus Service::wait_for_epoch(std::uint64_t epoch,
 void Service::retry_publish() {
   {
     std::lock_guard lock(mu_);
-    retry_publish_ = true;
+    for (auto& rt : shards_) rt->retry_publish = true;
   }
   wake_.notify_all();
 }
 
-bool Service::ingest_crashed() const {
+bool Service::shard_crashed(std::uint32_t shard) const {
   std::lock_guard lock(mu_);
-  return crashed_;
+  return shard < shards_.size() && shards_[shard]->crashed;
 }
 
-bool Service::restart_ingest() {
+bool Service::any_shard_crashed() const {
+  std::lock_guard lock(mu_);
+  return std::any_of(shards_.begin(), shards_.end(),
+                     [](const auto& rt) { return rt->crashed; });
+}
+
+bool Service::restart_shard(std::uint32_t shard) {
+  if (shard >= shards_.size()) return false;
+  ShardRuntime& rt = *shards_[shard];
   std::thread dead;
   {
     std::lock_guard lock(mu_);
-    if (!crashed_) return false;
-    crashed_ = false;
+    if (!rt.crashed) return false;
+    rt.crashed = false;
     // The new thread blocks on mu_ until this scope releases it; the dead
-    // one already left the loop (it set crashed_ as its last locked act).
-    dead = std::move(ingest_thread_);
-    ingest_thread_ = std::thread([this] { ingest_loop(); });
+    // one already left the loop (it set crashed as its last locked act).
+    dead = std::move(rt.worker);
+    rt.worker = std::thread([this, shard] { worker_loop(shard); });
   }
   if (dead.joinable()) dead.join();
-  config_.ingest.trace.counter("svc.ingest_restarts", 1);
+  config_.ingest.trace.counter("svc.shard_restarts", 1);
   return true;
 }
 
-void Service::note_staleness() const {
-  // One relaxed load on the hot path; the counters move only while the
-  // oracle gate is actually withholding (degraded mode), never in steady
-  // state.
-  if (engine_.stale_epochs_pending() == 0) return;
-  stale_queries_served_.fetch_add(1, std::memory_order_relaxed);
-  config_.ingest.trace.counter("svc.stale_epochs_served", 1);
+std::uint64_t Service::stale_epochs_pending() const {
+  std::uint64_t stalest = 0;
+  for (const auto& rt : shards_) {
+    stalest = std::max(stalest, rt->shard.engine().stale_epochs_pending());
+  }
+  return stalest;
 }
 
 bool Service::admit_query() const {
   const std::size_t cap = config_.max_inflight_queries;
+  // Uncapped: nothing to count, so no shared cache line on the query path.
+  if (cap == 0) return true;
   const std::int64_t running =
       inflight_queries_.fetch_add(1, std::memory_order_relaxed);
-  if (cap != 0 && running >= static_cast<std::int64_t>(cap)) {
+  if (running >= static_cast<std::int64_t>(cap)) {
     inflight_queries_.fetch_sub(1, std::memory_order_relaxed);
     query_overloads_.fetch_add(1, std::memory_order_relaxed);
     return false;
@@ -248,16 +367,28 @@ bool Service::admit_query() const {
   return true;
 }
 
+const Snapshot& Service::read(std::uint32_t s) const {
+  const IngestEngine& engine = shards_[s]->shard.engine();
+  // Contention-free acquisition: the reference is pinned by this thread's
+  // epoch handle for the duration of the query (see IngestEngine::acquire).
+  const Snapshot& snap = engine.acquire();
+  // One relaxed load on the hot path; the counters move only while the
+  // oracle gate is actually withholding (degraded mode), never in steady
+  // state.
+  if (engine.stale_epochs_pending() != 0) {
+    stale_queries_served_.fetch_add(1, std::memory_order_relaxed);
+    config_.ingest.trace.counter("svc.stale_epochs_served", 1);
+  }
+  return snap;
+}
+
 StatusAnswer Service::query_status(mesh::Coord node) const {
   InflightGate gate(*this);
   if (!gate.admitted()) return {.status = QueryStatus::Overloaded};
-  // Contention-free acquisition: the reference is pinned by this thread's
-  // epoch handle for the duration of the query (see IngestEngine::acquire).
-  const Snapshot& snap = engine_.acquire();
-  note_staleness();
-  if (!snap.machine().contains(node)) {
-    return {.status = QueryStatus::InvalidArgument, .epoch = snap.epoch()};
+  if (!grid_.machine().contains(node)) {
+    return {.status = QueryStatus::InvalidArgument, .epoch = read(0).epoch()};
   }
+  const Snapshot& snap = read(grid_.shard_of(node));
   return {.status = QueryStatus::Ok,
           .epoch = snap.epoch(),
           .node = snap.status_of(node)};
@@ -266,11 +397,10 @@ StatusAnswer Service::query_status(mesh::Coord node) const {
 RegionAnswer Service::query_region(mesh::Coord node) const {
   InflightGate gate(*this);
   if (!gate.admitted()) return {.status = QueryStatus::Overloaded};
-  const Snapshot& snap = engine_.acquire();
-  note_staleness();
-  if (!snap.machine().contains(node)) {
-    return {.status = QueryStatus::InvalidArgument, .epoch = snap.epoch()};
+  if (!grid_.machine().contains(node)) {
+    return {.status = QueryStatus::InvalidArgument, .epoch = read(0).epoch()};
   }
+  const Snapshot& snap = read(grid_.shard_of(node));
   const RegionSummary region = snap.region_summary(node);
   return {.status = QueryStatus::Ok,
           .epoch = snap.epoch(),
@@ -280,32 +410,100 @@ RegionAnswer Service::query_region(mesh::Coord node) const {
           .parent_block = region.parent_block};
 }
 
+const routing::Route& Service::route(mesh::Coord src, mesh::Coord dst,
+                                     ShardPinSet& pins,
+                                     routing::Route& stitched) const {
+  const obs::TraceConfig& trace = config_.ingest.trace;
+  std::uint32_t authority = grid_.shard_of(src);
+  // The authoritative shard's cached segment. The reference is stable for
+  // the snapshot's lifetime; the pin set keeps the snapshot alive for the
+  // whole query. A segment that never leaves its shard is the answer as is.
+  const routing::Route& direct = pins.get(authority).route(src, dst);
+  trace.counter("svc.route_segments", 1);
+  if (grid_.count() == 1 ||
+      std::all_of(direct.path.begin(), direct.path.end(),
+                  [&](mesh::Coord c) { return grid_.owns(authority, c); })) {
+    return direct;
+  }
+  routing::Route& out = stitched;
+  mesh::Coord cur = src;
+  out.path.push_back(cur);
+  // Authority switches are bounded: shard views disagree only on in-flight
+  // gossip, so the cap is generous; exceeding it degrades to the router's
+  // own typed Livelock verdict rather than an unbounded walk.
+  const std::size_t max_switches =
+      static_cast<std::size_t>(grid_.count()) * 4 + 4;
+  std::size_t switches = 0;
+  for (;;) {
+    const routing::Route& seg = pins.get(authority).route(cur, dst);
+    if (seg.status != routing::RouteStatus::Delivered) {
+      // The owner of the current position says the remainder fails; its
+      // verdict stands (its view of remote cells may be stale, but a
+      // livelock/blocked verdict is already best-effort under churn).
+      out.status = seg.status;
+      return out;
+    }
+    bool switched = false;
+    for (std::size_t i = 1; i < seg.path.size(); ++i) {
+      const mesh::Coord hop = seg.path[i];
+      const std::uint32_t owner = grid_.shard_of(hop);
+      if (owner != authority &&
+          pins.get(owner).status_of(hop) != NodeStatus::Enabled) {
+        // Boundary crossing onto a cell its owner serves as blocked: the
+        // segment was computed from a stale ghost. Adopt nothing past the
+        // crossing; the owner becomes the authority and re-routes the
+        // remainder from the last validated cell.
+        if (++switches > max_switches) {
+          out.status = routing::RouteStatus::Livelock;
+          return out;
+        }
+        trace.counter("svc.route_stitch_switches", 1);
+        authority = owner;
+        switched = true;
+        break;
+      }
+      out.path.push_back(hop);
+      out.phase.push_back(seg.phase[i - 1]);
+      cur = hop;
+    }
+    if (!switched) {
+      out.status = routing::RouteStatus::Delivered;
+      return out;
+    }
+    trace.counter("svc.route_segments", 1);
+  }
+}
+
 RouteAnswer Service::query_route(mesh::Coord src, mesh::Coord dst) const {
   InflightGate gate(*this);
   if (!gate.admitted()) return {.status = QueryStatus::Overloaded};
-  const Snapshot& snap = engine_.acquire();
-  note_staleness();
-  if (!snap.machine().contains(src) || !snap.machine().contains(dst)) {
-    return {.status = QueryStatus::InvalidArgument, .epoch = snap.epoch()};
+  if (!grid_.machine().contains(src) || !grid_.machine().contains(dst)) {
+    return {.status = QueryStatus::InvalidArgument, .epoch = read(0).epoch()};
   }
-  const obs::TraceConfig& trace = config_.ingest.trace;
-  if (!trace.rounds()) {
-    return {.status = QueryStatus::Ok,
-            .epoch = snap.epoch(),
-            .route = snap.route(src, dst)};
-  }
-  // Contention attribution (round-level tracing only): how many reader-lock
-  // acquisitions this query's window saw on the epoch's route cache —
-  // concurrent route queries against the same epoch share that lock, so the
-  // instant stream exposes exactly the shared state a flat qps curve hides.
-  const std::uint64_t before = snap.route_cache().shared_lock_acquisitions();
+  ShardPinSet pins(*this);
   RouteAnswer answer{.status = QueryStatus::Ok,
-                     .epoch = snap.epoch(),
-                     .route = snap.route(src, dst)};
-  trace.instant(
-      "svc.query.cache_lock_touches",
-      static_cast<std::int64_t>(snap.route_cache().shared_lock_acquisitions() -
-                                before));
+                     .epoch = pins.get(grid_.shard_of(src)).epoch()};
+  // Contention attribution (round-level tracing only): how many reader-lock
+  // acquisitions this query's window saw on the pinned epochs' route caches
+  // — concurrent route queries against the same epochs share those locks,
+  // so the instant stream exposes exactly the shared state a flat qps curve
+  // hides.
+  const obs::TraceConfig& trace = config_.ingest.trace;
+  const auto cache_locks = [this, &pins] {
+    std::uint64_t locks = 0;
+    for (std::uint32_t s = 0; s < grid_.count(); ++s) {
+      locks += pins.get(s).route_cache().shared_lock_acquisitions();
+    }
+    return locks;
+  };
+  const std::uint64_t before = trace.rounds() ? cache_locks() : 0;
+  // A stitched route is built in place; a cached segment is copied out.
+  const routing::Route& r = route(src, dst, pins, answer.route);
+  if (&r != &answer.route) answer.route = r;
+  if (trace.rounds()) {
+    trace.instant("svc.query.cache_lock_touches",
+                  static_cast<std::int64_t>(cache_locks() - before));
+  }
   return answer;
 }
 
@@ -314,15 +512,15 @@ BatchAnswer Service::query_batch(
     std::chrono::steady_clock::time_point deadline) const {
   InflightGate gate(*this);
   if (!gate.admitted()) return {.status = QueryStatus::Overloaded};
-  // One snapshot acquisition for the whole batch: every item is answered
-  // against the same epoch. The thread's epoch handle pins the reference
-  // across the loop (no further acquire happens on this thread meanwhile).
-  const Snapshot& snapshot = engine_.acquire();
-  note_staleness();
-  const Snapshot* snap = &snapshot;
-  BatchAnswer answer{.status = QueryStatus::Ok, .epoch = snap->epoch()};
+  BatchAnswer answer;
   answer.items.resize(items.size());
-  const bool has_deadline = deadline != std::chrono::steady_clock::time_point{};
+  const mesh::Mesh2D& m = grid_.machine();
+  // The first item touching a shard fixes the epoch every later item reads
+  // that shard at — the batch's composite epoch vector is exact even while
+  // shards publish concurrently.
+  ShardPinSet pins(*this);
+  const bool has_deadline =
+      deadline != std::chrono::steady_clock::time_point{};
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (has_deadline && std::chrono::steady_clock::now() >= deadline) {
       // Typed partial result: executed items stand, the rest time out.
@@ -334,44 +532,104 @@ BatchAnswer Service::query_batch(
     }
     const QueryItem& item = items[i];
     BatchItemAnswer& out = answer.items[i];
-    if (!snap->machine().contains(item.a) ||
-        (item.kind == QueryKind::Route && !snap->machine().contains(item.b))) {
+    if (!m.contains(item.a) ||
+        (item.kind == QueryKind::Route && !m.contains(item.b))) {
       out.status = QueryStatus::InvalidArgument;
       ++answer.completed;
       continue;
     }
     switch (item.kind) {
       case QueryKind::Status:
-        out.node = snap->status_of(item.a);
+        out.node = pins.get(grid_.shard_of(item.a)).status_of(item.a);
         break;
-      case QueryKind::Region:
-        out.node = snap->status_of(item.a);
-        out.region_id = snap->region_id_of(item.a);
+      case QueryKind::Region: {
+        const Snapshot& snap = pins.get(grid_.shard_of(item.a));
+        out.node = snap.status_of(item.a);
+        out.region_id = snap.region_id_of(item.a);
         break;
+      }
       case QueryKind::Route: {
-        const routing::Route& route = snap->route(item.a, item.b);
-        out.route_status = route.status;
-        out.hops = route.hops();
+        routing::Route stitched;
+        const routing::Route& r = route(item.a, item.b, pins, stitched);
+        out.route_status = r.status;
+        out.hops = r.hops();
         break;
       }
     }
     ++answer.completed;
   }
+  for (std::uint32_t s = 0; s < grid_.count(); ++s) {
+    if ((pins.mask >> s & 1u) != 0) {
+      answer.epochs.push_back({s, pins.pinned[s]->epoch()});
+    }
+  }
   return answer;
 }
 
+std::shared_ptr<const Snapshot> Service::snapshot(std::uint32_t shard) const {
+  return engine(shard).snapshot();
+}
+
+const IngestEngine& Service::engine(std::uint32_t shard) const {
+  return shards_[shard]->shard.engine();
+}
+
+std::vector<std::shared_ptr<const Snapshot>> Service::snapshots() const {
+  std::vector<std::shared_ptr<const Snapshot>> out;
+  out.reserve(shards_.size());
+  for (const auto& rt : shards_) {
+    out.push_back(rt->shard.engine().snapshot());
+  }
+  return out;
+}
+
+std::uint64_t Service::composite_digest() const {
+  return composite_label_digest(grid_, snapshots());
+}
+
+std::size_t Service::fault_count() const {
+  const auto snaps = snapshots();
+  if (snaps.size() == 1) return snaps[0]->faults().size();
+  const mesh::Mesh2D& m = grid_.machine();
+  std::size_t faults = 0;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(m.node_count()); ++i) {
+    const mesh::Coord c = m.coord(i);
+    if (snaps[grid_.shard_of(c)]->faults().contains_index(i)) ++faults;
+  }
+  return faults;
+}
+
 ServiceStats Service::stats() const {
-  return {.epoch = engine_.snapshot()->epoch(),
-          .queue_depth = queue_.depth(),
-          .events_accepted = queue_.accepted(),
-          .events_rejected = queue_.rejected(),
-          .query_overloads = query_overloads_.load(std::memory_order_relaxed),
-          .chaos_denied = queue_.chaos_denied(),
-          .stale_epochs_pending = engine_.stale_epochs_pending(),
-          .stale_queries_served =
-              stale_queries_served_.load(std::memory_order_relaxed),
-          .ingest_crashed = ingest_crashed(),
-          .ingest = engine_.stats()};
+  ServiceStats stats;
+  for (const auto& rt : shards_) {
+    const IngestEngine& engine = rt->shard.engine();
+    stats.shard_epochs.push_back(engine.snapshot()->epoch());
+    stats.queue_depth += rt->queue.depth();
+    stats.events_accepted += rt->queue.accepted();
+    stats.events_rejected += rt->queue.rejected();
+    stats.chaos_denied += rt->queue.chaos_denied();
+    stats.stale_epochs_pending =
+        std::max(stats.stale_epochs_pending, engine.stale_epochs_pending());
+    const IngestStats ingest = engine.stats();
+    stats.ingest.batches += ingest.batches;
+    stats.ingest.events += ingest.events;
+    stats.ingest.applied += ingest.applied;
+    stats.ingest.coalesced += ingest.coalesced;
+    stats.ingest.invalid += ingest.invalid;
+    stats.ingest.epochs_published += ingest.epochs_published;
+    stats.ingest.oracle_rejects += ingest.oracle_rejects;
+    stats.ingest.crashes += ingest.crashes;
+  }
+  stats.query_overloads = query_overloads_.load(std::memory_order_relaxed);
+  stats.stale_queries_served =
+      stale_queries_served_.load(std::memory_order_relaxed);
+  std::lock_guard lock(mu_);
+  stats.halo_deltas = halo_deltas_;
+  stats.halo_events = halo_events_;
+  for (const auto& rt : shards_) {
+    if (rt->crashed) ++stats.shards_crashed;
+  }
+  return stats;
 }
 
 }  // namespace ocp::svc

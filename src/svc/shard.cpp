@@ -1,6 +1,9 @@
 #include "svc/shard.hpp"
 
 #include <algorithm>
+#include <map>
+#include <stdexcept>
+#include <string>
 
 namespace ocp::svc {
 
@@ -30,30 +33,38 @@ IngestConfig with_collection(IngestConfig config) {
   return config;
 }
 
+/// The extent of a shard's halo bookkeeping: the whole machine, or a single
+/// cell in a one-shard grid, where nothing is ever exchanged.
+mesh::Mesh2D bookkeeping_extent(const ShardGrid& grid) {
+  return grid.count() == 1 ? mesh::Mesh2D(1, 1) : grid.machine();
+}
+
 }  // namespace
 
 ShardGrid::ShardGrid(const mesh::Mesh2D& m, std::int32_t rows,
                      std::int32_t cols)
     : tiles_(m) {
-  // Clamp the total to 16 shards (acquire-slot capacity): shrink the larger
-  // axis first — it has the most slack — until the product fits.
-  rows = std::clamp(rows, std::int32_t{1}, tiles_.tiles_y());
-  cols = std::clamp(cols, std::int32_t{1}, tiles_.tiles_x());
-  while (rows * cols > 16) {
-    (rows >= cols ? rows : cols) -= 1;
-  }
   rows_ = split_axis(tiles_.tiles_y(), rows, shard_row_of_tile_row_);
   cols_ = split_axis(tiles_.tiles_x(), cols, shard_col_of_tile_col_);
+  if (rows_ * cols_ > kMaxShards) {
+    throw std::invalid_argument(
+        "ShardGrid: " + std::to_string(rows_) + "x" + std::to_string(cols_) +
+        " shards exceed the cap of " + std::to_string(kMaxShards));
+  }
 }
 
 Shard::Shard(std::uint32_t index, const ShardGrid& grid, grid::CellSet initial,
              IngestConfig config)
     : index_(index),
       grid_(&grid),
-      engine_(std::move(initial), with_collection(std::move(config))),
-      versions_(grid.machine(), 0),
-      heard_faults_(engine_.labeling().faults()),
-      told_(grid.machine(), 0) {
+      engine_(std::move(initial),
+              grid.count() == 1 ? std::move(config)
+                                : with_collection(std::move(config))),
+      versions_(bookkeeping_extent(grid), 0),
+      heard_faults_(grid.count() == 1 ? grid::CellSet(versions_.topology())
+                                      : engine_.labeling().faults()),
+      told_(versions_.topology(), 0) {
+  if (grid.count() == 1) return;
   // Every replica starts out knowing the initial faults.
   const auto everyone = static_cast<std::uint16_t>((1u << grid.count()) - 1);
   heard_faults_.for_each([&](mesh::Coord c) { told_[c] = everyone; });
@@ -62,6 +73,16 @@ Shard::Shard(std::uint32_t index, const ShardGrid& grid, grid::CellSet initial,
 Shard::ApplyResult Shard::apply(std::span<const FaultEvent> external,
                                 std::span<const HaloDelta> halo) {
   ApplyResult result;
+  if (grid_->count() == 1) {
+    // No other shard to tell (and none to hear from): the batch goes to
+    // the engine as is — no extent walk, version stamps or told_
+    // bookkeeping.
+    result.outcome = engine_.apply(external);
+    if (result.outcome.crashed) {
+      result.interrupted.assign(external.begin(), external.end());
+    }
+    return result;
+  }
   batch_scratch_.clear();
   for (const FaultEvent& event : external) {
     // A foreign cell in the queue is a halo-derived event requeued by a
@@ -103,8 +124,10 @@ Shard::ApplyResult Shard::apply(std::span<const FaultEvent> external,
       ++result.halo_events;
     }
   }
+  // Nothing new: only a bare call (no events, no deltas — the publish-retry
+  // nudge) re-attempts a withheld publication.
   if (batch_scratch_.empty() &&
-      engine_.stale_epochs_pending() == 0) {
+      (!halo.empty() || engine_.stale_epochs_pending() == 0)) {
     result.outcome.epoch = engine_.snapshot()->epoch();
     return result;
   }
@@ -188,6 +211,156 @@ Shard::ApplyResult Shard::apply(std::span<const FaultEvent> external,
     result.outgoing.emplace_back(target, delta);
   }
   return result;
+}
+
+std::uint64_t composite_label_digest(
+    const ShardGrid& grid,
+    const std::vector<std::shared_ptr<const Snapshot>>& snapshots) {
+  // One shard owns every cell: its own digest is the composite.
+  if (grid.count() == 1) return snapshots[0]->label_digest();
+  // Mirrors Snapshot::label_digest bit for bit: same FNV-1a constants, same
+  // fold order — per-cell planes row-major (each cell read from its owning
+  // shard), then block count, then region count, then (size, fault_count)
+  // per region in min-cell-index order (the order the single-writer
+  // maintains its regions() vector in).
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  };
+  const mesh::Mesh2D& m = grid.machine();
+  const std::size_t n = static_cast<std::size_t>(m.node_count());
+  for (std::size_t i = 0; i < n; ++i) {
+    const Snapshot& snap = *snapshots[grid.shard_of(m.coord(i))];
+    std::uint64_t v = snap.faults().contains_index(i) ? 4u : 0u;
+    v |= snap.safety().at_index(i) == labeling::Safety::Unsafe ? 2u : 0u;
+    v |= snap.activation().at_index(i) == labeling::Activation::Disabled ? 1u
+                                                                         : 0u;
+    mix(v + 1);
+  }
+  // Blocks and regions are collected from each shard only when they
+  // intersect its OWNED cells (ghost areas of a replica may hold stale
+  // structure for components the shard never hears about) and deduped by
+  // min-cell-index: a seam-spanning entry is extracted identically by every
+  // owner — same converged fault knowledge, same deterministic extraction —
+  // so duplicates collapse to one key.
+  std::map<std::size_t, std::uint8_t> block_keys;
+  std::map<std::size_t, std::pair<std::uint64_t, std::uint64_t>> regions;
+  for (std::uint32_t s = 0; s < grid.count(); ++s) {
+    const Snapshot& snap = *snapshots[s];
+    for (const labeling::FaultyBlock& block : snap.blocks()) {
+      std::size_t key = n;
+      bool owned = false;
+      for (const mesh::Coord c : block.component.cells()) {
+        key = std::min(key, m.index(c));
+        owned = owned || grid.owns(s, c);
+      }
+      if (owned) block_keys.emplace(key, 0);
+    }
+    for (const labeling::DisabledRegion& region : snap.regions()) {
+      std::size_t key = n;
+      bool owned = false;
+      for (const mesh::Coord c : region.component.cells()) {
+        key = std::min(key, m.index(c));
+        owned = owned || grid.owns(s, c);
+      }
+      if (owned) {
+        regions.emplace(
+            key, std::make_pair(static_cast<std::uint64_t>(region.size()),
+                                static_cast<std::uint64_t>(region.fault_count)));
+      }
+    }
+  }
+  mix(block_keys.size());
+  mix(regions.size());
+  for (const auto& [key, entry] : regions) {
+    mix(entry.first);
+    mix(entry.second);
+  }
+  return h;
+}
+
+ShardedRoundsResult run_sharded_rounds(const ShardGrid& grid,
+                                       const grid::CellSet& initial,
+                                       std::span<const FaultEvent> stream,
+                                       std::size_t max_batch,
+                                       IngestConfig config) {
+  const std::uint32_t count = grid.count();
+  std::vector<std::unique_ptr<Shard>> shards;
+  shards.reserve(count);
+  for (std::uint32_t s = 0; s < count; ++s) {
+    shards.push_back(std::make_unique<Shard>(s, grid, initial, config));
+  }
+
+  const mesh::Mesh2D& m = grid.machine();
+  std::vector<std::vector<FaultEvent>> backlog(count);
+  for (const FaultEvent& event : stream) {
+    const std::uint32_t target =
+        m.contains(event.node) ? grid.shard_of(event.node) : 0;
+    backlog[target].push_back(event);
+  }
+
+  std::vector<std::size_t> cursor(count, 0);
+  std::vector<std::vector<HaloDelta>> inbox(count);
+  std::vector<std::vector<HaloDelta>> next_inbox(count);
+  std::vector<Shard::ApplyResult> results(count);
+  ShardedRoundsResult out;
+  for (;;) {
+    bool pending = false;
+    for (std::uint32_t s = 0; s < count; ++s) {
+      if (cursor[s] < backlog[s].size() || !inbox[s].empty()) {
+        pending = true;
+        break;
+      }
+    }
+    if (!pending) break;
+    ++out.rounds;
+
+    // Parallel section: shards touch disjoint state (their own engine,
+    // their own inbox slice); results land in per-shard slots. Identical
+    // for any thread count.
+    const auto shard_count = static_cast<std::int64_t>(count);
+#ifdef OCP_HAVE_OPENMP
+#pragma omp parallel for schedule(static)
+#endif
+    for (std::int64_t s = 0; s < shard_count; ++s) {
+      const auto idx = static_cast<std::size_t>(s);
+      const std::size_t take =
+          std::min(max_batch, backlog[idx].size() - cursor[idx]);
+      const std::span<const FaultEvent> external(
+          backlog[idx].data() + cursor[idx], take);
+      results[idx] = shards[idx]->apply(external, inbox[idx]);
+      cursor[idx] += take;
+    }
+
+    // Serial delta routing in ascending shard order: the inter-round
+    // delivery order — and with it every downstream batch — is fixed.
+    for (std::uint32_t s = 0; s < count; ++s) {
+      Shard::ApplyResult& result = results[s];
+      // Attribute applies to the external stream vs gossip; a halo-derived
+      // event can itself coalesce away, so clamp instead of underflowing.
+      const std::size_t halo_share =
+          std::min(result.halo_events, result.outcome.applied);
+      out.applied += result.outcome.applied - halo_share;
+      out.halo_events += result.halo_events;
+      for (auto& [target, delta] : result.outgoing) {
+        next_inbox[target].push_back(std::move(delta));
+        ++out.halo_deltas;
+      }
+      result = {};
+    }
+    for (std::uint32_t s = 0; s < count; ++s) {
+      inbox[s] = std::move(next_inbox[s]);
+      next_inbox[s].clear();
+    }
+  }
+
+  out.snapshots.reserve(count);
+  for (std::uint32_t s = 0; s < count; ++s) {
+    out.snapshots.push_back(shards[s]->engine().snapshot());
+  }
+  out.composite_digest = composite_label_digest(grid, out.snapshots);
+  return out;
 }
 
 }  // namespace ocp::svc

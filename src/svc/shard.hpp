@@ -46,6 +46,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -55,11 +56,16 @@
 
 namespace ocp::svc {
 
+/// Most shards one grid may hold: the capacity of the thread-local acquire
+/// slots (see IngestEngine::acquire) and of the service's per-query pin
+/// sets.
+inline constexpr std::int32_t kMaxShards = 16;
+
 /// Tile-aligned S_r x S_c partition of the machine. Rows split the tile
 /// rows into contiguous chunks (sizes differing by at most one, remainder
 /// front-loaded), columns likewise; requested extents are clamped to the
-/// tile counts and the total shard count to 16 (the thread-local acquire
-/// slot capacity — see IngestEngine::acquire).
+/// tile counts. A clamped shape above `kMaxShards` shards throws
+/// std::invalid_argument instead of silently shrinking.
 class ShardGrid {
  public:
   ShardGrid(const mesh::Mesh2D& m, std::int32_t rows, std::int32_t cols);
@@ -113,12 +119,14 @@ struct HaloDelta {
 };
 
 /// One shard's single-writer world: engine + halo bookkeeping. Thread-free
-/// like `IngestEngine`; `ShardedService` serializes `apply` calls on the
-/// shard's worker thread, the deterministic round driver calls it inline.
+/// like `IngestEngine`; `Service` serializes `apply` calls on the shard's
+/// worker thread, the deterministic round driver calls it inline. In a
+/// one-shard grid there is no other shard to tell: `apply` is the engine's
+/// own `apply`, with no halo bookkeeping at all.
 class Shard {
  public:
-  /// `config.collect_applied` is forced on — the dirty extent is how halo
-  /// deltas are derived.
+  /// In a grid of more than one shard `config.collect_applied` is forced
+  /// on — the dirty extent is how halo deltas are derived.
   Shard(std::uint32_t index, const ShardGrid& grid, grid::CellSet initial,
         IngestConfig config);
 
@@ -145,7 +153,9 @@ class Shard {
   /// the halo half coming second still matters after a crash replay, when
   /// the requeued backlog holds *old* halo-derived events that a newer
   /// delta in the same batch must win against (the engine's coalescer keeps
-  /// the last event per cell).
+  /// the last event per cell). A call with neither events nor deltas is the
+  /// engine's publish-retry path; deltas that teach the shard nothing new
+  /// do not re-attempt a withheld publication.
   ApplyResult apply(std::span<const FaultEvent> external,
                     std::span<const HaloDelta> halo);
 
@@ -178,5 +188,45 @@ class Shard {
   std::vector<FaultEvent> batch_scratch_;
   std::vector<mesh::Coord> extent_scratch_;
 };
+
+/// Folds per-shard snapshots (one per `grid` shard, in shard order) into
+/// the digest a single-writer `Snapshot::label_digest()` computes over the
+/// same converged state: per-cell planes read from each cell's owner,
+/// blocks/regions deduped by min-cell-index and regions folded in key
+/// order. Shards agree on seam-spanning entries because every owner of a
+/// piece extracts it from the same converged fault knowledge with the same
+/// deterministic extraction.
+[[nodiscard]] std::uint64_t composite_label_digest(
+    const ShardGrid& grid,
+    const std::vector<std::shared_ptr<const Snapshot>>& snapshots);
+
+/// Result of the deterministic round driver.
+struct ShardedRoundsResult {
+  /// Net fault-set changes applied from the external stream (all shards).
+  std::size_t applied = 0;
+  /// Synthetic halo-derived events applied (gossip overhead).
+  std::size_t halo_events = 0;
+  /// Halo deltas exchanged.
+  std::size_t halo_deltas = 0;
+  /// Exchange rounds until fixpoint.
+  std::size_t rounds = 0;
+  std::uint64_t composite_digest = 0;
+  /// Final per-shard snapshots, in shard order.
+  std::vector<std::shared_ptr<const Snapshot>> snapshots;
+};
+
+/// Thread-free deterministic multi-writer driver: routes `stream` into
+/// per-shard FIFO backlogs, then runs barrier-synchronized rounds — every
+/// shard applies one batch (<= max_batch external events plus its whole
+/// inbox) with the per-shard applies parallelized over OpenMP threads, then
+/// the emitted deltas are routed serially in shard order — until no shard
+/// has pending work. Bit-identical for any thread count: shards touch
+/// disjoint state during the parallel section and the inter-round delivery
+/// order is fixed by shard index. The seam-geometry property tests and the
+/// sharded ingest bench use it.
+[[nodiscard]] ShardedRoundsResult run_sharded_rounds(
+    const ShardGrid& grid, const grid::CellSet& initial,
+    std::span<const FaultEvent> stream, std::size_t max_batch = 256,
+    IngestConfig config = {});
 
 }  // namespace ocp::svc

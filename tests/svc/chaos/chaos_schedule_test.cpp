@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 namespace ocp::chaos {
 namespace {
+
+/// Schedules run on the single writer and on a 2x2 fleet.
+constexpr std::pair<std::int32_t, std::int32_t> kShapes[] = {{1, 1}, {2, 2}};
 
 TEST(ChaosScheduleTest, GenerationIsDeterministicInSeed) {
   const std::vector<Op> a = generate_schedule(42, 64);
@@ -40,41 +44,52 @@ TEST(ChaosScheduleTest, ReproStringRoundTrips) {
 }
 
 TEST(ChaosScheduleTest, CleanScheduleUpholdsEveryInvariant) {
-  ScheduleConfig config;
-  config.seed = 3;
-  const std::vector<Op> schedule = generate_schedule(3, 48);
-  const ScheduleResult result = run_schedule(config, schedule);
-  EXPECT_TRUE(result.ok()) << to_string(schedule) << "\nfirst violation: "
-                           << (result.violations.empty()
-                                   ? ""
-                                   : result.violations.front());
-  EXPECT_EQ(result.final_digest, result.expected_digest);
-  EXPECT_EQ(result.stale_epochs_pending, 0u);
+  for (const auto& [rows, cols] : kShapes) {
+    ScheduleConfig config;
+    config.seed = 3;
+    config.service.shard_rows = rows;
+    config.service.shard_cols = cols;
+    const std::vector<Op> schedule = generate_schedule(
+        3, 48, static_cast<std::uint32_t>(rows * cols));
+    const ScheduleResult result = run_schedule(config, schedule);
+    EXPECT_TRUE(result.ok()) << rows << "x" << cols << ": "
+                             << to_string(schedule) << "\nfirst violation: "
+                             << (result.violations.empty()
+                                     ? ""
+                                     : result.violations.front());
+    EXPECT_EQ(result.final_digest, result.expected_digest);
+    EXPECT_EQ(result.stale_epochs_pending, 0u);
+  }
 }
 
 TEST(ChaosScheduleTest, ChaoticSchedulesConvergeAcrossSeeds) {
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    ScheduleConfig config;
-    config.seed = seed;
-    config.plan = {.seed = seed,
-                   .deny_submit = 0.1,
-                   .max_denies = 12,
-                   .duplicate_batch = 0.25,
-                   .max_duplicates = 6,
-                   .defer_batch = 0.25,
-                   .max_defers = 6,
-                   .stall_batch = 0.2,
-                   .stall_max_us = 100,
-                   .max_stalls = 5,
-                   .poison_publish = 0.25,
-                   .max_poisons = 6,
-                   .kill_at_stamps = {2}};
-    const std::vector<Op> schedule = generate_schedule(seed * 17, 56);
-    const ScheduleResult result = run_schedule(config, schedule);
-    EXPECT_TRUE(result.ok())
-        << "seed " << seed << ": " << to_string(schedule)
-        << "\nfirst violation: "
-        << (result.violations.empty() ? "" : result.violations.front());
+  for (const auto& [rows, cols] : kShapes) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      ScheduleConfig config;
+      config.seed = seed;
+      config.service.shard_rows = rows;
+      config.service.shard_cols = cols;
+      config.plan = {.seed = seed,
+                     .deny_submit = 0.1,
+                     .max_denies = 12,
+                     .duplicate_batch = 0.25,
+                     .max_duplicates = 6,
+                     .defer_batch = 0.25,
+                     .max_defers = 6,
+                     .stall_batch = 0.2,
+                     .stall_max_us = 100,
+                     .max_stalls = 5,
+                     .poison_publish = 0.25,
+                     .max_poisons = 6,
+                     .kill_at_stamps = {2}};
+      const std::vector<Op> schedule = generate_schedule(
+          seed * 17, 56, static_cast<std::uint32_t>(rows * cols));
+      const ScheduleResult result = run_schedule(config, schedule);
+      EXPECT_TRUE(result.ok())
+          << rows << "x" << cols << " seed " << seed << ": "
+          << to_string(schedule) << "\nfirst violation: "
+          << (result.violations.empty() ? "" : result.violations.front());
+    }
   }
 }
 

@@ -1,7 +1,7 @@
-// Chaos against the sharded runtime: per-shard kills mid-gossip, restart
-// replay, and the sharded schedule explorer.
+// Chaos against multi-shard fleets: per-shard kills mid-gossip, restart
+// replay, and the schedule explorer at 2x2.
 //
-// The scenario the single-writer chaos suite cannot express: one shard's
+// The scenario a one-shard fleet cannot express: one shard's
 // worker dies at its next publish while a neighbor is still draining the
 // halo deltas the victim emitted moments earlier. The victim's engine
 // crash-recovers to its last published snapshot, the un-covered backlog —
@@ -16,7 +16,6 @@
 
 #include "chaos/schedule.hpp"
 #include "svc/loadgen.hpp"
-#include "svc/sharded_service.hpp"
 
 namespace ocp::chaos {
 namespace {
@@ -48,12 +47,12 @@ TEST(ShardedChaosTest, KilledShardReplaysToSingleWriterDigest) {
   // Kill shard 0 at its second publish while a seam-spanning block drives
   // halo traffic between shards 0 and 1.
   FaultPlan plan(PlanSpec{.seed = 7, .kill_at_stamps = {2}});
-  svc::ShardedServiceConfig config{.shard_rows = 1, .shard_cols = 2};
+  svc::ServiceConfig config{.shard_rows = 1, .shard_cols = 2};
   // Small batches: shard 0's eight external events need at least two
   // publishes, so the kill at stamp 2 fires deterministically.
   config.max_batch = 4;
   config.shard_chaos = {ChaosConfig{&plan}, ChaosConfig{}};
-  svc::ShardedService service(initial, config);
+  svc::Service service(initial, config);
 
   const auto events = fault_rect(14, 17, 5, 8);
   for (const svc::FaultEvent& e : events) {
@@ -82,10 +81,10 @@ TEST(ShardedChaosTest, KillWhileNeighborDrainsHaloDeltas) {
   const Mesh2D m(32, 32);
   const grid::CellSet initial(m);
   FaultPlan plan(PlanSpec{.seed = 3, .kill_at_stamps = {2, 3}});
-  svc::ShardedServiceConfig config{.shard_rows = 1, .shard_cols = 2};
+  svc::ServiceConfig config{.shard_rows = 1, .shard_cols = 2};
   config.max_batch = 4;  // many small publishes: more kill windows
   config.shard_chaos = {ChaosConfig{&plan}, ChaosConfig{}};
-  svc::ShardedService service(initial, config);
+  svc::Service service(initial, config);
 
   auto events = fault_rect(14, 17, 5, 8);
   const auto repairs = fault_rect(15, 16, 6, 7);
@@ -114,57 +113,57 @@ TEST(ShardedChaosTest, KillWhileNeighborDrainsHaloDeltas) {
 }
 
 TEST(ShardedScheduleTest, GeneratorIsSeededAndTargetsShards) {
-  const auto a = generate_sharded_schedule(42, 64, 4);
-  const auto b = generate_sharded_schedule(42, 64, 4);
+  const auto a = generate_schedule(42, 64, 4);
+  const auto b = generate_schedule(42, 64, 4);
   EXPECT_EQ(a, b);
-  EXPECT_NE(a, generate_sharded_schedule(43, 64, 4));
+  EXPECT_NE(a, generate_schedule(43, 64, 4));
   ASSERT_EQ(a.size(), 64u);
-  const auto has = [&a](ShardedOpKind kind) {
+  const auto has = [&a](OpKind kind) {
     return std::any_of(a.begin(), a.end(),
-                       [kind](const ShardedOp& op) { return op.kind == kind; });
+                       [kind](const Op& op) { return op.kind == kind; });
   };
-  EXPECT_TRUE(has(ShardedOpKind::Submit));
-  EXPECT_TRUE(has(ShardedOpKind::Query));
-  EXPECT_TRUE(has(ShardedOpKind::KillShard));
-  for (const ShardedOp& op : a) EXPECT_LT(op.shard, 4);
+  EXPECT_TRUE(has(OpKind::Submit));
+  EXPECT_TRUE(has(OpKind::Query));
+  EXPECT_TRUE(has(OpKind::Kill));
+  for (const Op& op : a) EXPECT_LT(op.shard, 4);
 }
 
 TEST(ShardedScheduleTest, CleanScheduleHoldsAllInvariants) {
-  ShardedScheduleConfig config;
+  ScheduleConfig config;
   config.seed = 5;
   config.service.shard_rows = 2;
   config.service.shard_cols = 2;
   // No kill ops: a hand-written schedule of submits, queries and flushes.
-  const std::vector<ShardedOp> schedule = {
-      {ShardedOpKind::Submit, 24, 0}, {ShardedOpKind::Query, 16, 0},
-      {ShardedOpKind::Flush, 0, 0},   {ShardedOpKind::Submit, 40, 0},
-      {ShardedOpKind::Query, 16, 0},  {ShardedOpKind::Flush, 0, 0},
+  const std::vector<Op> schedule = {
+      {OpKind::Submit, 24, 0}, {OpKind::Query, 16, 0},
+      {OpKind::Flush, 0, 0},   {OpKind::Submit, 40, 0},
+      {OpKind::Query, 16, 0},  {OpKind::Flush, 0, 0},
   };
-  const ShardedScheduleResult result = run_sharded_schedule(config, schedule);
+  const ScheduleResult result = run_schedule(config, schedule);
   EXPECT_TRUE(result.ok()) << (result.violations.empty()
                                    ? ""
                                    : result.violations.front());
   EXPECT_EQ(result.final_digest, result.expected_digest);
-  EXPECT_EQ(result.kills, 0u);
+  EXPECT_EQ(result.injected.kills, 0u);
   EXPECT_GT(result.queries_ok, 0u);
 }
 
 TEST(ShardedScheduleTest, KillScheduleConvergesAfterQuiesce) {
-  ShardedScheduleConfig config;
+  ScheduleConfig config;
   config.seed = 9;
   config.events = 128;
   config.service.shard_rows = 2;
   config.service.shard_cols = 2;
   // Kill every shard once mid-run, with bursts driving gossip across the
   // seams in between; the quiesce phase restarts and replays.
-  const std::vector<ShardedOp> schedule = {
-      {ShardedOpKind::Submit, 16, 0},    {ShardedOpKind::KillShard, 16, 0},
-      {ShardedOpKind::Query, 8, 0},      {ShardedOpKind::KillShard, 16, 3},
-      {ShardedOpKind::RestartShard, 0, 0}, {ShardedOpKind::Submit, 16, 0},
-      {ShardedOpKind::KillShard, 16, 1}, {ShardedOpKind::Query, 8, 0},
-      {ShardedOpKind::KillShard, 16, 2}, {ShardedOpKind::Flush, 0, 0},
+  const std::vector<Op> schedule = {
+      {OpKind::Submit, 16, 0}, {OpKind::Kill, 16, 0},
+      {OpKind::Query, 8, 0},   {OpKind::Kill, 16, 3},
+      {OpKind::Restart, 0, 0}, {OpKind::Submit, 16, 0},
+      {OpKind::Kill, 16, 1},   {OpKind::Query, 8, 0},
+      {OpKind::Kill, 16, 2},   {OpKind::Flush, 0, 0},
   };
-  const ShardedScheduleResult result = run_sharded_schedule(config, schedule);
+  const ScheduleResult result = run_schedule(config, schedule);
   EXPECT_TRUE(result.ok()) << (result.violations.empty()
                                    ? ""
                                    : result.violations.front());
@@ -175,13 +174,13 @@ TEST(ShardedScheduleTest, SeededExplorationSweepPasses) {
   // The explorer proper: seeded random schedules (kills included) against a
   // 2x2 fleet; every run must quiesce to the expected composite digest.
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    ShardedScheduleConfig config;
+    ScheduleConfig config;
     config.seed = seed;
     config.events = 96;
     config.service.shard_rows = 2;
     config.service.shard_cols = 2;
-    const auto schedule = generate_sharded_schedule(seed * 31 + 7, 24, 4);
-    const ShardedScheduleResult result = run_sharded_schedule(config, schedule);
+    const auto schedule = generate_schedule(seed * 31 + 7, 24, 4);
+    const ScheduleResult result = run_schedule(config, schedule);
     EXPECT_TRUE(result.ok())
         << "seed " << seed << ": "
         << (result.violations.empty() ? "" : result.violations.front());

@@ -18,7 +18,6 @@
 #include <new>
 
 #include "svc/service.hpp"
-#include "svc/sharded_service.hpp"
 
 namespace {
 thread_local std::uint64_t g_allocations = 0;
@@ -82,8 +81,8 @@ TEST(QueryAllocTest, ServicePointQueriesAreAllocationFree) {
 }
 
 TEST(QueryAllocTest, ShardedPointQueriesAreAllocationFree) {
-  ShardedService service(grid::CellSet(Mesh2D(32, 32)),
-                         {.shard_rows = 2, .shard_cols = 2});
+  Service service(grid::CellSet(Mesh2D(32, 32)),
+                  {.shard_rows = 2, .shard_cols = 2});
   ASSERT_EQ(service.submit({EventKind::Fault, {20, 20}}),
             SubmitStatus::Accepted);
   service.flush();

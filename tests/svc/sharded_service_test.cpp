@@ -1,5 +1,5 @@
-// Sharded serving runtime: shard-grid geometry, halo-exchange convergence
-// and the composite-digest-equals-single-writer invariant.
+// Multi-shard serving: shard-grid geometry, halo-exchange convergence and
+// the composite-digest-equals-single-writer invariant.
 //
 // The load-bearing assertion, repeated across every seam geometry and in the
 // property sweeps: after the fleet reaches fixpoint, `composite_label_digest`
@@ -10,11 +10,12 @@
 // block/region structure, and a seam-spanning region reconstructed from
 // stale or partial gossip would shift it.
 
-#include "svc/sharded_service.hpp"
+#include "svc/service.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "fault/generators.hpp"
 #include "stats/rng.hpp"
@@ -106,13 +107,27 @@ TEST(ShardGridTest, DegenerateRowAndColumnGrids) {
 
 TEST(ShardGridTest, ClampsToTileGridAndSlotCapacity) {
   const Mesh2D m(32, 32);
-  // Far more shards than tiles: clamped to the tile grid, then to 16 total
-  // (the acquire-slot capacity the service's pin sets size against).
+  // Far more shards than tiles: clamped to the 4x4 tile grid, which is
+  // exactly the 16-shard cap (the acquire-slot capacity the service's pin
+  // sets size against).
   const ShardGrid grid(m, 64, 64);
   EXPECT_LE(grid.count(), 16u);
   EXPECT_GE(grid.count(), 1u);
   const ShardGrid one(m, 1, 1);
   EXPECT_EQ(one.count(), 1u);
+}
+
+TEST(ShardGridTest, ShapesAboveTheShardCapThrow) {
+  // 64x64 has an 8x8 tile grid: 8x8 shards survive the tile clamp and
+  // exceed the cap, which is an error rather than a silent shrink.
+  const Mesh2D m(64, 64);
+  EXPECT_THROW(ShardGrid(m, 8, 8), std::invalid_argument);
+  EXPECT_THROW(ShardGrid(m, 3, 6), std::invalid_argument);
+  EXPECT_EQ(ShardGrid(m, 1, 17).count(), 8u);  // tile-clamped, under the cap
+  EXPECT_THROW(Service(grid::CellSet(m), {.shard_rows = 4, .shard_cols = 5}),
+               std::invalid_argument);
+  EXPECT_EQ(ShardGrid(m, 4, 4).count(), 16u);
+  EXPECT_EQ(ShardGrid(m, 2, 8).count(), 16u);
 }
 
 // -- seam geometries: digest equality vs the single writer ------------------
@@ -306,7 +321,7 @@ TEST(ShardTest, ChangesReachEveryShardToldOfTheCell) {
 
 TEST(ShardedServiceTest, SubmitFlushQueryAcrossShards) {
   const Mesh2D m(32, 32);
-  ShardedService service(grid::CellSet(m),
+  Service service(grid::CellSet(m),
                          {.shard_rows = 2, .shard_cols = 2});
   ASSERT_EQ(service.shard_grid().count(), 4u);
   // One fault per shard.
@@ -330,7 +345,7 @@ TEST(ShardedServiceTest, SeamBlockConvergesToSingleWriterDigest) {
   const Mesh2D m(32, 32);
   const grid::CellSet initial(m);
   const auto events = fault_rect(14, 17, 14, 17);
-  ShardedService service(initial, {.shard_rows = 2, .shard_cols = 2});
+  Service service(initial, {.shard_rows = 2, .shard_cols = 2});
   for (const FaultEvent& e : events) {
     ASSERT_EQ(service.submit(e), SubmitStatus::Accepted);
   }
@@ -344,7 +359,7 @@ TEST(ShardedServiceTest, SeamBlockConvergesToSingleWriterDigest) {
 
 TEST(ShardedServiceTest, InvalidCoordinatesAnswerTyped) {
   const Mesh2D m(32, 32);
-  ShardedService service(grid::CellSet(m), {.shard_rows = 2, .shard_cols = 2});
+  Service service(grid::CellSet(m), {.shard_rows = 2, .shard_cols = 2});
   EXPECT_EQ(service.query_status({-1, 5}).status,
             QueryStatus::InvalidArgument);
   EXPECT_EQ(service.query_region({99, 0}).status,
@@ -361,7 +376,7 @@ TEST(ShardedServiceTest, InvalidCoordinatesAnswerTyped) {
 
 TEST(ShardedServiceTest, CrossShardRouteStitchesDelivered) {
   const Mesh2D m(32, 32);
-  ShardedService service(grid::CellSet(m), {.shard_rows = 2, .shard_cols = 2});
+  Service service(grid::CellSet(m), {.shard_rows = 2, .shard_cols = 2});
   // A wall straddling the center forces the route to interact with labels
   // owned by several shards.
   for (const FaultEvent& e : fault_rect(12, 19, 15, 16)) {
@@ -387,7 +402,7 @@ TEST(ShardedServiceTest, CrossShardRouteStitchesDelivered) {
 
 TEST(ShardedServiceTest, BatchCarriesCompositeEpochVector) {
   const Mesh2D m(32, 32);
-  ShardedService service(grid::CellSet(m), {.shard_rows = 2, .shard_cols = 2});
+  Service service(grid::CellSet(m), {.shard_rows = 2, .shard_cols = 2});
   ASSERT_EQ(service.submit({EventKind::Fault, {4, 4}}),
             SubmitStatus::Accepted);
   service.flush();
@@ -396,7 +411,7 @@ TEST(ShardedServiceTest, BatchCarriesCompositeEpochVector) {
       {QueryKind::Status, {20, 20}, {}},   // shard 3
       {QueryKind::Region, {4, 5}, {}},     // shard 0 again: same pin
   };
-  const ShardedBatchAnswer answer = service.query_batch(items);
+  const BatchAnswer answer = service.query_batch(items);
   ASSERT_EQ(answer.status, QueryStatus::Ok);
   EXPECT_EQ(answer.completed, 3u);
   EXPECT_EQ(answer.items[0].node, NodeStatus::Faulty);
@@ -415,14 +430,20 @@ TEST(ShardedServiceTest, LoadHarnessMatchesSingleWriterAtEveryThreadCount) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                       std::size_t{8}}) {
       config.query_threads = threads;
-      const ShardedLoadResult sharded = run_sharded_load(
-          config, {.shard_rows = 2, .shard_cols = 2});
-      EXPECT_EQ(sharded.stream_digest, reference.stream_digest);
-      EXPECT_EQ(sharded.final_digest, reference.final_digest)
-          << threads << " query threads, "
-          << (topology == Topology::Torus ? "torus" : "mesh");
-      EXPECT_TRUE(sharded.epochs_monotone);
-      EXPECT_EQ(sharded.submits_shed, 0u);
+      for (const auto& [rows, cols] :
+           {std::pair{1, 1}, std::pair{1, 2}, std::pair{2, 2}}) {
+        config.service.shard_rows = rows;
+        config.service.shard_cols = cols;
+        const SvcLoadResult sharded = run_svc_load(config);
+        EXPECT_EQ(sharded.stream_digest, reference.stream_digest);
+        EXPECT_EQ(sharded.final_digest, reference.final_digest)
+            << rows << "x" << cols << " shards, " << threads
+            << " query threads, "
+            << (topology == Topology::Torus ? "torus" : "mesh");
+        EXPECT_TRUE(sharded.epochs_monotone);
+        EXPECT_EQ(sharded.submits_shed, 0u);
+      }
+      config.service = {};
     }
   }
 }
@@ -431,16 +452,23 @@ TEST(ShardedServiceTest, OneShardFleetMatchesSingleWriterService) {
   SvcLoadConfig config = query_heavy_profile(2);
   config.events = 64;
   config.queries_per_thread = 100;
-  const SvcLoadResult reference = run_svc_load(config);
-  const ShardedLoadResult one =
-      run_sharded_load(config, {.shard_rows = 1, .shard_cols = 1});
-  EXPECT_EQ(one.final_digest, reference.final_digest);
+  // The single writer: the same seeded stream straight through one engine.
+  const Mesh2D m(config.mesh_side, config.mesh_side);
+  stats::Rng master(config.seed);
+  stats::Rng fault_rng(master.fork_seed());
+  const std::uint64_t stream_seed = master.fork_seed();
+  const grid::CellSet initial =
+      fault::uniform_random(m, config.initial_faults, fault_rng);
+  const auto stream = generate_event_stream(
+      m, initial, config.events, config.repair_fraction, stream_seed);
+  const SvcLoadResult one = run_svc_load(config);
+  EXPECT_EQ(one.final_digest, single_writer_digest(initial, stream));
   EXPECT_EQ(one.halo_deltas, 0u);  // nobody to gossip with
 }
 
 TEST(ShardedServiceTest, CompositeDigestHelperAgreesWithServiceAccessor) {
   const Mesh2D m(32, 32);
-  ShardedService service(grid::CellSet(m), {.shard_rows = 2, .shard_cols = 2});
+  Service service(grid::CellSet(m), {.shard_rows = 2, .shard_cols = 2});
   for (const FaultEvent& e : fault_rect(15, 16, 15, 16)) {
     ASSERT_EQ(service.submit(e), SubmitStatus::Accepted);
   }
