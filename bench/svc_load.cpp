@@ -75,12 +75,7 @@ void BM_SvcEpochTurnover(benchmark::State& state) {
   };
   svc::IngestEngine engine(fault::uniform_random(
       m, static_cast<std::size_t>(m.node_count()) / 200, rng));
-  std::vector<mesh::Coord> faults;
-  for (std::size_t i = 0; i < static_cast<std::size_t>(m.node_count()); ++i) {
-    if (engine.labeling().faults().contains_index(i)) {
-      faults.push_back(m.coord(i));
-    }
-  }
+  std::vector<mesh::Coord> faults = engine.labeling().faults().to_vector();
   std::vector<std::pair<mesh::Coord, mesh::Coord>> hot;
   while (hot.size() < 1024) {
     const mesh::Coord a = pick();

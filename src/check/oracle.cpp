@@ -374,7 +374,7 @@ void check_labeling(const grid::CellSet& faults, const PipelineResult& result,
 
   if (out.enabled(kStatusLattice)) {
     for (std::size_t i = 0; i < node_count && out.open(); ++i) {
-      const bool faulty = faults.contains_index(i);
+      const bool faulty = faults.contains(m.coord(i));
       const Safety sf = result.safety.at_index(i);
       const Activation ac = result.activation.at_index(i);
       if (faulty && (sf != Safety::Unsafe || ac != Activation::Disabled)) {
@@ -524,7 +524,7 @@ void check_fixpoint(const grid::CellSet& faults, const PipelineResult& result,
   const auto node_count = static_cast<std::size_t>(m.node_count());
 
   for (std::size_t i = 0; i < node_count && out.open(); ++i) {
-    if (faults.contains_index(i)) continue;
+    if (faults.contains(m.coord(i))) continue;
     const std::int32_t* nbr = adj.dir_row(i);
 
     // Phase one: <rule> of Definition 2a / 2b on the final safety plane

@@ -81,11 +81,11 @@ class ActivationProtocol {
   /// from `init`'s there.
   void init_bits(grid::BitPlane& disabled, grid::BitPlane& part) const {
     disabled.pack(safety_->data());
-    part.pack(faults_->data());
+    const auto faulty = faults_->bits().words();
     for (std::size_t k = 0; k < part.words().size(); ++k) {
-      assert((part.words()[k] & ~disabled.words()[k]) == 0 &&
+      assert((faulty[k] & ~disabled.words()[k]) == 0 &&
              "ActivationProtocol: a faulty node is marked safe");
-      part.words()[k] = disabled.words()[k] & ~part.words()[k];
+      part.words()[k] = disabled.words()[k] & ~faulty[k];
     }
   }
 
@@ -103,10 +103,10 @@ class ActivationProtocol {
   void states_from_bits(const grid::BitPlane& disabled,
                         const grid::BitPlane& part,
                         std::span<State> out) const {
-    const std::uint8_t* faulty = faults_->data();
+    const grid::BitPlane& faulty = faults_->bits();
     const mesh::Mesh2D& m = part.topology();
     disabled.for_each([&](mesh::Coord c) {
-      out[m.index(c)] = {static_cast<Health>(faulty[m.index(c)]),
+      out[m.index(c)] = {static_cast<Health>(faulty.contains(c)),
                          Safety::Unsafe, Activation::Disabled};
     });
     part.for_each(

@@ -98,11 +98,9 @@ MaintainedLabeling::MaintainedLabeling(grid::CellSet faults,
       faults_(std::move(faults)),
       safety_(reference_safety(faults_, def)),
       activation_(reference_activation(faults_, safety_)),
-      disabled_(faults_.topology()),
       block_key_(faults_.topology(), -1),
       region_key_(faults_.topology(), -1),
-      visit_scratch_(static_cast<std::size_t>(faults_.topology().node_count()),
-                     0),
+      visit_scratch_(faults_.topology()),
       area_unsafe_scratch_(faults_.topology()),
       area_disabled_scratch_(faults_.topology()) {
   refresh_regions();
@@ -143,26 +141,28 @@ EventDelta MaintainedLabeling::add_fault(mesh::Coord node) {
   // The affected area is the merged unsafe component around the new fault:
   // every safety flip is chained to the fault through unsafe cells, so any
   // pre-existing block it touched has been absorbed into this component,
-  // and nothing outside it changed. `visit_scratch_` is all-zero on entry
-  // and restored to zeros below (every visited cell lands in `area`).
-  std::vector<mesh::Coord> area;
-  visit_scratch_[m.index(node)] = 1;
-  area.push_back(node);
-  for (std::size_t head = 0; head < area.size(); ++head) {
-    const mesh::Coord u = area[head];
-    for (const mesh::Link& l : m.neighbors(u)) {
-      if (visit_scratch_[m.index(l.to)] != 0 ||
-          safety_[l.to] != Safety::Unsafe) {
+  // and nothing outside it changed.
+  rebuild_area(unsafe_component(node), delta);
+  return delta;
+}
+
+std::vector<mesh::Coord> MaintainedLabeling::unsafe_component(
+    mesh::Coord node) {
+  // `visit_scratch_` is empty on entry and emptied again on return.
+  const mesh::Mesh2D& m = faults_.topology();
+  std::vector<mesh::Coord> cells{node};
+  visit_scratch_.insert(node);
+  for (std::size_t head = 0; head < cells.size(); ++head) {
+    for (const mesh::Link& l : m.neighbors(cells[head])) {
+      if (safety_[l.to] != Safety::Unsafe || visit_scratch_.contains(l.to)) {
         continue;
       }
-      visit_scratch_[m.index(l.to)] = 1;
-      area.push_back(l.to);
+      visit_scratch_.insert(l.to);
+      cells.push_back(l.to);
     }
   }
-  for (const mesh::Coord c : area) visit_scratch_[m.index(c)] = 0;
-
-  rebuild_area(std::move(area), delta);
-  return delta;
+  for (const mesh::Coord c : cells) visit_scratch_.take(c);
+  return cells;
 }
 
 EventDelta MaintainedLabeling::remove_fault(mesh::Coord node) {
@@ -178,21 +178,7 @@ EventDelta MaintainedLabeling::remove_fault(mesh::Coord node) {
   // component are safe and — by monotonicity in the fault set — stay safe
   // after the removal. The repair is therefore exact when confined to the
   // block: reset it, then re-close the fixpoint from its remaining faults.
-  std::vector<mesh::Coord> footprint;
-  visit_scratch_[m.index(node)] = 1;
-  footprint.push_back(node);
-  for (std::size_t head = 0; head < footprint.size(); ++head) {
-    const mesh::Coord u = footprint[head];
-    for (const mesh::Link& l : m.neighbors(u)) {
-      if (visit_scratch_[m.index(l.to)] != 0 ||
-          safety_[l.to] != Safety::Unsafe) {
-        continue;
-      }
-      visit_scratch_[m.index(l.to)] = 1;
-      footprint.push_back(l.to);
-    }
-  }
-  for (const mesh::Coord c : footprint) visit_scratch_[m.index(c)] = 0;
+  std::vector<mesh::Coord> footprint = unsafe_component(node);
 
   // Reset: remaining faults stay unsafe and seed the closure.
   std::vector<mesh::Coord>& worklist = worklist_scratch_;
@@ -293,13 +279,7 @@ void MaintainedLabeling::rebuild_area(std::vector<mesh::Coord> area,
     }
   }
   for (std::size_t i = 0; i < area.size(); ++i) {
-    if (activation_[area[i]] == old_act[i]) continue;
-    ++delta.activation_changed;
-    if (activation_[area[i]] == Activation::Disabled) {
-      disabled_.insert(area[i]);
-    } else {
-      disabled_.erase(area[i]);
-    }
+    if (activation_[area[i]] != old_act[i]) ++delta.activation_changed;
   }
 
   // Re-extract blocks and regions inside the area with the same component
@@ -368,7 +348,6 @@ void MaintainedLabeling::refresh_regions() {
   std::vector<FaultyBlock> blocks = extract_faulty_blocks(faults_, safety_);
   std::vector<DisabledRegion> regions =
       extract_disabled_regions(faults_, activation_, blocks);
-  disabled_ = disabled_cells(activation_);
   // Extraction order is min-index order, so every store appends.
   for (FaultyBlock& block : blocks) {
     const std::uint32_t key = min_phys_index(m, block.component);

@@ -136,12 +136,6 @@ class MaintainedLabeling {
   /// The disabled regions in from-scratch order, `parent_block` indexing
   /// `blocks()`. Materialized and cached like `blocks()`.
   [[nodiscard]] const std::vector<DisabledRegion>& regions() const;
-  /// The disabled cells of `activation()` (the serving layer's blocked
-  /// set), maintained alongside the activation plane so epoch publication
-  /// never rescans the machine.
-  [[nodiscard]] const grid::CellSet& disabled() const noexcept {
-    return disabled_;
-  }
   /// Per-cell region key: the minimum row-major node index of the disabled
   /// region containing the cell, or -1 for cells outside every region. The
   /// key identifies a region stably across events that renumber the
@@ -181,12 +175,13 @@ class MaintainedLabeling {
   /// the area absorbed and stores the re-extracted ones. Appends `area` to
   /// `delta`.
   void rebuild_area(std::vector<mesh::Coord> area, EventDelta& delta);
+  /// The 4-connected unsafe component around the unsafe `node`.
+  std::vector<mesh::Coord> unsafe_component(mesh::Coord node);
 
   SafeUnsafeDef def_;
   grid::CellSet faults_;
   grid::NodeGrid<Safety> safety_;
   grid::NodeGrid<Activation> activation_;
-  grid::CellSet disabled_;
   /// Key of the block containing each unsafe cell, -1 elsewhere.
   grid::NodeGrid<std::int32_t> block_key_;
   /// Stable region key per disabled cell (see `region_keys()`).
@@ -204,11 +199,11 @@ class MaintainedLabeling {
 
   // Per-event scratch, kept across events so the hot path allocates only
   // what it returns (the dirty-cell vector) and the records it builds.
-  // `visit_scratch_` is a visited plane restored to all-zeros after each
-  // BFS; the scratch CellSets hold an area's unsafe/disabled cells during
+  // `visit_scratch_` is a visited plane emptied again after each BFS; the
+  // scratch CellSets hold an area's unsafe/disabled cells during
   // re-extraction and are emptied again cell by cell (never an O(mesh)
   // clear).
-  std::vector<std::uint8_t> visit_scratch_;
+  grid::BitPlane visit_scratch_;
   std::vector<mesh::Coord> worklist_scratch_;
   grid::CellSet area_unsafe_scratch_;
   grid::CellSet area_disabled_scratch_;

@@ -4,25 +4,20 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 namespace ocp::labeling {
 
 grid::CellSet unsafe_cells(const grid::NodeGrid<Safety>& safety) {
-  grid::CellSet out(safety.topology());
-  for (std::size_t i = 0; i < safety.size(); ++i) {
-    if (safety.at_index(i) == Safety::Unsafe) out.insert_index(i);
-  }
-  return out;
+  grid::BitPlane unsafe(safety.topology());
+  unsafe.pack(safety.data());
+  return grid::CellSet(std::move(unsafe));
 }
 
 grid::CellSet disabled_cells(const grid::NodeGrid<Activation>& activation) {
-  grid::CellSet out(activation.topology());
-  for (std::size_t i = 0; i < activation.size(); ++i) {
-    if (activation.at_index(i) == Activation::Disabled) {
-      out.insert_index(i);
-    }
-  }
-  return out;
+  grid::BitPlane disabled(activation.topology());
+  disabled.pack(activation.data());
+  return grid::CellSet(std::move(disabled));
 }
 
 std::vector<FaultyBlock> extract_faulty_blocks(

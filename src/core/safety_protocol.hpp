@@ -60,7 +60,7 @@ class SafetyProtocol {
   /// Word-parallel hook (see `sim::WordProtocol`): a node's bit is 1 when
   /// it is unsafe, and nonfaulty nodes participate.
   void init_bits(grid::BitPlane& unsafe, grid::BitPlane& nonfaulty) const {
-    unsafe.pack(faults_->data());
+    unsafe = faults_->bits();
     nonfaulty = unsafe;
     nonfaulty.flip();
   }
@@ -79,10 +79,10 @@ class SafetyProtocol {
   /// Only unsafe nodes differ from the value-initialized {nonfaulty, safe}.
   void states_from_bits(const grid::BitPlane& unsafe, const grid::BitPlane&,
                         std::span<State> out) const {
-    const std::uint8_t* faulty = faults_->data();
+    const grid::BitPlane& faulty = faults_->bits();
     unsafe.for_each([&](mesh::Coord c) {
-      const std::size_t i = unsafe.topology().index(c);
-      out[i] = {static_cast<Health>(faulty[i]), Safety::Unsafe};
+      out[unsafe.topology().index(c)] = {
+          static_cast<Health>(faulty.contains(c)), Safety::Unsafe};
     });
   }
 

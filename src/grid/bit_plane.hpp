@@ -30,12 +30,21 @@ class BitPlane {
     return words_per_row_;
   }
   [[nodiscard]] std::span<std::uint64_t> words() noexcept { return words_; }
+  [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {
+    return words_;
+  }
   [[nodiscard]] std::uint64_t* row(std::int32_t y) noexcept {
     return &words_[static_cast<std::size_t>(y) * words_per_row_];
   }
   [[nodiscard]] const std::uint64_t* row(std::int32_t y) const noexcept {
     return &words_[static_cast<std::size_t>(y) * words_per_row_];
   }
+  /// Membership of the node `c`.
+  [[nodiscard]] bool contains(mesh::Coord c) const noexcept {
+    return (row(c.y)[static_cast<std::size_t>(c.x) / 64] >> (c.x % 64) & 1) !=
+           0;
+  }
+
   /// Clears `c` and reports whether it was set.
   bool take(mesh::Coord c) noexcept {
     std::uint64_t& w = row(c.y)[static_cast<std::size_t>(c.x) / 64];
@@ -89,8 +98,8 @@ class BitPlane {
   }
 
   /// Sets exactly the nodes whose value is 1 in a row-major plane of 0/1
-  /// one-byte values (a `CellSet`'s bytes, a `Safety` or `Activation` grid),
-  /// eight nodes per multiply.
+  /// one-byte values (a `Safety` or `Activation` grid), eight nodes per
+  /// multiply.
   template <typename T>
   void pack(const T* values) noexcept {
     static_assert(sizeof(T) == 1 && std::is_trivially_copyable_v<T>);
@@ -136,6 +145,8 @@ class BitPlane {
       }
     }
   }
+
+  friend bool operator==(const BitPlane&, const BitPlane&) = default;
 
  private:
   mesh::Mesh2D mesh_;

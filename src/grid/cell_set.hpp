@@ -1,20 +1,28 @@
-// A subset of the nodes of a 2-D mesh, stored as a dense bit grid.
+// A subset of the nodes of a 2-D mesh, stored one bit per node.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
-#include <cstdint>
+#include <initializer_list>
+#include <utility>
 #include <vector>
 
+#include "grid/bit_plane.hpp"
 #include "mesh/mesh2d.hpp"
 
 namespace ocp::grid {
 
-/// Set of mesh nodes with O(1) membership and cheap iteration. Used for fault
-/// sets, unsafe sets, disabled sets, and region rasters.
+/// Set of mesh nodes with O(1) membership and size, iterated a word at a
+/// time. Used for fault sets, unsafe sets, disabled sets, and region
+/// rasters. The members are a `BitPlane` (64 nodes to a word, pad bits
+/// zero), which the labeling and the component walker read directly.
 class CellSet {
  public:
-  explicit CellSet(const mesh::Mesh2D& m)
-      : mesh_(m), bits_(static_cast<std::size_t>(m.node_count()), 0) {}
+  explicit CellSet(const mesh::Mesh2D& m) : bits_(m) {}
+
+  /// Takes `bits` as the members and counts them.
+  explicit CellSet(BitPlane bits)
+      : bits_(std::move(bits)), count_(bits_.count()) {}
 
   /// Builds a set from an explicit list of member coordinates.
   CellSet(const mesh::Mesh2D& m, std::initializer_list<mesh::Coord> cells)
@@ -22,49 +30,32 @@ class CellSet {
     for (mesh::Coord c : cells) insert(c);
   }
 
-  [[nodiscard]] const mesh::Mesh2D& topology() const noexcept { return mesh_; }
+  [[nodiscard]] const mesh::Mesh2D& topology() const noexcept {
+    return bits_.topology();
+  }
+
+  /// The membership plane.
+  [[nodiscard]] const BitPlane& bits() const noexcept { return bits_; }
 
   /// Membership; coordinates outside the mesh are never members.
   [[nodiscard]] bool contains(mesh::Coord c) const noexcept {
-    return mesh_.contains(c) && bits_[mesh_.index(c)] != 0;
-  }
-
-  /// Membership by dense row-major index (no coordinate arithmetic).
-  [[nodiscard]] bool contains_index(std::size_t i) const noexcept {
-    return bits_[i] != 0;
-  }
-
-  /// The membership plane: one 0/1 byte per node, row-major.
-  [[nodiscard]] const std::uint8_t* data() const noexcept {
-    return bits_.data();
+    return topology().contains(c) && bits_.contains(c);
   }
 
   void insert(mesh::Coord c) noexcept {
-    if (bits_[mesh_.index(c)] == 0) {
-      bits_[mesh_.index(c)] = 1;
-      ++count_;
-    }
-  }
-
-  /// Insertion by dense row-major index (no coordinate arithmetic).
-  void insert_index(std::size_t i) noexcept {
-    if (bits_[i] == 0) {
-      bits_[i] = 1;
+    assert(topology().contains(c));
+    if (!bits_.contains(c)) {
+      bits_.insert(c);
       ++count_;
     }
   }
 
   void erase(mesh::Coord c) noexcept {
-    if (bits_[mesh_.index(c)] != 0) {
-      bits_[mesh_.index(c)] = 0;
-      --count_;
-    }
+    assert(topology().contains(c));
+    if (bits_.take(c)) --count_;
   }
 
-  void clear() noexcept {
-    std::fill(bits_.begin(), bits_.end(), std::uint8_t{0});
-    count_ = 0;
-  }
+  void clear() noexcept;
 
   [[nodiscard]] std::size_t size() const noexcept { return count_; }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
@@ -73,18 +64,14 @@ class CellSet {
   [[nodiscard]] std::vector<mesh::Coord> to_vector() const {
     std::vector<mesh::Coord> out;
     out.reserve(count_);
-    for (std::size_t i = 0; i < bits_.size(); ++i) {
-      if (bits_[i] != 0) out.push_back(mesh_.coord(i));
-    }
+    bits_.for_each([&out](mesh::Coord c) { out.push_back(c); });
     return out;
   }
 
   /// Calls `fn(Coord)` for every member, row-major.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (std::size_t i = 0; i < bits_.size(); ++i) {
-      if (bits_[i] != 0) fn(mesh_.coord(i));
-    }
+    bits_.for_each(fn);
   }
 
   /// Set union (topologies must match).
@@ -97,8 +84,11 @@ class CellSet {
   friend bool operator==(const CellSet&, const CellSet&) = default;
 
  private:
-  mesh::Mesh2D mesh_;
-  std::vector<std::uint8_t> bits_;
+  /// Sets every word to `op(word, other's word)` and recounts.
+  template <typename Op>
+  CellSet& combine(const CellSet& other, Op op);
+
+  BitPlane bits_;
   std::size_t count_ = 0;
 };
 

@@ -18,9 +18,7 @@ std::vector<Component> connected_components(BitPlane cells,
 
 std::vector<Component> connected_components(const CellSet& cells,
                                             Connectivity conn) {
-  BitPlane plane(cells.topology());
-  plane.pack(cells.data());
-  return connected_components(std::move(plane), conn);
+  return connected_components(cells.bits(), conn);
 }
 
 std::vector<Component> connected_components_seeded(
@@ -55,7 +53,7 @@ std::vector<Component> connected_components_seeded(
     return true;
   };
   const auto claim_member = [&](mesh::Coord c) {
-    return cells.contains_index(m.index(c)) && claim(m.index(c));
+    return cells.contains(c) && claim(m.index(c));
   };
   for (const std::size_t seed : scratch.seeds_) {
     if (!claim(seed)) continue;

@@ -15,7 +15,9 @@ const char* to_string(Dir d) noexcept {
 }
 
 std::string to_string(Coord c) {
-  return "(" + std::to_string(c.x) + ", " + std::to_string(c.y) + ")";
+  std::string out = "(";
+  out.append(std::to_string(c.x)).append(", ").append(std::to_string(c.y));
+  return out.append(")");
 }
 
 std::ostream& operator<<(std::ostream& os, Coord c) {

@@ -594,7 +594,7 @@ std::size_t Service::fault_count() const {
   std::size_t faults = 0;
   for (std::size_t i = 0; i < static_cast<std::size_t>(m.node_count()); ++i) {
     const mesh::Coord c = m.coord(i);
-    if (snaps[grid_.shard_of(c)]->faults().contains_index(i)) ++faults;
+    if (snaps[grid_.shard_of(c)]->faults().contains(c)) ++faults;
   }
   return faults;
 }

@@ -231,8 +231,9 @@ std::uint64_t composite_label_digest(
   const mesh::Mesh2D& m = grid.machine();
   const std::size_t n = static_cast<std::size_t>(m.node_count());
   for (std::size_t i = 0; i < n; ++i) {
-    const Snapshot& snap = *snapshots[grid.shard_of(m.coord(i))];
-    std::uint64_t v = snap.faults().contains_index(i) ? 4u : 0u;
+    const mesh::Coord c = m.coord(i);
+    const Snapshot& snap = *snapshots[grid.shard_of(c)];
+    std::uint64_t v = snap.faults().contains(c) ? 4u : 0u;
     v |= snap.safety().at_index(i) == labeling::Safety::Unsafe ? 2u : 0u;
     v |= snap.activation().at_index(i) == labeling::Activation::Disabled ? 1u
                                                                          : 0u;
@@ -316,12 +317,12 @@ ShardedRoundsResult run_sharded_rounds(const ShardGrid& grid,
     if (!pending) break;
     ++out.rounds;
 
-    // Parallel section: shards touch disjoint state (their own engine,
-    // their own inbox slice); results land in per-shard slots. Identical
-    // for any thread count.
+    // Parallel section (serial at one shard): shards touch disjoint state
+    // (their own engine, their own inbox slice); results land in per-shard
+    // slots. Identical for any thread count.
     const auto shard_count = static_cast<std::int64_t>(count);
 #ifdef OCP_HAVE_OPENMP
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if (count > 1)
 #endif
     for (std::int64_t s = 0; s < shard_count; ++s) {
       const auto idx = static_cast<std::size_t>(s);

@@ -1,6 +1,8 @@
 #include "svc/snapshot.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <span>
 
 namespace ocp::svc {
@@ -16,27 +18,45 @@ std::uint32_t min_cell_index(const mesh::Mesh2D& m,
   return static_cast<std::uint32_t>(best);
 }
 
-/// Row filler for the status pages from flat fault and activation planes.
-/// A nonfaulty node's status is its disabled bit, byte for byte.
+/// Spreads bits 0..7 of `bits` to the low bits of bytes 0..7.
+constexpr std::uint64_t spread_byte(std::uint64_t bits) noexcept {
+  std::uint64_t x = bits & 0xFF;
+  x = (x | x << 28) & 0x0000000F0000000FULL;
+  x = (x | x << 14) & 0x0003000300030003ULL;
+  return (x | x << 7) & 0x0101010101010101ULL;
+}
+
+/// Row filler for the status pages from the fault bits and the flat
+/// activation plane, eight nodes to a word: a faulty node's status is 2 and
+/// a nonfaulty node's is its disabled byte.
 static_assert(static_cast<std::uint8_t>(NodeStatus::Enabled) == 0 &&
-              static_cast<std::uint8_t>(NodeStatus::Disabled) == 1);
+              static_cast<std::uint8_t>(NodeStatus::Disabled) == 1 &&
+              static_cast<std::uint8_t>(NodeStatus::Faulty) == 2 &&
+              static_cast<std::uint8_t>(labeling::Activation::Disabled) == 1 &&
+              std::endian::native == std::endian::little);
 auto status_rows(const grid::CellSet& faults,
                  const grid::NodeGrid<labeling::Activation>& activation) {
-  return [fault = faults.data(), act = activation.data(),
+  return [&fault = faults.bits(), act = activation.data(),
           width = static_cast<std::size_t>(faults.topology().width())](
              std::int32_t y, std::int32_t x0, std::span<NodeStatus> out) {
-    const std::size_t first =
-        static_cast<std::size_t>(y) * width + static_cast<std::size_t>(x0);
-    for (std::size_t k = 0; k < out.size(); ++k) {
-      // Byte arithmetic instead of nested branches, and planes read through
-      // raw pointers (not the set's vector, which a byte store may alias),
-      // so the loop vectorizes.
-      const auto disabled = static_cast<std::uint8_t>(
-          act[first + k] == labeling::Activation::Disabled);
-      out[k] = static_cast<NodeStatus>(
-          fault[first + k] != 0
-              ? static_cast<std::uint8_t>(NodeStatus::Faulty)
-              : disabled);
+    // A page row is at most 32 nodes and starts at a multiple of the page
+    // side, so its fault bits lie in one word.
+    std::uint64_t faulty =
+        fault.row(y)[static_cast<std::size_t>(x0) / 64] >> (x0 % 64);
+    const auto* disabled = reinterpret_cast<const unsigned char*>(
+        act + static_cast<std::size_t>(y) * width +
+        static_cast<std::size_t>(x0));
+    std::size_t k = 0;
+    for (; k + 8 <= out.size(); k += 8, faulty >>= 8) {
+      std::uint64_t d;
+      std::memcpy(&d, disabled + k, 8);
+      const std::uint64_t f = spread_byte(faulty);
+      const std::uint64_t status = f << 1 | (d & ~f);
+      std::memcpy(&out[k], &status, 8);
+    }
+    for (; k < out.size(); ++k, faulty >>= 1) {
+      out[k] = (faulty & 1) != 0 ? NodeStatus::Faulty
+                                 : static_cast<NodeStatus>(disabled[k]);
     }
   };
 }
@@ -148,13 +168,14 @@ std::shared_ptr<const Snapshot> Snapshot::next(
 
 template <typename Fn>
 void Snapshot::for_each_status(Fn&& fn) const {
-  const auto width = static_cast<std::size_t>(machine().width());
   for (std::uint32_t p = 0; p < tiles_.page_count(); ++p) {
     const grid::TileGrid::CellRect b = tiles_.page_bounds(p);
     for (std::int32_t y = b.y0; y < b.y1; ++y) {
-      std::size_t i =
-          static_cast<std::size_t>(y) * width + static_cast<std::size_t>(b.x0);
-      for (const NodeStatus s : status_pages_.row(tiles_, p, y)) fn(i++, s);
+      mesh::Coord c{b.x0, y};
+      for (const NodeStatus s : status_pages_.row(tiles_, p, y)) {
+        fn(c, s);
+        ++c.x;
+      }
     }
   }
 }
@@ -163,8 +184,8 @@ const grid::CellSet& Snapshot::faults() const {
   std::call_once(faults_once_, [this] {
     if (faults_) return;
     faults_.emplace(machine());
-    for_each_status([this](std::size_t i, NodeStatus s) {
-      if (s == NodeStatus::Faulty) faults_->insert_index(i);
+    for_each_status([this](mesh::Coord c, NodeStatus s) {
+      if (s == NodeStatus::Faulty) faults_->insert(c);
     });
   });
   return *faults_;
@@ -173,8 +194,8 @@ const grid::CellSet& Snapshot::faults() const {
 const grid::CellSet& Snapshot::blocked() const {
   std::call_once(blocked_once_, [this] {
     blocked_.emplace(machine());
-    for_each_status([this](std::size_t i, NodeStatus s) {
-      if (s != NodeStatus::Enabled) blocked_->insert_index(i);
+    for_each_status([this](mesh::Coord c, NodeStatus s) {
+      if (s != NodeStatus::Enabled) blocked_->insert(c);
     });
   });
   return *blocked_;
@@ -184,9 +205,9 @@ const grid::NodeGrid<labeling::Activation>& Snapshot::activation() const {
   std::call_once(activation_once_, [this] {
     if (activation_) return;
     activation_.emplace(machine(), labeling::Activation::Enabled);
-    for_each_status([this](std::size_t i, NodeStatus s) {
+    for_each_status([this](mesh::Coord c, NodeStatus s) {
       if (s != NodeStatus::Enabled) {
-        activation_->at_index(i) = labeling::Activation::Disabled;
+        (*activation_)[c] = labeling::Activation::Disabled;
       }
     });
   });
@@ -306,12 +327,15 @@ std::uint64_t Snapshot::label_digest() const {
   const grid::CellSet& f = faults();
   const grid::NodeGrid<labeling::Safety>& s = safety();
   const grid::NodeGrid<labeling::Activation>& a = activation();
-  const std::size_t n = s.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t v = f.contains_index(i) ? 4u : 0u;
-    v |= s.at_index(i) == labeling::Safety::Unsafe ? 2u : 0u;
-    v |= a.at_index(i) == labeling::Activation::Disabled ? 1u : 0u;
-    mix(v + 1);
+  const mesh::Mesh2D& m = machine();
+  for (std::int32_t y = 0; y < m.height(); ++y) {
+    for (std::int32_t x = 0; x < m.width(); ++x) {
+      const mesh::Coord c{x, y};
+      std::uint64_t v = f.contains(c) ? 4u : 0u;
+      v |= s[c] == labeling::Safety::Unsafe ? 2u : 0u;
+      v |= a[c] == labeling::Activation::Disabled ? 1u : 0u;
+      mix(v + 1);
+    }
   }
   mix(records_ ? block_order_.size() : blocks_->size());
   mix(region_order_.size());

@@ -244,7 +244,7 @@ class Snapshot {
       std::size_t rank) const noexcept;
   [[nodiscard]] std::size_t parent_index(
       const labeling::DisabledRegion& region) const noexcept;
-  /// Calls `fn(node_index, status)` for every node, row by row per page.
+  /// Calls `fn(cell, status)` for every node, row by row per page.
   template <typename Fn>
   void for_each_status(Fn&& fn) const;
 

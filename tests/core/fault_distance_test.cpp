@@ -1,4 +1,4 @@
-#include "core/fault_distance.hpp"
+#include "fault_distance.hpp"
 
 #include <gtest/gtest.h>
 

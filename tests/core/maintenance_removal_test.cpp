@@ -46,7 +46,6 @@ void expect_equivalent(const MaintainedLabeling& live,
         << context;
   }
   // Maintained planes the serving layer reads directly.
-  ASSERT_EQ(live.disabled(), disabled_cells(batch.activation)) << context;
   const mesh::Mesh2D& m = faults.topology();
   grid::NodeGrid<std::int32_t> expected_keys(m, -1);
   for (const auto& region : batch.regions) {

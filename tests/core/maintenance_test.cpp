@@ -113,7 +113,7 @@ TEST(MaintenanceTest, DeltaCoversEveryFlippedCell) {
       safety_flips += s ? 1 : 0;
       activation_flips += a ? 1 : 0;
       if (s || a) {
-        ASSERT_TRUE(dirty.contains_index(i)) << "event " << event;
+        ASSERT_TRUE(dirty.contains(m.coord(i))) << "event " << event;
       }
     }
     ASSERT_EQ(delta.safety_changed, safety_flips) << "event " << event;

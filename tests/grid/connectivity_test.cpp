@@ -177,9 +177,7 @@ TEST(ConnectivityTest, RunStartsBoundTheComponentCount) {
           prev = in;
         }
       }
-      BitPlane plane(m);
-      plane.pack(s.data());
-      EXPECT_EQ(plane.run_starts(), expected) << "width " << w;
+      EXPECT_EQ(s.bits().run_starts(), expected) << "width " << w;
       EXPECT_LE(connected_components(s, Connectivity::Four).size(), expected);
       EXPECT_LE(connected_components(s, Connectivity::Eight).size(),
                 expected);
@@ -198,10 +196,8 @@ TEST(ConnectivityTest, GatherComponentsBuildsInPlaceAndVisitsEveryCell) {
     std::vector<mesh::Coord> visited;
   };
   std::vector<Built> built;
-  BitPlane plane(s.topology());
-  plane.pack(s.data());
   gather_components(
-      std::move(plane), Connectivity::Eight,
+      s.bits(), Connectivity::Eight,
       [&built](mesh::Coord seed) -> Component& {
         built.push_back({{}, seed, {}});
         return built.back().component;

@@ -102,7 +102,8 @@ void expect_same(const Traced& word, const Traced& node,
 
 /// Compares `word` with the per-node runs of `proto` in every
 /// configuration: dense, frontier, and dense across 1, 2 and 8 OpenMP
-/// threads (the per-node loop that mutants and `FaultDistanceProtocol` run).
+/// threads (the per-node loop that mutants and the test tree's
+/// `FaultDistanceProtocol` run).
 template <typename P, typename Encode>
 void expect_per_node_same(const mesh::Mesh2D& m, const Traced& word,
                           const P& proto, Encode encode,
