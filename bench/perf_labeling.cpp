@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "check/oracle.hpp"
 #include "core/pipeline.hpp"
 #include "core/reference.hpp"
 #include "fault/generators.hpp"
@@ -110,6 +111,23 @@ void BM_ExtractBlocksAndRegions(benchmark::State& state) {
                           static_cast<std::int64_t>(n) * n);
 }
 BENCHMARK(BM_ExtractBlocksAndRegions)->Args({256, 20})
+    ->Unit(benchmark::kMillisecond);
+
+// The full oracle pass (every check, Def 2b) on one labeled machine built
+// outside the timed loop. 1024/5 is churn_1024's machine: 1024x1024 at 0.5%.
+void BM_OracleCheckPipeline(benchmark::State& state) {
+  const auto n = static_cast<std::int32_t>(state.range(0));
+  const auto faults = make_faults(n, state.range(1), 42);
+  const auto labeled = labeling::run_pipeline(faults);
+  for (auto _ : state) {
+    const auto report = check::check_pipeline(faults, labeled);
+    if (!report.ok()) state.SkipWithError("oracle reported a violation");
+    benchmark::DoNotOptimize(report);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n) * n);
+}
+BENCHMARK(BM_OracleCheckPipeline)->Args({256, 50})->Args({1024, 5})
     ->Unit(benchmark::kMillisecond);
 
 void BM_SafetyPhaseOnly(benchmark::State& state) {

@@ -1,14 +1,14 @@
 #include "check/oracle.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <cstdlib>
+#include <map>
 #include <span>
 #include <sstream>
 
 #include "geometry/boundary.hpp"
 #include "geometry/convexity.hpp"
 #include "geometry/staircase.hpp"
-#include "mesh/adjacency.hpp"
 
 namespace ocp::check {
 
@@ -105,7 +105,60 @@ bool rows_and_cols_are_arcs(const mesh::Mesh2D& m,
   return true;
 }
 
+/// Per machine cell, row-major: one plus the index of the component
+/// holding it, 0 off every component. A cell listed by several components
+/// keeps the highest index.
+template <typename Parts>
+std::vector<std::uint32_t> component_ids(const mesh::Mesh2D& m,
+                                         const std::vector<Parts>& parts) {
+  std::vector<std::uint32_t> ids(static_cast<std::size_t>(m.node_count()));
+  for (std::uint32_t k = 0; k < parts.size(); ++k) {
+    for (Coord c : parts[k].component.cells()) ids[m.index(c)] = k + 1;
+  }
+  return ids;
+}
+
+/// Reports each pair i < j of `parts` closer than `min_dist` in machine
+/// distance once, at its minimum distance, in (i, j) order. Probing every
+/// cell's ball of radius `min_dist - 1` in the id plane is exact: a pair
+/// that close has a cell pair within that radius. The centre probe reports
+/// a cell shared with a higher-indexed component at distance 0.
+template <typename Parts>
+void check_separation(const mesh::Mesh2D& m, const std::vector<Parts>& parts,
+                      const std::vector<std::uint32_t>& ids,
+                      std::int32_t min_dist, std::uint32_t check,
+                      const std::string& kind, const std::string& suffix,
+                      Collector& out) {
+  std::map<std::pair<std::size_t, std::size_t>, std::int32_t> close;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    for (Coord c : parts[i].component.cells()) {
+      for (std::int32_t dy = 1 - min_dist; dy < min_dist; ++dy) {
+        const std::int32_t reach = min_dist - 1 - std::abs(dy);
+        for (std::int32_t dx = -reach; dx <= reach; ++dx) {
+          const Coord v = m.wrap({c.x + dx, c.y + dy});
+          if (!m.contains(v)) continue;
+          // Off every component (0), this one, or a lower one, which
+          // found the pair from its own side.
+          const std::uint32_t id = ids[m.index(v)];
+          if (id <= i + 1) continue;
+          std::int32_t& d =
+              close.try_emplace({i, id - 1}, min_dist).first->second;
+          d = std::min(d, m.distance(c, v));
+        }
+      }
+    }
+  }
+  for (const auto& [pair, d] : close) {
+    if (!out.open()) break;
+    std::ostringstream os;
+    os << kind << " #" << pair.first << " and #" << pair.second
+       << " at distance " << d << " < " << min_dist << suffix;
+    out.add(check, os.str());
+  }
+}
+
 void check_blocks(const grid::CellSet& faults, const PipelineResult& result,
+                  const std::vector<std::uint32_t>& block_ids,
                   const OracleOptions& opts, Collector& out) {
   const mesh::Mesh2D& m = faults.topology();
 
@@ -128,22 +181,10 @@ void check_blocks(const grid::CellSet& faults, const PipelineResult& result,
   }
 
   if (out.enabled(kBlockSeparation)) {
-    const std::int32_t min_dist =
-        opts.definition == SafeUnsafeDef::Def2a ? 3 : 2;
-    for (std::size_t i = 0; i < result.blocks.size() && out.open(); ++i) {
-      for (std::size_t j = i + 1; j < result.blocks.size() && out.open();
-           ++j) {
-        const std::int32_t d = component_distance(
-            m, result.blocks[i].component, result.blocks[j].component);
-        if (d < min_dist) {
-          std::ostringstream os;
-          os << "blocks #" << i << " and #" << j << " at distance " << d
-             << " < " << min_dist << " (" << to_string(opts.definition)
-             << ")";
-          out.add(kBlockSeparation, os.str());
-        }
-      }
-    }
+    check_separation(m, result.blocks, block_ids,
+                     opts.definition == SafeUnsafeDef::Def2a ? 3 : 2,
+                     kBlockSeparation, "blocks",
+                     std::string(" (") + to_string(opts.definition) + ")", out);
   }
 
   if (out.enabled(kBlockFaultContent)) {
@@ -317,19 +358,8 @@ void check_regions(const grid::CellSet& faults, const PipelineResult& result,
   }
 
   if (out.enabled(kRegionSeparation)) {
-    for (std::size_t i = 0; i < result.regions.size() && out.open(); ++i) {
-      for (std::size_t j = i + 1; j < result.regions.size() && out.open();
-           ++j) {
-        const std::int32_t d = component_distance(
-            m, result.regions[i].component, result.regions[j].component);
-        if (d < 2) {
-          std::ostringstream os;
-          os << "regions #" << i << " and #" << j << " at distance " << d
-             << " < 2";
-          out.add(kRegionSeparation, os.str());
-        }
-      }
-    }
+    check_separation(m, result.regions, component_ids(m, result.regions), 2,
+                     kRegionSeparation, "regions", "", out);
   }
 
   if (out.enabled(kCorollary)) {
@@ -368,6 +398,7 @@ void check_regions(const grid::CellSet& faults, const PipelineResult& result,
 }
 
 void check_labeling(const grid::CellSet& faults, const PipelineResult& result,
+                    const std::vector<std::uint32_t>& block_ids,
                     Collector& out) {
   const mesh::Mesh2D& m = faults.topology();
   const auto node_count = static_cast<std::size_t>(m.node_count());
@@ -441,13 +472,9 @@ void check_labeling(const grid::CellSet& faults, const PipelineResult& result,
         continue;
       }
       // Every disabled cell is unsafe, so the region must sit inside its
-      // parent block's cell set.
-      grid::CellSet parent(m);
-      for (Coord c : result.blocks[region.parent_block].component.cells()) {
-        parent.insert(c);
-      }
+      // parent block.
       for (Coord c : region.component.cells()) {
-        if (!parent.contains(c)) {
+        if (block_ids[m.index(c)] != region.parent_block + 1) {
           out.add(kExtraction, "region #" + std::to_string(r) + " cell " +
                                    mesh::to_string(c) +
                                    " outside its parent block");
@@ -520,20 +547,17 @@ void check_fixpoint(const grid::CellSet& faults, const PipelineResult& result,
                     const OracleOptions& opts, Collector& out) {
   if (!out.enabled(kFixpoint)) return;
   const mesh::Mesh2D& m = faults.topology();
-  const mesh::AdjacencyTable adj(m);
   const auto node_count = static_cast<std::size_t>(m.node_count());
 
   for (std::size_t i = 0; i < node_count && out.open(); ++i) {
-    if (faults.contains(m.coord(i))) continue;
-    const std::int32_t* nbr = adj.dir_row(i);
+    const Coord c = m.coord(i);
+    if (faults.contains(c)) continue;
 
     // Phase one: <rule> of Definition 2a / 2b on the final safety plane
     // (ghost neighbors are permanently safe).
     const auto neighbor_safety = [&](mesh::Dir d) {
-      const std::int32_t j = nbr[static_cast<std::size_t>(d)];
-      return j == mesh::AdjacencyTable::kGhost
-                 ? Safety::Safe
-                 : result.safety.at_index(static_cast<std::size_t>(j));
+      const auto n = m.neighbor(c, d);
+      return n ? result.safety[*n] : Safety::Safe;
     };
     bool rule_fires = false;
     if (opts.definition == SafeUnsafeDef::Def2a) {
@@ -553,11 +577,10 @@ void check_fixpoint(const grid::CellSet& faults, const PipelineResult& result,
     const bool is_unsafe = result.safety.at_index(i) == Safety::Unsafe;
     if (!is_unsafe && rule_fires) {
       out.add(kFixpoint, "phase one not quiesced: safe node " +
-                             mesh::to_string(m.coord(i)) +
+                             mesh::to_string(c) +
                              " satisfies the unsafe condition");
     } else if (is_unsafe && !rule_fires) {
-      out.add(kFixpoint, "unjustified unsafe node " +
-                             mesh::to_string(m.coord(i)) +
+      out.add(kFixpoint, "unjustified unsafe node " + mesh::to_string(c) +
                              " (final neighborhood cannot derive it)");
     }
 
@@ -566,22 +589,19 @@ void check_fixpoint(const grid::CellSet& faults, const PipelineResult& result,
     if (!is_unsafe) continue;
     int enabled_neighbors = 0;
     for (mesh::Dir d : mesh::kAllDirs) {
-      const std::int32_t j = nbr[static_cast<std::size_t>(d)];
-      const Activation a =
-          j == mesh::AdjacencyTable::kGhost
-              ? Activation::Enabled
-              : result.activation.at_index(static_cast<std::size_t>(j));
-      if (a == Activation::Enabled) ++enabled_neighbors;
+      const auto n = m.neighbor(c, d);
+      if (!n || result.activation[*n] == Activation::Enabled) {
+        ++enabled_neighbors;
+      }
     }
     const bool enabled = result.activation.at_index(i) == Activation::Enabled;
     if (!enabled && enabled_neighbors >= 2) {
       out.add(kFixpoint, "phase two not quiesced: disabled node " +
-                             mesh::to_string(m.coord(i)) + " has " +
+                             mesh::to_string(c) + " has " +
                              std::to_string(enabled_neighbors) +
                              " enabled neighbors");
     } else if (enabled && enabled_neighbors < 2) {
-      out.add(kFixpoint, "unjustified enabled node " +
-                             mesh::to_string(m.coord(i)) +
+      out.add(kFixpoint, "unjustified enabled node " + mesh::to_string(c) +
                              " (fewer than two enabled neighbors at the "
                              "fixpoint)");
     }
@@ -647,25 +667,15 @@ geom::Region component_frame_faults(const grid::Component& comp,
   return geom::Region(std::move(cells));
 }
 
-std::int32_t component_distance(const mesh::Mesh2D& m,
-                                const grid::Component& a,
-                                const grid::Component& b) {
-  std::int32_t best = std::numeric_limits<std::int32_t>::max();
-  for (Coord u : a.cells()) {
-    for (Coord v : b.cells()) {
-      best = std::min(best, m.distance(u, v));
-    }
-  }
-  return best;
-}
-
 ViolationReport check_pipeline(const grid::CellSet& faults,
                                const labeling::PipelineResult& result,
                                const OracleOptions& opts) {
   Collector out(opts);
-  check_blocks(faults, result, opts, out);
+  const std::vector<std::uint32_t> block_ids =
+      component_ids(faults.topology(), result.blocks);
+  check_blocks(faults, result, block_ids, opts, out);
   check_regions(faults, result, out);
-  check_labeling(faults, result, out);
+  check_labeling(faults, result, block_ids, out);
   check_convergence(faults, result, opts, out);
   check_fixpoint(faults, result, opts, out);
   return out.take();

@@ -175,10 +175,4 @@ struct OracleOptions {
 [[nodiscard]] geom::Region component_frame_faults(const grid::Component& comp,
                                                   const grid::CellSet& faults);
 
-/// Minimum machine distance between the cells of two components (uses the
-/// machine metric, so torus wraparound counts).
-[[nodiscard]] std::int32_t component_distance(const mesh::Mesh2D& m,
-                                              const grid::Component& a,
-                                              const grid::Component& b);
-
 }  // namespace ocp::check

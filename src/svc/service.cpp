@@ -44,6 +44,8 @@ struct Service::ShardRuntime {
 
   EventQueue queue;
   Shard shard;
+  /// Wakes this shard's worker; waited on under the service mutex.
+  std::condition_variable wake;
   /// Halo deltas awaiting this shard's next batch; guarded by the service
   /// mutex, like everything below.
   std::vector<HaloDelta> inbox;
@@ -108,7 +110,7 @@ Service::~Service() {
     stopping_ = true;
   }
   for (auto& rt : shards_) rt->queue.close();
-  wake_.notify_all();
+  for (auto& rt : shards_) rt->wake.notify_one();
   progress_.notify_all();
   for (auto& rt : shards_) {
     if (rt->worker.joinable()) rt->worker.join();
@@ -152,6 +154,7 @@ void Service::worker_loop(std::uint32_t index) {
       std::lock_guard lock(mu_);
       for (auto& [target, delta] : result.outgoing) {
         shards_[target]->inbox.push_back(std::move(delta));
+        shards_[target]->wake.notify_one();
         ++halo_deltas_;
       }
       halo_events_ += result.halo_events;
@@ -159,7 +162,6 @@ void Service::worker_loop(std::uint32_t index) {
     if (!result.outgoing.empty()) {
       trace.counter("svc.halo_deltas",
                     static_cast<std::int64_t>(result.outgoing.size()));
-      wake_.notify_all();
     }
     return true;
   };
@@ -170,7 +172,7 @@ void Service::worker_loop(std::uint32_t index) {
     {
       std::unique_lock lock(mu_);
       // Shutdown overrides pause: accepted events are applied, not dropped.
-      wake_.wait(lock, [this, &rt] {
+      rt.wake.wait(lock, [this, &rt] {
         return stopping_ || (!paused_ && (rt.pending() || rt.retry_publish));
       });
       if (stopping_ && !rt.pending()) break;
@@ -240,7 +242,7 @@ SubmitStatus Service::submit(FaultEvent event) {
     // Briefly serialize against the waiters so the wakeup cannot be lost
     // between a predicate check and its wait.
     { std::lock_guard lock(mu_); }
-    wake_.notify_all();
+    shards_[target]->wake.notify_one();
   } else {
     config_.ingest.trace.counter("svc.submit_rejects", 1);
   }
@@ -264,7 +266,7 @@ void Service::flush() {
       paused_ = false;
     }
   }
-  wake_.notify_all();
+  for (auto& rt : shards_) rt->wake.notify_one();
   std::unique_lock lock(mu_);
   progress_.wait(lock, [this] {
     if (stopping_) return true;
@@ -290,7 +292,7 @@ void Service::resume() {
     std::lock_guard lock(mu_);
     paused_ = false;
   }
-  wake_.notify_all();
+  for (auto& rt : shards_) rt->wake.notify_one();
 }
 
 QueryStatus Service::wait_for_epoch(std::uint32_t shard, std::uint64_t epoch,
@@ -313,7 +315,7 @@ void Service::retry_publish() {
     std::lock_guard lock(mu_);
     for (auto& rt : shards_) rt->retry_publish = true;
   }
-  wake_.notify_all();
+  for (auto& rt : shards_) rt->wake.notify_one();
 }
 
 bool Service::shard_crashed(std::uint32_t shard) const {

@@ -317,7 +317,6 @@ class Service {
   /// One mutex for the fleet's control plane (queues' depth checks, halo
   /// inboxes, draining/crash/pause flags). Never on the query path.
   mutable std::mutex mu_;
-  std::condition_variable wake_;              // worker wakeups
   mutable std::condition_variable progress_;  // flush / wait_for_epoch
   bool paused_ = false;
   bool stopping_ = false;
