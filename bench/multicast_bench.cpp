@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
         stats::Rng rng(seeder.fork_seed());
         const auto faults = fault::uniform_random(
             m, static_cast<std::size_t>(f), rng);
-        const auto labeled = labeling::run_pipeline(
-            faults, {.engine = labeling::Engine::Reference});
+        const auto labeled = labeling::run_pipeline(faults);
         const auto blocked = labeling::disabled_cells(labeled.activation);
         const routing::FaultRingRouter router(m, blocked);
 

@@ -120,9 +120,7 @@ int main(int argc, char** argv) {
   const mesh::Mesh2D m = mesh::Mesh2D::square(opts.n);
   stats::Rng rng(opts.seed);
   const auto faults = fault::clustered(m, 3, 8, rng);
-  labeling::PipelineOptions lopts;
-  lopts.engine = labeling::Engine::Reference;
-  const auto labeled = labeling::run_pipeline(faults, lopts);
+  const auto labeled = labeling::run_pipeline(faults);
 
   struct Model {
     const char* name;

@@ -57,8 +57,7 @@ int main(int argc, char** argv) {
     const auto clusters =
         static_cast<std::size_t>(3 * std::max(1, n / 24));
     const auto faults = fault::clustered(m, clusters, 8, rng);
-    const auto labeled = labeling::run_pipeline(
-        faults, {.engine = labeling::Engine::Reference});
+    const auto labeled = labeling::run_pipeline(faults);
 
     std::cout << "Wormhole saturation sweep on a " << m.describe() << " with "
               << faults.size() << " clustered faults; ring routing, "

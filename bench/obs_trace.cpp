@@ -49,9 +49,7 @@ void run_traced_netsim(const obs::TraceConfig& trace) {
   const mesh::Mesh2D m = mesh::Mesh2D::square(24);
   stats::Rng rng(3);
   const auto faults = fault::clustered(m, 3, 8, rng);
-  labeling::PipelineOptions label_opts;
-  label_opts.engine = labeling::Engine::Reference;
-  const auto labeled = labeling::run_pipeline(faults, label_opts);
+  const auto labeled = labeling::run_pipeline(faults);
   const auto blocked = labeling::disabled_cells(labeled.activation);
   const routing::FaultRingRouter router(m, blocked);
 

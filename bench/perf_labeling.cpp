@@ -1,11 +1,13 @@
 // Microbenchmarks of the labeling engines: distributed kernel (dense vs
 // frontier scheduling) and the centralized reference solver, across machine
-// sizes and fault densities.
+// sizes and fault densities, plus the oracle pass and the first labeling of
+// an incrementally maintained machine.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "check/oracle.hpp"
+#include "core/maintenance.hpp"
 #include "core/pipeline.hpp"
 #include "core/reference.hpp"
 #include "fault/generators.hpp"
@@ -128,6 +130,21 @@ void BM_OracleCheckPipeline(benchmark::State& state) {
                           static_cast<std::int64_t>(n) * n);
 }
 BENCHMARK(BM_OracleCheckPipeline)->Args({256, 50})->Args({1024, 5})
+    ->Unit(benchmark::kMillisecond);
+
+// Building a MaintainedLabeling from its initial fault set: the first
+// labeling plus the slot tables, order arrays and key planes. 1024/5 is
+// churn_1024's machine: 1024x1024 at 0.5%.
+void BM_MaintainedLabelingBuild(benchmark::State& state) {
+  const auto n = static_cast<std::int32_t>(state.range(0));
+  const auto faults = make_faults(n, state.range(1), 42);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(labeling::MaintainedLabeling(faults));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n) * n);
+}
+BENCHMARK(BM_MaintainedLabelingBuild)->Args({1024, 5})
     ->Unit(benchmark::kMillisecond);
 
 void BM_SafetyPhaseOnly(benchmark::State& state) {

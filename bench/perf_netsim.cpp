@@ -77,8 +77,7 @@ void BM_TrafficSimEndToEnd(benchmark::State& state) {
   const mesh::Mesh2D m = mesh::Mesh2D::square(24);
   stats::Rng rng(3);
   const auto faults = fault::clustered(m, 3, 8, rng);
-  const auto labeled = labeling::run_pipeline(
-      faults, {.engine = labeling::Engine::Reference});
+  const auto labeled = labeling::run_pipeline(faults);
   const auto blocked = labeling::disabled_cells(labeled.activation);
   const routing::FaultRingRouter router(m, blocked);
   netsim::TrafficSimConfig config;
@@ -102,8 +101,7 @@ void BM_TrafficSimCachedRoutes(benchmark::State& state) {
   const mesh::Mesh2D m = mesh::Mesh2D::square(24);
   stats::Rng rng(3);
   const auto faults = fault::clustered(m, 3, 8, rng);
-  const auto labeled = labeling::run_pipeline(
-      faults, {.engine = labeling::Engine::Reference});
+  const auto labeled = labeling::run_pipeline(faults);
   const auto blocked = labeling::disabled_cells(labeled.activation);
   const routing::FaultRingRouter router(m, blocked);
   routing::RouteCache routes(router, m);

@@ -19,8 +19,7 @@ Instance labeled_instance(std::int32_t n, std::size_t f, std::uint64_t seed) {
   const mesh::Mesh2D m = mesh::Mesh2D::square(n);
   stats::Rng rng(seed);
   const auto faults = fault::uniform_random(m, f, rng);
-  const auto result = labeling::run_pipeline(
-      faults, {.engine = labeling::Engine::Reference});
+  const auto result = labeling::run_pipeline(faults);
   return {m, labeling::disabled_cells(result.activation)};
 }
 

@@ -40,7 +40,6 @@ std::vector<DefinitionAblationRow> run_definition_ablation(
       // The same fault pattern goes through both definitions so the
       // comparison is paired.
       labeling::PipelineOptions opts;
-      opts.engine = labeling::Engine::Reference;  // labels only, no rounds
       opts.definition = labeling::SafeUnsafeDef::Def2a;
       const auto res_2a = labeling::run_pipeline(faults, opts);
       opts.definition = labeling::SafeUnsafeDef::Def2b;
@@ -152,7 +151,6 @@ std::vector<RoutingAblationRow> run_routing_ablation(
           machine, static_cast<std::size_t>(config.fault_counts[fi]), rng);
       labeling::PipelineOptions opts;
       opts.definition = config.definition;
-      opts.engine = labeling::Engine::Reference;
       const auto result = labeling::run_pipeline(faults, opts);
 
       for (std::size_t mi = 0; mi < kModels.size(); ++mi) {

@@ -19,9 +19,7 @@ std::vector<BlockStatsRow> run_block_stats(const BlockStatsConfig& config) {
       stats::Rng rng(seeder.fork_seed());
       const auto faults = fault::uniform_random(
           machine, static_cast<std::size_t>(row.f), rng);
-      labeling::PipelineOptions opts;
-      opts.engine = labeling::Engine::Reference;
-      const auto result = labeling::run_pipeline(faults, opts);
+      const auto result = labeling::run_pipeline(faults);
 
       std::size_t singletons = 0;
       std::size_t multi_fault = 0;

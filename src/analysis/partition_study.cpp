@@ -43,9 +43,7 @@ std::vector<PartitionStudyRow> run_partition_study(
                                  config.cluster_size, rng)
               : fault::uniform_random(machine,
                                       static_cast<std::size_t>(row.f), rng);
-      labeling::PipelineOptions opts;
-      opts.engine = labeling::Engine::Reference;
-      const auto result = labeling::run_pipeline(faults, opts);
+      const auto result = labeling::run_pipeline(faults);
 
       std::size_t nf_regions = 0;
       std::size_t nf_separated = 0;

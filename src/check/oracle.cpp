@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <span>
 #include <sstream>
@@ -221,6 +222,60 @@ void check_blocks(const grid::CellSet& faults, const PipelineResult& result,
   }
 }
 
+/// Which closed quadrants of a point hold a cell of a fixed list, in O(1)
+/// per query: for each row of a bounding box, the least and greatest x of
+/// the cells in the rows at or below it (prefix) and at or above it
+/// (suffix). Lemma 2 asks it about a region's corners, Lemma 3 about all of
+/// its cells.
+class QuadrantExtents {
+ public:
+  QuadrantExtents(const geom::Rect& box, std::span<const Coord> cells)
+      : lo_y_(box.lo.y),
+        prefix_(static_cast<std::size_t>(std::max(0, box.height()))),
+        suffix_(prefix_.size()) {
+    for (Coord c : cells) {
+      Extent& row = prefix_[static_cast<std::size_t>(c.y - lo_y_)];
+      row.min_x = std::min(row.min_x, c.x);
+      row.max_x = std::max(row.max_x, c.x);
+    }
+    suffix_ = prefix_;
+    for (std::size_t i = 1; i < prefix_.size(); ++i) {
+      prefix_[i].add(prefix_[i - 1]);
+      suffix_[prefix_.size() - 1 - i].add(suffix_[prefix_.size() - i]);
+    }
+  }
+
+  /// True when quadrant `q` anchored at `u` holds one of the cells.
+  [[nodiscard]] bool any(Coord u, geom::Quadrant q) const {
+    const bool up = q == geom::Quadrant::PosPos || q == geom::Quadrant::NegPos;
+    const bool right =
+        q == geom::Quadrant::PosPos || q == geom::Quadrant::PosNeg;
+    const std::vector<Extent>& side = up ? suffix_ : prefix_;
+    const auto rows = static_cast<std::int64_t>(side.size());
+    const std::int64_t row = std::int64_t{u.y} - lo_y_;
+    // No row of the box lies on the quadrant's side of `u`.
+    if (rows == 0 || (up ? row >= rows : row < 0)) return false;
+    const Extent& e = side[static_cast<std::size_t>(
+        std::clamp<std::int64_t>(row, 0, rows - 1))];
+    return right ? e.max_x >= u.x : e.min_x <= u.x;
+  }
+
+ private:
+  struct Extent {
+    std::int32_t min_x = std::numeric_limits<std::int32_t>::max();
+    std::int32_t max_x = std::numeric_limits<std::int32_t>::min();
+
+    void add(const Extent& o) {
+      min_x = std::min(min_x, o.min_x);
+      max_x = std::max(max_x, o.max_x);
+    }
+  };
+
+  std::int32_t lo_y_;
+  std::vector<Extent> prefix_;
+  std::vector<Extent> suffix_;
+};
+
 void check_regions(const grid::CellSet& faults, const PipelineResult& result,
                    Collector& out) {
   const mesh::Mesh2D& m = faults.topology();
@@ -270,10 +325,12 @@ void check_regions(const grid::CellSet& faults, const PipelineResult& result,
     }
 
     if (!wrapped && out.enabled(kLemma2)) {
+      const QuadrantExtents corner_extents(shape.bounding_box(),
+                                           geom::corner_nodes(shape));
       for (Coord u : shape.cells()) {
         if (!out.open()) break;
         for (geom::Quadrant q : geom::kAllQuadrants) {
-          if (!geom::quadrant_has_corner(shape, u, q)) {
+          if (!corner_extents.any(u, q)) {
             out.add(kLemma2, "quadrant without corner, origin " +
                                  mesh::to_string(u) + " in " +
                                  region_context("region", r, shape));
@@ -285,27 +342,19 @@ void check_regions(const grid::CellSet& faults, const PipelineResult& result,
 
     if (!wrapped && out.enabled(kLemma3)) {
       const geom::Rect box = shape.bounding_box();
+      const QuadrantExtents cell_extents(box, shape.cells());
       for (std::int32_t x = box.lo.x - 1; x <= box.hi.x + 1 && out.open();
            ++x) {
         for (std::int32_t y = box.lo.y - 1; y <= box.hi.y + 1 && out.open();
              ++y) {
           const Coord u{x, y};
           if (shape.contains(u)) continue;
-          bool some_quadrant_empty = false;
-          for (geom::Quadrant q : geom::kAllQuadrants) {
-            bool any = false;
-            for (Coord c : shape.cells()) {
-              if (geom::in_quadrant(u, q, c)) {
-                any = true;
-                break;
-              }
-            }
-            if (!any) {
-              some_quadrant_empty = true;
-              break;
-            }
-          }
-          if (!some_quadrant_empty) {
+          const bool all_quadrants =
+              std::all_of(geom::kAllQuadrants.begin(),
+                          geom::kAllQuadrants.end(), [&](geom::Quadrant q) {
+                            return cell_extents.any(u, q);
+                          });
+          if (all_quadrants) {
             out.add(kLemma3, "outside node " + mesh::to_string(u) +
                                  " sees region cells in all quadrants of " +
                                  region_context("region", r, shape));

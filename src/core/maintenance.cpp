@@ -12,42 +12,6 @@ namespace ocp::labeling {
 
 namespace {
 
-Safety safety_at(const grid::NodeGrid<Safety>& g, mesh::Coord c) {
-  const mesh::Mesh2D& m = g.topology();
-  if (m.contains(c)) return g[c];
-  if (m.is_torus()) return g[m.wrap(c)];
-  return Safety::Safe;  // ghost
-}
-
-Activation activation_at(const grid::NodeGrid<Activation>& g, mesh::Coord c) {
-  const mesh::Mesh2D& m = g.topology();
-  if (m.contains(c)) return g[c];
-  if (m.is_torus()) return g[m.wrap(c)];
-  return Activation::Enabled;  // ghost
-}
-
-/// Definition 2a/2b: does the unsafe rule fire for nonfaulty node `c` under
-/// the current safety labeling?
-bool rule_fires(SafeUnsafeDef def, const grid::NodeGrid<Safety>& safety,
-                mesh::Coord c) {
-  if (def == SafeUnsafeDef::Def2a) {
-    int unsafe_neighbors = 0;
-    for (mesh::Dir d : mesh::kAllDirs) {
-      if (safety_at(safety, c.step(d)) == Safety::Unsafe) {
-        ++unsafe_neighbors;
-      }
-    }
-    return unsafe_neighbors >= 2;
-  }
-  const bool ux =
-      safety_at(safety, c.step(mesh::Dir::East)) == Safety::Unsafe ||
-      safety_at(safety, c.step(mesh::Dir::West)) == Safety::Unsafe;
-  const bool uy =
-      safety_at(safety, c.step(mesh::Dir::North)) == Safety::Unsafe ||
-      safety_at(safety, c.step(mesh::Dir::South)) == Safety::Unsafe;
-  return ux && uy;
-}
-
 /// Minimum row-major node index over a component's physical cells — the
 /// extraction-order sort key of `grid::connected_components` (each
 /// component is seeded at exactly this cell).
@@ -94,16 +58,38 @@ std::uint32_t take_entry(std::vector<OrderEntry>& order, std::int32_t key) {
 
 MaintainedLabeling::MaintainedLabeling(grid::CellSet faults,
                                        SafeUnsafeDef def)
+    : MaintainedLabeling(faults, run_pipeline(faults, {.definition = def}),
+                         def) {}
+
+MaintainedLabeling::MaintainedLabeling(grid::CellSet& faults,
+                                       PipelineResult labeled,
+                                       SafeUnsafeDef def)
     : def_(def),
       faults_(std::move(faults)),
-      safety_(reference_safety(faults_, def)),
-      activation_(reference_activation(faults_, safety_)),
+      safety_(std::move(labeled.safety)),
+      activation_(std::move(labeled.activation)),
       block_key_(faults_.topology(), -1),
       region_key_(faults_.topology(), -1),
       visit_scratch_(faults_.topology()),
       area_unsafe_scratch_(faults_.topology()),
       area_disabled_scratch_(faults_.topology()) {
-  refresh_regions();
+  // Extraction order is min-index order, so every store appends.
+  const mesh::Mesh2D& m = faults_.topology();
+  for (FaultyBlock& block : labeled.blocks) {
+    const std::uint32_t key = min_phys_index(m, block.component);
+    for (mesh::Coord cell : block.component.cells()) {
+      block_key_[cell] = static_cast<std::int32_t>(key);
+    }
+    store(block_records_, block_order_, std::move(block), key);
+  }
+  for (DisabledRegion& region : labeled.regions) {
+    const std::uint32_t key = min_phys_index(m, region.component);
+    for (mesh::Coord cell : region.component.cells()) {
+      region_key_[cell] = static_cast<std::int32_t>(key);
+    }
+    region.parent_block = block_order_[region.parent_block].key;
+    store(region_records_, region_order_, std::move(region), key);
+  }
 }
 
 EventDelta MaintainedLabeling::add_fault(mesh::Coord node) {
@@ -113,30 +99,16 @@ EventDelta MaintainedLabeling::add_fault(mesh::Coord node) {
   faults_.insert(node);
 
   // Incremental phase one: the rule is monotone in the fault set, so
-  // resuming the worklist from the new unsafe node reaches the fixpoint of
+  // resuming the closure from the new unsafe node reaches the fixpoint of
   // the enlarged instance. This mirrors what the distributed system does —
-  // only the neighborhood of the new fault exchanges messages. The worklist
-  // is a flat vector with a read cursor: same FIFO order as a queue without
-  // the per-event deque allocation.
+  // only the neighborhood of the new fault exchanges messages.
   std::vector<mesh::Coord>& worklist = worklist_scratch_;
-  worklist.clear();
+  worklist.assign(1, node);
   if (safety_[node] != Safety::Unsafe) {
     safety_[node] = Safety::Unsafe;
     ++delta.safety_changed;
   }
-  worklist.push_back(node);
-
-  for (std::size_t head = 0; head < worklist.size(); ++head) {
-    const mesh::Coord u = worklist[head];
-    for (const mesh::Link& l : m.neighbors(u)) {
-      if (safety_[l.to] == Safety::Unsafe || faults_.contains(l.to)) continue;
-      if (rule_fires(def_, safety_, l.to)) {
-        safety_[l.to] = Safety::Unsafe;
-        ++delta.safety_changed;
-        worklist.push_back(l.to);
-      }
-    }
-  }
+  delta.safety_changed += close_safety(faults_, def_, safety_, worklist);
 
   // The affected area is the merged unsafe component around the new fault:
   // every safety flip is chained to the fault through unsafe cells, so any
@@ -192,20 +164,10 @@ EventDelta MaintainedLabeling::remove_fault(mesh::Coord node) {
     }
   }
 
-  // Same worklist closure as `add_fault`: a cell turns unsafe only when the
-  // rule fires on the current labeling, and every flip re-examines its
-  // neighborhood. Propagation cannot escape the old block (its surroundings
-  // are safe before and after), so the loop is local by construction.
-  for (std::size_t head = 0; head < worklist.size(); ++head) {
-    const mesh::Coord u = worklist[head];
-    for (const mesh::Link& l : m.neighbors(u)) {
-      if (safety_[l.to] == Safety::Unsafe || faults_.contains(l.to)) continue;
-      if (rule_fires(def_, safety_, l.to)) {
-        safety_[l.to] = Safety::Unsafe;
-        worklist.push_back(l.to);
-      }
-    }
-  }
+  // Same closure as `add_fault`. Propagation cannot escape the old block
+  // (its surroundings are safe before and after), so it is local by
+  // construction.
+  close_safety(faults_, def_, safety_, worklist);
 
   // Every footprint cell was unsafe before the repair, so the flips are
   // exactly the cells that came back safe.
@@ -249,35 +211,7 @@ void MaintainedLabeling::rebuild_area(std::vector<mesh::Coord> area,
     activation_[c] = safety_[c] == Safety::Unsafe ? Activation::Disabled
                                                   : Activation::Enabled;
   }
-  const auto can_enable = [this](mesh::Coord c) {
-    if (faults_.contains(c)) return false;
-    if (safety_[c] == Safety::Safe) return false;       // already enabled
-    if (activation_[c] == Activation::Enabled) return false;  // monotone
-    int enabled_neighbors = 0;
-    for (mesh::Dir d : mesh::kAllDirs) {
-      if (activation_at(activation_, c.step(d)) == Activation::Enabled) {
-        ++enabled_neighbors;
-      }
-    }
-    return enabled_neighbors >= 2;
-  };
-  std::vector<mesh::Coord>& worklist = worklist_scratch_;
-  worklist.clear();
-  for (mesh::Coord c : area) {
-    if (can_enable(c)) {
-      activation_[c] = Activation::Enabled;
-      worklist.push_back(c);
-    }
-  }
-  for (std::size_t head = 0; head < worklist.size(); ++head) {
-    const mesh::Coord u = worklist[head];
-    for (const mesh::Link& l : m.neighbors(u)) {
-      if (can_enable(l.to)) {
-        activation_[l.to] = Activation::Enabled;
-        worklist.push_back(l.to);
-      }
-    }
-  }
+  close_activation(faults_, safety_, activation_, area, worklist_scratch_);
   for (std::size_t i = 0; i < area.size(); ++i) {
     if (activation_[area[i]] != old_act[i]) ++delta.activation_changed;
   }
@@ -341,29 +275,6 @@ void MaintainedLabeling::rebuild_area(std::vector<mesh::Coord> area,
   blocks_view_valid_ = false;
   regions_view_valid_ = false;
   delta.dirty_cells = std::move(area);
-}
-
-void MaintainedLabeling::refresh_regions() {
-  const mesh::Mesh2D& m = faults_.topology();
-  std::vector<FaultyBlock> blocks = extract_faulty_blocks(faults_, safety_);
-  std::vector<DisabledRegion> regions =
-      extract_disabled_regions(faults_, activation_, blocks);
-  // Extraction order is min-index order, so every store appends.
-  for (FaultyBlock& block : blocks) {
-    const std::uint32_t key = min_phys_index(m, block.component);
-    for (mesh::Coord cell : block.component.cells()) {
-      block_key_[cell] = static_cast<std::int32_t>(key);
-    }
-    store(block_records_, block_order_, std::move(block), key);
-  }
-  for (DisabledRegion& region : regions) {
-    const std::uint32_t key = min_phys_index(m, region.component);
-    for (mesh::Coord cell : region.component.cells()) {
-      region_key_[cell] = static_cast<std::int32_t>(key);
-    }
-    region.parent_block = block_order_[region.parent_block].key;
-    store(region_records_, region_order_, std::move(region), key);
-  }
 }
 
 const std::vector<FaultyBlock>& MaintainedLabeling::blocks() const {

@@ -4,11 +4,13 @@
 //
 // When a node fails at runtime, the labeling does not have to be recomputed
 // from scratch: the safe/unsafe rule is monotone in the fault set, so the
-// new fixpoint is reached by resuming the worklist from the new fault — the
-// distributed system would do exactly this with a handful of local message
-// exchanges. The enabled/disabled labeling is *not* monotone in the fault
-// set (a new fault can strip the support that activated a neighbor, and a
-// node once enabled must be re-validated), but it *is* local: Definition 3's
+// new fixpoint is reached by resuming the reference solver's worklist
+// closure (core/reference) from the new fault — the distributed system
+// would do exactly this with a handful of local message exchanges. (The
+// first labeling comes from `run_pipeline`'s word rounds.) The
+// enabled/disabled labeling is *not* monotone in the fault set (a new fault
+// can strip the support that activated a neighbor, and a node once enabled
+// must be re-validated), but it *is* local: Definition 3's
 // activation fixpoint of each unsafe component depends only on that
 // component (its 4-neighborhood is safe, hence permanently enabled), so
 // phase two is re-derived inside the affected component only — never over
@@ -167,9 +169,10 @@ class MaintainedLabeling {
   }
 
  private:
-  /// Builds the records, order arrays and key planes from scratch (the
-  /// constructor's step after labeling the initial fault set).
-  void refresh_regions();
+  /// Adopts `labeled`, the from-scratch labeling of `faults`: moves its
+  /// planes in and its blocks and regions into the slot tables.
+  MaintainedLabeling(grid::CellSet& faults, PipelineResult labeled,
+                     SafeUnsafeDef def);
   /// Re-derives activation, blocks and regions inside `area` (an affected
   /// unsafe component or a repaired block footprint), retires the records
   /// the area absorbed and stores the re-extracted ones. Appends `area` to

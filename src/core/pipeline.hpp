@@ -20,8 +20,9 @@ enum class Engine : std::uint8_t {
   /// simkernel synchronous lock-step rounds — faithful to the paper, and the
   /// only engine that yields round counts.
   Distributed = 0,
-  /// Centralized worklist solver — same labels, no round counts; for large
-  /// Monte-Carlo sweeps.
+  /// Centralized worklist solver — same labels, no round counts, and slower
+  /// than the word rounds. The tests' independent oracle: it shares no code
+  /// with the distributed evaluator.
   Reference = 1,
 };
 

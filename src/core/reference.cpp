@@ -1,7 +1,5 @@
 #include "core/reference.hpp"
 
-#include <queue>
-
 namespace ocp::labeling {
 
 namespace {
@@ -22,68 +20,55 @@ Activation activation_at(const grid::NodeGrid<Activation>& g, mesh::Coord c) {
   return Activation::Enabled;  // ghost
 }
 
-}  // namespace
-
-grid::NodeGrid<Safety> reference_safety(const grid::CellSet& faults,
-                                        SafeUnsafeDef def) {
-  const mesh::Mesh2D& m = faults.topology();
-  grid::NodeGrid<Safety> safety(m, Safety::Safe);
-  std::queue<mesh::Coord> worklist;
-
-  faults.for_each([&](mesh::Coord c) {
-    safety[c] = Safety::Unsafe;
-    worklist.push(c);
-  });
-
-  const auto rule_fires = [&](mesh::Coord c) {
-    if (def == SafeUnsafeDef::Def2a) {
-      int unsafe_neighbors = 0;
-      for (mesh::Dir d : mesh::kAllDirs) {
-        if (safety_at(safety, c.step(d)) == Safety::Unsafe) {
-          ++unsafe_neighbors;
-        }
-      }
-      return unsafe_neighbors >= 2;
-    }
-    const bool ux =
-        safety_at(safety, c.step(mesh::Dir::East)) == Safety::Unsafe ||
-        safety_at(safety, c.step(mesh::Dir::West)) == Safety::Unsafe;
-    const bool uy =
-        safety_at(safety, c.step(mesh::Dir::North)) == Safety::Unsafe ||
-        safety_at(safety, c.step(mesh::Dir::South)) == Safety::Unsafe;
-    return ux && uy;
-  };
-
-  // Chaotic iteration of a monotone rule: revisit the neighbors of every
-  // node that turned unsafe until no rule application fires.
-  while (!worklist.empty()) {
-    const mesh::Coord u = worklist.front();
-    worklist.pop();
-    for (const mesh::Link& l : m.neighbors(u)) {
-      if (safety[l.to] == Safety::Unsafe || faults.contains(l.to)) continue;
-      if (rule_fires(l.to)) {
-        safety[l.to] = Safety::Unsafe;
-        worklist.push(l.to);
+/// Definition 2a/2b: does the unsafe rule fire for nonfaulty node `c` under
+/// the current safety labeling?
+bool rule_fires(SafeUnsafeDef def, const grid::NodeGrid<Safety>& safety,
+                mesh::Coord c) {
+  if (def == SafeUnsafeDef::Def2a) {
+    int unsafe_neighbors = 0;
+    for (mesh::Dir d : mesh::kAllDirs) {
+      if (safety_at(safety, c.step(d)) == Safety::Unsafe) {
+        ++unsafe_neighbors;
       }
     }
+    return unsafe_neighbors >= 2;
   }
-  return safety;
+  const bool ux =
+      safety_at(safety, c.step(mesh::Dir::East)) == Safety::Unsafe ||
+      safety_at(safety, c.step(mesh::Dir::West)) == Safety::Unsafe;
+  const bool uy =
+      safety_at(safety, c.step(mesh::Dir::North)) == Safety::Unsafe ||
+      safety_at(safety, c.step(mesh::Dir::South)) == Safety::Unsafe;
+  return ux && uy;
 }
 
-grid::NodeGrid<Activation> reference_activation(
-    const grid::CellSet& faults, const grid::NodeGrid<Safety>& safety) {
-  const mesh::Mesh2D& m = faults.topology();
-  grid::NodeGrid<Activation> act(m, Activation::Enabled);
-  std::queue<mesh::Coord> worklist;
+}  // namespace
 
-  // Initialization: unsafe -> disabled (faulty nodes are unsafe and stay
-  // disabled forever); safe -> enabled.
-  for (std::size_t i = 0; i < act.size(); ++i) {
-    if (safety.at_index(i) == Safety::Unsafe) {
-      act.at_index(i) = Activation::Disabled;
+std::size_t close_safety(const grid::CellSet& faults, SafeUnsafeDef def,
+                         grid::NodeGrid<Safety>& safety,
+                         std::vector<mesh::Coord>& worklist) {
+  const mesh::Mesh2D& m = faults.topology();
+  const std::size_t seeds = worklist.size();
+  // The worklist is a flat vector with a read cursor: FIFO order without a
+  // deque's allocations, and what it holds past the seeds are the flips.
+  for (std::size_t head = 0; head < worklist.size(); ++head) {
+    for (const mesh::Link& l : m.neighbors(worklist[head])) {
+      if (safety[l.to] == Safety::Unsafe || faults.contains(l.to)) continue;
+      if (rule_fires(def, safety, l.to)) {
+        safety[l.to] = Safety::Unsafe;
+        worklist.push_back(l.to);
+      }
     }
   }
+  return worklist.size() - seeds;
+}
 
+void close_activation(const grid::CellSet& faults,
+                      const grid::NodeGrid<Safety>& safety,
+                      grid::NodeGrid<Activation>& act,
+                      std::span<const mesh::Coord> candidates,
+                      std::vector<mesh::Coord>& worklist) {
+  const mesh::Mesh2D& m = faults.topology();
   const auto can_enable = [&](mesh::Coord c) {
     if (faults.contains(c)) return false;
     if (safety[c] == Safety::Safe) return false;       // already enabled
@@ -97,25 +82,52 @@ grid::NodeGrid<Activation> reference_activation(
     return enabled_neighbors >= 2;
   };
 
-  // Seed: every disabled nonfaulty node adjacent to the enabled sea may fire
-  // immediately.
-  for (std::size_t i = 0; i < act.size(); ++i) {
-    const mesh::Coord c = m.coord(i);
+  worklist.clear();
+  for (mesh::Coord c : candidates) {
     if (can_enable(c)) {
       act[c] = Activation::Enabled;
-      worklist.push(c);
+      worklist.push_back(c);
     }
   }
-  while (!worklist.empty()) {
-    const mesh::Coord u = worklist.front();
-    worklist.pop();
-    for (const mesh::Link& l : m.neighbors(u)) {
+  for (std::size_t head = 0; head < worklist.size(); ++head) {
+    for (const mesh::Link& l : m.neighbors(worklist[head])) {
       if (can_enable(l.to)) {
         act[l.to] = Activation::Enabled;
-        worklist.push(l.to);
+        worklist.push_back(l.to);
       }
     }
   }
+}
+
+grid::NodeGrid<Safety> reference_safety(const grid::CellSet& faults,
+                                        SafeUnsafeDef def) {
+  grid::NodeGrid<Safety> safety(faults.topology(), Safety::Safe);
+  std::vector<mesh::Coord> worklist;
+  worklist.reserve(faults.size());
+  faults.for_each([&](mesh::Coord c) {
+    safety[c] = Safety::Unsafe;
+    worklist.push_back(c);
+  });
+  close_safety(faults, def, safety, worklist);
+  return safety;
+}
+
+grid::NodeGrid<Activation> reference_activation(
+    const grid::CellSet& faults, const grid::NodeGrid<Safety>& safety) {
+  const mesh::Mesh2D& m = faults.topology();
+  grid::NodeGrid<Activation> act(m, Activation::Enabled);
+
+  // Initialization: unsafe -> disabled (faulty nodes are unsafe and stay
+  // disabled forever); safe -> enabled. Only unsafe cells can fire.
+  std::vector<mesh::Coord> unsafe;
+  for (std::size_t i = 0; i < act.size(); ++i) {
+    if (safety.at_index(i) == Safety::Unsafe) {
+      act.at_index(i) = Activation::Disabled;
+      unsafe.push_back(m.coord(i));
+    }
+  }
+  std::vector<mesh::Coord> worklist;
+  close_activation(faults, safety, act, unsafe, worklist);
   return act;
 }
 
