@@ -7,11 +7,7 @@
 #include <thread>
 
 #include "alloc/oracle.hpp"
-#include "analysis/trial_pool.hpp"
-#include "fault/generators.hpp"
 #include "stats/histogram.hpp"
-#include "svc/ingest.hpp"
-#include "svc/loadgen.hpp"
 
 namespace ocp::alloc {
 
@@ -104,52 +100,61 @@ std::vector<svc::FaultEvent> storm_events(const mesh::Mesh2D& machine,
   return events;
 }
 
+AllocWorkload derive_alloc_workload(
+    stats::Rng& master, const mesh::Mesh2D& machine,
+    std::size_t initial_faults, std::size_t events, double repair_fraction,
+    std::size_t jobs, std::int32_t max_job_side, std::uint32_t min_lifetime,
+    std::uint32_t max_lifetime, std::int32_t storm_side) {
+  svc::Workload churn = svc::derive_workload(master, machine, initial_faults,
+                                             events, repair_fraction);
+  const std::uint64_t job_seed = master.fork_seed();
+  stats::Rng storm_rng(master.fork_seed());
+  const mesh::Coord storm_center{
+      static_cast<std::int32_t>(storm_rng.uniform_int(0, machine.width() - 1)),
+      static_cast<std::int32_t>(storm_rng.uniform_int(0, machine.height() - 1))};
+  return {std::move(churn),
+          generate_job_stream(machine, jobs, max_job_side, min_lifetime,
+                              max_lifetime, job_seed),
+          storm_events(machine, storm_center, storm_side)};
+}
+
+IngestFeed::IngestFeed(const grid::CellSet& initial,
+                       svc::IngestConfig ingest_config,
+                       const AllocConfig& alloc_config)
+    : ingest_(initial, [&] {
+        ingest_config.on_publish = [this](const svc::Snapshot& snap,
+                                          std::span<const mesh::Coord> dirty) {
+          if (alloc_) alloc_->observe_epoch(snap, dirty);
+        };
+        return std::move(ingest_config);
+      }()) {
+  alloc_ = std::make_unique<AllocEngine>(*ingest_.snapshot(), alloc_config);
+}
+
 AllocLoadResult run_alloc_load(const AllocLoadConfig& config) {
   const mesh::Mesh2D machine(config.mesh_side, config.mesh_side,
                              config.topology);
   // Fork order is part of the replay contract: faults, churn stream, jobs,
-  // storm, then one seed per reader.
+  // storm.
   stats::Rng master(config.seed);
-  stats::Rng fault_rng(master.fork_seed());
-  const std::uint64_t stream_seed = master.fork_seed();
-  const std::uint64_t job_seed = master.fork_seed();
-  stats::Rng storm_rng(master.fork_seed());
-  const auto reader_seeds =
-      analysis::fork_trial_seeds(master, config.reader_threads);
-  static_cast<void>(reader_seeds);
-
-  const grid::CellSet initial =
-      fault::uniform_random(machine, config.initial_faults, fault_rng);
-  const std::vector<svc::FaultEvent> stream = svc::generate_event_stream(
-      machine, initial, config.fault_events, config.repair_fraction,
-      stream_seed);
-  const std::vector<JobRequest> jobs = generate_job_stream(
-      machine, config.jobs, config.max_job_side, config.min_lifetime,
-      config.max_lifetime, job_seed);
-  const mesh::Coord storm_center{
-      static_cast<std::int32_t>(storm_rng.uniform_int(0, machine.width() - 1)),
-      static_cast<std::int32_t>(storm_rng.uniform_int(0, machine.height() - 1))};
+  const AllocWorkload workload = derive_alloc_workload(
+      master, machine, config.initial_faults, config.fault_events,
+      config.repair_fraction, config.jobs, config.max_job_side,
+      config.min_lifetime, config.max_lifetime, config.storm_side);
+  const std::vector<svc::FaultEvent>& stream = workload.churn.stream;
+  const std::vector<JobRequest>& jobs = workload.jobs;
 
   AllocLoadResult result;
   result.stream_digest = svc::event_stream_digest(stream);
   result.job_digest = job_stream_digest(jobs);
 
-  // The ingest engine feeds every published epoch into the alloc engine
-  // through the on_publish hook — the writer thread is the only caller of
-  // apply, so the hook runs single-writer too.
-  std::unique_ptr<AllocEngine> alloc;
-  svc::IngestConfig ingest_config;
-  ingest_config.on_publish = [&alloc](const svc::Snapshot& snap,
-                                      std::span<const mesh::Coord> dirty) {
-    if (alloc) alloc->observe_epoch(snap, dirty);
-  };
-  svc::IngestEngine ingest(initial, ingest_config);
-
   AllocConfig alloc_config;
   alloc_config.strategy = config.strategy;
   alloc_config.queue_capacity = config.queue_capacity;
   alloc_config.max_retries = config.max_retries;
-  alloc = std::make_unique<AllocEngine>(*ingest.snapshot(), alloc_config);
+  IngestFeed feed(workload.churn.initial, {}, alloc_config);
+  svc::IngestEngine& ingest = feed.ingest();
+  AllocEngine& alloc = feed.alloc();
 
   // Readers: hammer the published view until the writer finishes, checking
   // (epoch, tick) monotonicity. They touch nothing the writer reads, so
@@ -167,7 +172,7 @@ AllocLoadResult run_alloc_load(const AllocLoadConfig& config) {
       // finishes before the thread spins up (single-core schedulers).
       while (rec.views < config.reads_per_thread &&
              (rec.views == 0 || !stop.load(std::memory_order_relaxed))) {
-        const auto view = alloc->view();
+        const auto view = alloc.view();
         if (view->epoch < last_epoch || view->tick < last_tick ||
             view->utilization < 0.0 || view->utilization > 1.0) {
           rec.monotone = false;
@@ -195,42 +200,40 @@ AllocLoadResult run_alloc_load(const AllocLoadConfig& config) {
   // sampled after every state-changing step; both are pure functions of
   // engine state, so they replay bit-identically.
   const auto note_peak = [&] {
-    const double util = alloc->utilization();
+    const double util = alloc.utilization();
     if (util > result.peak_utilization) {
       result.peak_utilization = util;
-      result.fragmentation_at_peak = alloc->view()->fragmentation();
+      result.fragmentation_at_peak = alloc.view()->fragmentation();
     }
   };
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (i == storm_at) {
       // Eviction storm: one clustered batch, one epoch, mass eviction.
-      const std::uint64_t evicted_before = alloc->stats().evicted;
-      const auto storm = storm_events(machine, storm_center,
-                                      config.storm_side);
-      static_cast<void>(ingest.apply(storm));
+      const std::uint64_t evicted_before = alloc.stats().evicted;
+      static_cast<void>(ingest.apply(workload.storm));
       result.storm_evicted = static_cast<std::size_t>(
-          alloc->stats().evicted - evicted_before);
+          alloc.stats().evicted - evicted_before);
       const auto storm_t0 = Clock::now();
       std::uint64_t ticks = 0;
-      while (!queue_clear_of_evicted(*alloc) &&
+      while (!queue_clear_of_evicted(alloc) &&
              ticks < config.storm_recovery_cap) {
-        static_cast<void>(alloc->tick());
+        static_cast<void>(alloc.tick());
         note_peak();
         ++ticks;
       }
       result.storm_recovery_ticks = ticks;
-      result.storm_recovered = queue_clear_of_evicted(*alloc);
+      result.storm_recovered = queue_clear_of_evicted(alloc);
       result.storm_recovery_seconds =
           us_between(storm_t0, Clock::now()) / 1e6;
     }
     const auto s0 = Clock::now();
-    static_cast<void>(alloc->submit(jobs[i]));
+    static_cast<void>(alloc.submit(jobs[i]));
     place_us.add(us_between(s0, Clock::now()));
     note_peak();
     if (config.fault_every > 0 && (i + 1) % config.fault_every == 0) {
       apply_batch(config.fault_batch);
-      static_cast<void>(alloc->tick());
+      static_cast<void>(alloc.tick());
       note_peak();
     }
   }
@@ -238,11 +241,11 @@ AllocLoadResult run_alloc_load(const AllocLoadConfig& config) {
   // has expired and the queue has had that long to place or hold.
   while (stream_pos < stream.size()) {
     apply_batch(config.fault_batch);
-    static_cast<void>(alloc->tick());
+    static_cast<void>(alloc.tick());
   }
   for (std::uint32_t t = 0; t < config.max_lifetime + 64; ++t) {
-    if (alloc->live().empty() && alloc->pending().empty()) break;
-    static_cast<void>(alloc->tick());
+    if (alloc.live().empty() && alloc.pending().empty()) break;
+    static_cast<void>(alloc.tick());
   }
   result.wall_seconds = us_between(t0, Clock::now()) / 1e6;
 
@@ -257,13 +260,13 @@ AllocLoadResult run_alloc_load(const AllocLoadConfig& config) {
   const auto final_snapshot = ingest.snapshot();
   result.final_label_digest = final_snapshot->label_digest();
   result.epochs_published = ingest.stats().epochs_published;
-  result.placement_digest = alloc->placement_digest();
-  result.stats = alloc->stats();
-  result.live_final = alloc->live().size();
-  result.pending_final = alloc->pending().size();
-  result.utilization = alloc->utilization();
-  result.fragmentation = alloc->view()->fragmentation();
-  result.oracle_ok = check_engine(*alloc, *final_snapshot).ok();
+  result.placement_digest = alloc.placement_digest();
+  result.stats = alloc.stats();
+  result.live_final = alloc.live().size();
+  result.pending_final = alloc.pending().size();
+  result.utilization = alloc.utilization();
+  result.fragmentation = alloc.view()->fragmentation();
+  result.oracle_ok = check_engine(alloc, *final_snapshot).ok();
   const std::uint64_t decisions =
       result.stats.placed + result.stats.replaced + result.stats.rejected;
   result.placements_per_second =

@@ -1,18 +1,19 @@
 // Deterministic closed-loop workload driver for the allocation subsystem.
 //
 // One seeded master RNG forks independent streams — initial fault pattern,
-// fault/repair churn, job sizes+lifetimes, the eviction-storm center, one
-// stream per reader thread — with the same `fork_trial_seeds` discipline as
-// the svc load generator. A single writer interleaves job submissions with
-// fault batches applied through a private `IngestEngine` whose `on_publish`
-// epoch hook feeds every turnover (snapshot + dirty cells) straight into
-// the `AllocEngine`; reader threads hammer the RCU-published `AllocView`
-// checking epoch/tick monotonicity. Because every allocation decision is
-// made by the single writer from seeded streams, the replay-identity
-// outputs (stream/job/placement digests, final utilization/fragmentation,
-// storm recovery ticks) are bit-identical at any reader-thread count — the
-// 1/2/8-thread acceptance criterion — while the timing-derived outputs
-// (wall time, placement-decision latency percentiles) vary run to run.
+// fault/repair churn, job sizes+lifetimes, the eviction-storm center —
+// through `derive_alloc_workload`, which the allocation chaos schedules
+// share. A single writer interleaves job submissions with fault batches
+// applied through an `IngestFeed`: a private `IngestEngine` whose
+// `on_publish` epoch hook feeds every turnover (snapshot + dirty cells)
+// straight into the `AllocEngine`; reader threads hammer the RCU-published
+// `AllocView` checking epoch/tick monotonicity. Because every allocation
+// decision is made by the single writer from seeded streams, the
+// replay-identity outputs (stream/job/placement digests, final
+// utilization/fragmentation, storm recovery ticks) are bit-identical at any
+// reader-thread count — the 1/2/8-thread acceptance criterion — while the
+// timing-derived outputs (wall time, placement-decision latency
+// percentiles) vary run to run.
 //
 // Mid-run the driver injects an eviction storm: a clustered block of
 // faults applied as one batch, mass-evicting every job it hits. Recovery is
@@ -22,10 +23,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "alloc/engine.hpp"
-#include "svc/event_queue.hpp"
+#include "svc/ingest.hpp"
+#include "svc/loadgen.hpp"
 
 namespace ocp::alloc {
 
@@ -127,5 +130,41 @@ struct AllocLoadResult {
 /// machine, as fault events in row-major order.
 [[nodiscard]] std::vector<svc::FaultEvent> storm_events(
     const mesh::Mesh2D& machine, mesh::Coord center, std::int32_t side);
+
+/// The svc workload plus the allocation drivers' job stream and eviction
+/// storm block.
+struct AllocWorkload {
+  svc::Workload churn;
+  std::vector<JobRequest> jobs;
+  std::vector<svc::FaultEvent> storm;
+};
+
+/// `svc::derive_workload`, then the job seed and the storm RNG forked from
+/// `master` in that order; the storm centre is one draw per axis.
+[[nodiscard]] AllocWorkload derive_alloc_workload(
+    stats::Rng& master, const mesh::Mesh2D& machine,
+    std::size_t initial_faults, std::size_t events, double repair_fraction,
+    std::size_t jobs, std::int32_t max_job_side, std::uint32_t min_lifetime,
+    std::uint32_t max_lifetime, std::int32_t storm_side);
+
+/// A private ingest engine wired to an alloc engine: its `on_publish` hook
+/// feeds every epoch turnover (snapshot + dirty cells) into
+/// `AllocEngine::observe_epoch`. Whoever calls `ingest().apply` is the
+/// alloc engine's single writer too.
+class IngestFeed {
+ public:
+  IngestFeed(const grid::CellSet& initial, svc::IngestConfig ingest_config,
+             const AllocConfig& alloc_config);
+  IngestFeed(const IngestFeed&) = delete;
+  IngestFeed& operator=(const IngestFeed&) = delete;
+
+  [[nodiscard]] svc::IngestEngine& ingest() noexcept { return ingest_; }
+  [[nodiscard]] AllocEngine& alloc() noexcept { return *alloc_; }
+
+ private:
+  // Declared first: the hook reads it while `ingest_` is constructed.
+  std::unique_ptr<AllocEngine> alloc_;
+  svc::IngestEngine ingest_;
+};
 
 }  // namespace ocp::alloc

@@ -1,14 +1,10 @@
 #include "chaos/alloc_schedule.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <sstream>
 
 #include "alloc/loadgen.hpp"
 #include "alloc/oracle.hpp"
-#include "fault/generators.hpp"
-#include "svc/ingest.hpp"
-#include "svc/loadgen.hpp"
 
 namespace ocp::chaos {
 
@@ -31,42 +27,24 @@ ExecOutcome execute(const AllocScheduleConfig& config,
                     const std::vector<AllocOp>& schedule, bool with_chaos) {
   const mesh::Mesh2D machine(config.mesh_side, config.mesh_side,
                              config.topology);
-  // Same fork order as run_alloc_load minus the reader seeds.
   stats::Rng master(config.seed);
-  stats::Rng fault_rng(master.fork_seed());
-  const std::uint64_t stream_seed = master.fork_seed();
-  const std::uint64_t job_seed = master.fork_seed();
-  stats::Rng storm_rng(master.fork_seed());
-
-  const grid::CellSet initial =
-      fault::uniform_random(machine, config.initial_faults, fault_rng);
-  const std::vector<svc::FaultEvent> stream = svc::generate_event_stream(
-      machine, initial, config.events, config.repair_fraction, stream_seed);
-  const std::vector<alloc::JobRequest> jobs = alloc::generate_job_stream(
-      machine, config.jobs, config.max_job_side, config.min_lifetime,
-      config.max_lifetime, job_seed);
-  const mesh::Coord storm_center{
-      static_cast<std::int32_t>(storm_rng.uniform_int(0, machine.width() - 1)),
-      static_cast<std::int32_t>(storm_rng.uniform_int(0, machine.height() - 1))};
-  const std::vector<svc::FaultEvent> storm =
-      alloc::storm_events(machine, storm_center, config.storm_side);
+  const alloc::AllocWorkload workload = alloc::derive_alloc_workload(
+      master, machine, config.initial_faults, config.events,
+      config.repair_fraction, config.jobs, config.max_job_side,
+      config.min_lifetime, config.max_lifetime, config.storm_side);
+  const std::vector<svc::FaultEvent>& stream = workload.churn.stream;
+  const std::vector<alloc::JobRequest>& jobs = workload.jobs;
 
   FaultPlan plan(PlanSpec{.seed = config.seed});
-  std::unique_ptr<alloc::AllocEngine> engine;
   svc::IngestConfig ingest_config;
   if (with_chaos) ingest_config.chaos.plan = &plan;
-  ingest_config.on_publish = [&engine](const svc::Snapshot& snap,
-                                       std::span<const mesh::Coord> dirty) {
-    if (engine) engine->observe_epoch(snap, dirty);
-  };
-  svc::IngestEngine ingest(initial, ingest_config);
-
   alloc::AllocConfig alloc_config;
   alloc_config.strategy = config.strategy;
   alloc_config.queue_capacity = config.queue_capacity;
   alloc_config.max_retries = config.max_retries;
-  engine =
-      std::make_unique<alloc::AllocEngine>(*ingest.snapshot(), alloc_config);
+  alloc::IngestFeed feed(workload.churn.initial, ingest_config, alloc_config);
+  svc::IngestEngine& ingest = feed.ingest();
+  alloc::AllocEngine& engine = feed.alloc();
 
   ExecOutcome out;
 
@@ -99,7 +77,7 @@ ExecOutcome execute(const AllocScheduleConfig& config,
     switch (op.kind) {
       case AllocOpKind::SubmitJobs:
         for (std::uint16_t i = 0; i < op.count && job_pos < jobs.size(); ++i) {
-          static_cast<void>(engine->submit(jobs[job_pos++]));
+          static_cast<void>(engine.submit(jobs[job_pos++]));
         }
         break;
       case AllocOpKind::Faults:
@@ -109,22 +87,22 @@ ExecOutcome execute(const AllocScheduleConfig& config,
         }
         break;
       case AllocOpKind::Storm: {
-        const std::uint64_t before = engine->stats().evicted;
-        for (const svc::FaultEvent& event : storm) apply_event(event);
-        out.storm_evictions += engine->stats().evicted - before;
+        const std::uint64_t before = engine.stats().evicted;
+        for (const svc::FaultEvent& event : workload.storm) apply_event(event);
+        out.storm_evictions += engine.stats().evicted - before;
         break;
       }
       case AllocOpKind::Tick:
         for (std::uint16_t i = 0; i < std::max<std::uint16_t>(op.count, 1);
              ++i) {
-          static_cast<void>(engine->tick());
+          static_cast<void>(engine.tick());
         }
         break;
       case AllocOpKind::Release: {
         for (std::uint16_t i = 0; i < std::max<std::uint16_t>(op.count, 1);
              ++i) {
-          if (engine->live().empty()) break;
-          static_cast<void>(engine->release(engine->live().begin()->first));
+          if (engine.live().empty()) break;
+          static_cast<void>(engine.release(engine.live().begin()->first));
         }
         break;
       }
@@ -143,18 +121,18 @@ ExecOutcome execute(const AllocScheduleConfig& config,
   // quiesce identically.
   plan.disarm();
   for (std::uint32_t t = 0; t < config.max_lifetime + 32; ++t) {
-    static_cast<void>(engine->tick());
+    static_cast<void>(engine.tick());
   }
 
   const auto snapshot = ingest.snapshot();
-  out.placement_digest = engine->placement_digest();
+  out.placement_digest = engine.placement_digest();
   out.label_digest = snapshot->label_digest();
   out.epochs_published = ingest.stats().epochs_published;
-  out.live_final = engine->live().size();
-  for (const auto& [id, job] : engine->live()) {
+  out.live_final = engine.live().size();
+  for (const auto& [id, job] : engine.live()) {
     out.live_set.emplace_back(id, job.rect);
   }
-  out.oracle = alloc::check_engine(*engine, *snapshot);
+  out.oracle = alloc::check_engine(engine, *snapshot);
   return out;
 }
 

@@ -95,6 +95,16 @@ struct PlanStats {
   std::uint64_t stalls = 0;
   std::uint64_t poisons = 0;
   std::uint64_t kills = 0;
+
+  PlanStats& operator+=(const PlanStats& o) noexcept {
+    denies += o.denies;
+    duplicates += o.duplicates;
+    defers += o.defers;
+    stalls += o.stalls;
+    poisons += o.poisons;
+    kills += o.kills;
+    return *this;
+  }
 };
 
 class FaultPlan {

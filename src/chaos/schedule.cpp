@@ -5,19 +5,12 @@
 #include <charconv>
 #include <memory>
 #include <sstream>
-#include <thread>
 
-#include "fault/generators.hpp"
 #include "stats/rng.hpp"
 
 namespace ocp::chaos {
 
 namespace {
-
-/// Retries past this bound mean the schedule live-locked the submitter
-/// (e.g. a crashed writer never restarted while the queue filled) — that is
-/// itself an invariant violation, reported instead of hung on.
-constexpr std::uint64_t kSubmitRetryLimit = 100000;
 
 char op_letter(OpKind kind) {
   switch (kind) {
@@ -88,20 +81,17 @@ ScheduleResult run_schedule(const ScheduleConfig& config,
   const mesh::Mesh2D machine(config.mesh_side, config.mesh_side,
                              config.topology);
   stats::Rng master(config.seed);
-  stats::Rng fault_rng(master.fork_seed());
-  const std::uint64_t stream_seed = master.fork_seed();
+  const svc::Workload workload =
+      svc::derive_workload(master, machine, config.initial_faults,
+                           config.events, config.repair_fraction);
   stats::Rng query_rng(master.fork_seed());
-
-  const grid::CellSet initial =
-      fault::uniform_random(machine, config.initial_faults, fault_rng);
-  const std::vector<svc::FaultEvent> stream = svc::generate_event_stream(
-      machine, initial, config.events, config.repair_fraction, stream_seed);
+  const std::vector<svc::FaultEvent>& stream = workload.stream;
 
   // The expected end state is schedule-independent: every stream event is
   // eventually submitted (leftovers at quiesce), nothing is ever shed, and
   // events are state-setting — so the net fault set is this shadow replay,
   // regardless of op order, kills or gossip interleaving.
-  grid::CellSet shadow = initial;
+  grid::CellSet shadow = workload.initial;
   for (const svc::FaultEvent& e : stream) {
     if (e.kind == svc::EventKind::Fault) {
       shadow.insert(e.node);
@@ -129,87 +119,58 @@ ScheduleResult run_schedule(const ScheduleConfig& config,
     plans.push_back(std::make_unique<FaultPlan>(std::move(spec)));
     svc_config.shard_chaos.push_back(ChaosConfig{plans.back().get()});
   }
-  svc::Service service(initial, svc_config);
+  svc::Service service(workload.initial, svc_config);
 
   ScheduleResult result;
   std::size_t next_event = 0;
-  std::vector<std::uint64_t> last_epochs(shard_count, 0);
+  svc::EpochWatch watch(shard_count);
 
   const auto violate = [&result](std::string what) {
     result.violations.push_back(std::move(what));
   };
   const auto note_epoch = [&](std::uint32_t shard, std::uint64_t epoch,
                               const char* where) {
-    if (epoch < last_epochs[shard]) {
+    if (!watch.observe(shard, epoch)) {
       std::ostringstream msg;
       msg << where << ": shard " << shard << " epoch went backwards ("
-          << last_epochs[shard] << " -> " << epoch << ")";
+          << watch.last(shard) << " -> " << epoch << ")";
       violate(msg.str());
     }
-    last_epochs[shard] = std::max(last_epochs[shard], epoch);
   };
 
+  // Retries past the budget mean the schedule live-locked the submitter
+  // (e.g. a crashed writer never restarted while the queue filled) — that is
+  // itself an invariant violation, reported instead of hung on.
+  const svc::BackoffPolicy backoff{.seed = config.seed,
+                                   .retry_budget = 100000};
+  svc::SubmitTally submits;
   const auto submit_n = [&](std::size_t n) {
-    const svc::BackoffPolicy backoff{.seed = config.seed};
     for (; n > 0 && next_event < stream.size(); --n, ++next_event) {
-      std::uint64_t attempt = 0;
-      for (;;) {
-        const svc::SubmitStatus status = service.submit(stream[next_event]);
-        if (status == svc::SubmitStatus::Accepted) break;
-        if (status == svc::SubmitStatus::Closed) {
-          violate("submit: queue reported Closed while the service runs");
-          return;
-        }
-        ++result.submit_retries;
-        if (attempt >= kSubmitRetryLimit) {
-          violate("submit: live-locked retrying an Overloaded verdict");
-          return;
-        }
-        const std::uint32_t delay_us = backoff_delay_us(backoff, attempt++);
-        if (delay_us == 0) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-        }
+      const svc::SubmitStatus status = svc::submit_with_backoff(
+          service, stream[next_event], backoff, submits);
+      if (status != svc::SubmitStatus::Accepted) {
+        violate(status == svc::SubmitStatus::Closed
+                    ? "submit: queue reported Closed while the service runs"
+                    : "submit: live-locked retrying an Overloaded verdict");
+        return;
       }
     }
   };
 
   const auto query_burst = [&](std::size_t n) {
     for (std::size_t q = 0; q < n; ++q) {
-      const auto node = [&] {
-        return machine.coord(static_cast<std::size_t>(query_rng.uniform_int(
-            0, static_cast<std::int64_t>(machine.node_count()) - 1)));
-      };
-      const double pick = query_rng.uniform();
-      svc::QueryStatus status;
-      std::uint64_t epoch;
-      // A point answer's epoch is its owning shard's (a route's: the
-      // source owner's).
-      const mesh::Coord owner_key = node();
-      if (pick < 0.5) {
-        const svc::StatusAnswer answer = service.query_status(owner_key);
-        status = answer.status;
-        epoch = answer.epoch;
-      } else if (pick < 0.8) {
-        const svc::RegionAnswer answer = service.query_region(owner_key);
-        status = answer.status;
-        epoch = answer.epoch;
-      } else {
-        const svc::RouteAnswer answer = service.query_route(owner_key, node());
-        status = answer.status;
-        epoch = answer.epoch;
-      }
-      if (status != svc::QueryStatus::Ok) {
+      const svc::QueryItem item = svc::draw_query(machine, query_rng);
+      const svc::PointAnswer answer = svc::ask(service, item);
+      if (answer.status != svc::QueryStatus::Ok) {
         // Degraded-mode guarantee: valid queries answer from the owner's
         // last good epoch no matter what chaos does to the write side.
         std::ostringstream msg;
-        msg << "query: expected Ok, got " << svc::to_string(status);
+        msg << "query: expected Ok, got " << svc::to_string(answer.status);
         violate(msg.str());
         ++result.queries_rejected;
       } else {
         ++result.queries_ok;
-        note_epoch(service.shard_of(owner_key), epoch, "query");
+        note_epoch(service.shard_of(item.a), answer.epoch, "query");
       }
     }
   };
@@ -255,20 +216,12 @@ ScheduleResult run_schedule(const ScheduleConfig& config,
 
   // Quiesce: no further injections (un-fired armed kills become no-ops),
   // every event delivered and drained, every shard alive, withheld
-  // publications retried. The loop bound is defensive — one pass suffices
-  // once the plans are disarmed.
+  // publications retried.
   for (const auto& plan : plans) plan->disarm();
   submit_n(stream.size() - next_event);
   service.resume();
-  for (int i = 0; i < 8; ++i) {
-    for (std::uint32_t s = 0; s < shard_count; ++s) {
-      if (service.restart_shard(s)) ++result.restarts;
-    }
-    service.flush();
-    if (!service.any_shard_crashed()) break;
-  }
-  service.retry_publish();
-  service.flush();
+  result.restarts += svc::quiesce(service);
+  result.submit_retries = submits.retries;
 
   result.final_digest = service.composite_digest();
   result.final_faults = service.fault_count();
@@ -279,13 +232,7 @@ ScheduleResult run_schedule(const ScheduleConfig& config,
   for (std::uint32_t s = 0; s < shard_count; ++s) {
     result.final_epoch += stats.shard_epochs[s];
     note_epoch(s, stats.shard_epochs[s], "final");
-    const PlanStats injected = plans[s]->stats();
-    result.injected.denies += injected.denies;
-    result.injected.duplicates += injected.duplicates;
-    result.injected.defers += injected.defers;
-    result.injected.stalls += injected.stalls;
-    result.injected.poisons += injected.poisons;
-    result.injected.kills += injected.kills;
+    result.injected += plans[s]->stats();
   }
   const labeling::MaintainedLabeling expected(shadow,
                                               svc_config.ingest.definition);

@@ -4,6 +4,7 @@
 
 #include "core/activation_protocol.hpp"
 #include "core/safety_protocol.hpp"
+#include "simkernel/async_runner.hpp"
 
 namespace ocp::check {
 
@@ -13,6 +14,7 @@ using labeling::ActivationProtocol;
 using labeling::PipelineResult;
 using labeling::SafetyProtocol;
 using mesh::Coord;
+using sim::Schedule;
 
 template <typename State, typename Field>
 void compare_plane(const mesh::Mesh2D& m,
@@ -50,12 +52,12 @@ ViolationReport check_schedules(const grid::CellSet& faults,
 
   const SafetyProtocol phase1(faults, def);
   const ActivationProtocol phase2(faults, sync.safety);
-  for (Schedule sched : kAllSchedules) {
+  for (Schedule sched : sim::kAllSchedules) {
     stats::Rng rng(seed ^ (0x5eedull + static_cast<std::uint64_t>(sched)));
-    const auto r1 = run_scheduled(adj, phase1, sched, rng);
+    const auto r1 = sim::run_async(adj, phase1, rng, sched);
     compare_plane(m, r1.states, sync.safety, &SafetyProtocol::State::safety,
                   sched, "phase one", report);
-    const auto r2 = run_scheduled(adj, phase2, sched, rng);
+    const auto r2 = sim::run_async(adj, phase2, rng, sched);
     compare_plane(m, r2.states, sync.activation,
                   &ActivationProtocol::State::activation, sched, "phase two",
                   report);

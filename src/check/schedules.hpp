@@ -2,154 +2,20 @@
 //
 // The paper assumes synchronous lock-step rounds "to simplify the
 // discussion"; the rules being monotone makes the fixpoint independent of
-// the update schedule. `run_scheduled` drives a protocol under deliberately
-// hostile schedules — seeded random sweeps, a LIFO worklist that chases the
-// newest changes depth-first, rotating-priority sweeps, and sweeps that
-// randomly delay half the nodes — and `check_schedules` asserts each
-// fixpoint equals the synchronous reference, turning the paper's
-// schedule-independence argument into an executable property.
+// the update schedule. `check_schedules` drives both phases through
+// `sim::run_async` under every `sim::Schedule` — seeded random sweeps, a
+// LIFO worklist that chases the newest changes depth-first,
+// rotating-priority sweeps, and sweeps that randomly delay half the nodes —
+// and asserts each fixpoint equals the synchronous reference, turning the
+// paper's schedule-independence argument into an executable property.
 #pragma once
 
 #include <cstdint>
-#include <numeric>
-#include <stdexcept>
-#include <string>
-#include <vector>
 
 #include "check/oracle.hpp"
 #include "core/pipeline.hpp"
-#include "simkernel/async_runner.hpp"
-#include "simkernel/sync_runner.hpp"
-#include "stats/rng.hpp"
 
 namespace ocp::check {
-
-/// Adversarial update orders. All must reach the synchronous fixpoint.
-enum class Schedule : std::uint8_t {
-  /// Every sweep visits all nodes in a fresh seeded-random order.
-  SeededRandom = 0,
-  /// Event-driven LIFO worklist: the most recently disturbed node updates
-  /// first, so changes propagate depth-first along a single chain before the
-  /// rest of the machine moves at all.
-  Lifo = 1,
-  /// Cyclic sweeps whose starting node rotates by a large coprime stride
-  /// each sweep, biasing progress toward a moving hot spot.
-  RotatingPriority = 2,
-  /// Each sweep randomly skips about half the nodes (messages delayed
-  /// indefinitely); every third sweep is full so quiescence is detectable.
-  DelayedSweep = 3,
-};
-
-inline constexpr std::array<Schedule, 4> kAllSchedules = {
-    Schedule::SeededRandom, Schedule::Lifo, Schedule::RotatingPriority,
-    Schedule::DelayedSweep};
-
-[[nodiscard]] constexpr const char* to_string(Schedule s) noexcept {
-  switch (s) {
-    case Schedule::SeededRandom: return "seeded-random";
-    case Schedule::Lifo: return "lifo";
-    case Schedule::RotatingPriority: return "rotating-priority";
-    case Schedule::DelayedSweep: return "delayed-sweep";
-  }
-  return "schedule";
-}
-
-/// Runs `proto` to quiescence under the given schedule. Updates are applied
-/// in place, so a node always sees the newest states of already-updated
-/// neighbors — an arbitrary asynchronous interleaving, like
-/// `sim::run_async` but with an adversarial visit order.
-template <sim::SyncProtocol P>
-sim::AsyncResult<P> run_scheduled(const mesh::AdjacencyTable& adj,
-                                  const P& proto, Schedule sched,
-                                  stats::Rng& rng,
-                                  std::int32_t max_sweeps = 1 << 20) {
-  const mesh::Mesh2D& m = adj.mesh();
-  const std::size_t node_count = adj.node_count();
-  grid::NodeGrid<typename P::State> states(m);
-  for (std::size_t i = 0; i < node_count; ++i) {
-    states.at_index(i) = proto.init(m.coord(i));
-  }
-  const typename P::Message ghost = proto.ghost_message();
-  sim::AsyncStats stats;
-
-  const auto activate = [&](std::size_t i) -> bool {
-    typename P::State& s = states.at_index(i);
-    if (!proto.participates(s)) return false;
-    ++stats.activations;
-    sim::Inbox<typename P::Message> inbox;
-    sim::detail::gather(adj, proto, states.data(), ghost, i, inbox);
-    if (proto.update(s, inbox)) {
-      ++stats.state_changes;
-      return true;
-    }
-    return false;
-  };
-
-  if (sched == Schedule::Lifo) {
-    // Worklist semantics: seed with every node (pushed row-major, so the
-    // last node pops first), and whenever a node changes, push its
-    // neighbors so they re-run immediately — depth-first change chasing.
-    // The monotone rules guarantee termination (each node changes at most
-    // once per status) and confluence to the synchronous fixpoint.
-    std::vector<std::size_t> stack(node_count);
-    std::iota(stack.begin(), stack.end(), std::size_t{0});
-    std::vector<std::uint8_t> on_stack(node_count, 1);
-    while (!stack.empty()) {
-      const std::size_t i = stack.back();
-      stack.pop_back();
-      on_stack[i] = 0;
-      if (!activate(i)) continue;
-      for (const std::int32_t j32 : adj.physical_neighbors(i)) {
-        const auto j = static_cast<std::size_t>(j32);
-        if (!on_stack[j]) {
-          on_stack[j] = 1;
-          stack.push_back(j);
-        }
-      }
-    }
-    stats.sweeps = 1;
-    return sim::AsyncResult<P>{std::move(states), stats};
-  }
-
-  std::vector<std::size_t> order(node_count);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  for (std::int32_t sweep = 1; sweep <= max_sweeps; ++sweep) {
-    stats.sweeps = sweep;
-    bool any_change = false;
-    bool full_sweep = true;
-    switch (sched) {
-      case Schedule::SeededRandom:
-        std::shuffle(order.begin(), order.end(), rng.engine());
-        for (std::size_t i : order) any_change |= activate(i);
-        break;
-      case Schedule::RotatingPriority: {
-        // 7919 is prime, hence coprime with any node count that is not a
-        // multiple of it; the start point hops almost half the machine each
-        // sweep either way, which is all the adversary needs.
-        const std::size_t start =
-            (static_cast<std::size_t>(sweep) * 7919) % node_count;
-        for (std::size_t k = 0; k < node_count; ++k) {
-          any_change |= activate((start + k) % node_count);
-        }
-        break;
-      }
-      case Schedule::DelayedSweep:
-        full_sweep = sweep % 3 == 0;
-        for (std::size_t i = 0; i < node_count; ++i) {
-          if (!full_sweep && rng.bernoulli(0.5)) continue;  // message delayed
-          any_change |= activate(i);
-        }
-        break;
-      case Schedule::Lifo: break;  // handled above
-    }
-    // Quiescence is only observable after a sweep that visited every node.
-    if (!any_change && full_sweep) {
-      return sim::AsyncResult<P>{std::move(states), stats};
-    }
-  }
-  throw std::runtime_error(
-      "run_scheduled: protocol did not quiesce within max_sweeps");
-}
 
 /// Runs both labeling phases under every adversarial schedule and compares
 /// the fixpoints to the synchronous reference (`kScheduleIndependence`

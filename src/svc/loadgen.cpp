@@ -1,8 +1,8 @@
 #include "svc/loadgen.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/trial_pool.hpp"
@@ -103,59 +103,112 @@ std::uint64_t event_stream_digest(const std::vector<FaultEvent>& events) {
   return h;
 }
 
+Workload derive_workload(stats::Rng& master, const mesh::Mesh2D& machine,
+                         std::size_t initial_faults, std::size_t events,
+                         double repair_fraction) {
+  stats::Rng fault_rng(master.fork_seed());
+  const std::uint64_t stream_seed = master.fork_seed();
+  grid::CellSet initial =
+      fault::uniform_random(machine, initial_faults, fault_rng);
+  std::vector<FaultEvent> stream = generate_event_stream(
+      machine, initial, events, repair_fraction, stream_seed);
+  return {std::move(initial), std::move(stream)};
+}
+
+SubmitStatus submit_with_backoff(Service& service, const FaultEvent& event,
+                                 const BackoffPolicy& policy,
+                                 SubmitTally& tally) {
+  for (std::uint64_t attempt = 0;; ++attempt) {
+    const SubmitStatus status = service.submit(event);
+    if (status != SubmitStatus::Overloaded) return status;
+    if (policy.retry_budget != 0 && attempt >= policy.retry_budget) {
+      return status;
+    }
+    ++tally.retries;
+    const std::uint32_t delay_us = backoff_delay_us(policy, attempt);
+    tally.backoff_us += delay_us;
+    if (delay_us == 0) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+    }
+  }
+}
+
+QueryItem draw_query(const mesh::Mesh2D& machine, stats::Rng& rng) {
+  const double pick = rng.uniform();
+  const mesh::Coord node = random_node(machine, rng);
+  if (pick < 0.5) return {QueryKind::Status, node, {}};
+  if (pick < 0.8) return {QueryKind::Region, node, {}};
+  return {QueryKind::Route, node, random_node(machine, rng)};
+}
+
+PointAnswer ask(const Service& service, const QueryItem& item) {
+  switch (item.kind) {
+    case QueryKind::Status: {
+      const StatusAnswer answer = service.query_status(item.a);
+      return {answer.status, answer.epoch};
+    }
+    case QueryKind::Region: {
+      const RegionAnswer answer = service.query_region(item.a);
+      return {answer.status, answer.epoch};
+    }
+    case QueryKind::Route: {
+      const RouteAnswer answer = service.query_route(item.a, item.b);
+      return {answer.status, answer.epoch};
+    }
+  }
+  return {QueryStatus::InvalidArgument, 0};
+}
+
+std::uint64_t restart_crashed(Service& service) {
+  std::uint64_t restarted = 0;
+  for (std::uint32_t s = 0; s < service.shard_grid().count(); ++s) {
+    if (service.restart_shard(s)) ++restarted;
+  }
+  return restarted;
+}
+
+std::uint64_t quiesce(Service& service) {
+  // One round suffices once the plans are disarmed; the bound is defensive.
+  std::uint64_t restarted = 0;
+  for (int i = 0; i < 8; ++i) {
+    restarted += restart_crashed(service);
+    service.flush();
+    if (!service.any_shard_crashed()) break;
+  }
+  service.retry_publish();
+  service.flush();
+  return restarted;
+}
+
 SvcLoadResult run_svc_load(const SvcLoadConfig& config) {
   const mesh::Mesh2D machine(config.mesh_side, config.mesh_side,
                              config.topology);
   stats::Rng master(config.seed);
-  stats::Rng fault_rng(master.fork_seed());
-  const std::uint64_t stream_seed = master.fork_seed();
+  const Workload workload =
+      derive_workload(master, machine, config.initial_faults, config.events,
+                      config.repair_fraction);
   const auto worker_seeds =
       analysis::fork_trial_seeds(master, config.query_threads);
 
-  const grid::CellSet initial =
-      fault::uniform_random(machine, config.initial_faults, fault_rng);
-  const std::vector<FaultEvent> stream = generate_event_stream(
-      machine, initial, config.events, config.repair_fraction, stream_seed);
-
   SvcLoadResult result;
-  result.stream_digest = event_stream_digest(stream);
+  result.stream_digest = event_stream_digest(workload.stream);
 
-  Service service(initial, config.service);
+  Service service(workload.initial, config.service);
   const std::uint32_t shard_count = service.shard_grid().count();
 
   // Writer: replays the stream in order with closed-loop backpressure.
-  // An `Overloaded` verdict retries under the seeded backoff policy instead
-  // of spinning; with the default unbounded budget nothing is ever dropped,
-  // so (queue FIFO + retry-until-accepted) keeps the final fault set a pure
+  // With the default unbounded retry budget nothing is ever dropped, so
+  // (queue FIFO + retry-until-accepted) keeps the final fault set a pure
   // function of the stream. A finite budget sheds instead — accounted, and
   // forfeiting that purity by design.
-  const BackoffPolicy& backoff = config.submit_backoff;
-  std::uint64_t submit_retries = 0;
-  std::uint64_t submit_backoff_us = 0;
-  std::uint64_t submits_shed = 0;
+  SubmitTally submits;
   std::thread writer([&] {
-    for (const FaultEvent& event : stream) {
-      std::uint64_t attempt = 0;
-      for (;;) {
-        const SubmitStatus status = service.submit(event);
-        if (status == SubmitStatus::Accepted) break;
-        if (status == SubmitStatus::Closed) {
-          // Shutdown raced the writer; nothing further can be delivered.
-          ++submits_shed;
-          break;
-        }
-        if (backoff.retry_budget != 0 && attempt >= backoff.retry_budget) {
-          ++submits_shed;
-          break;
-        }
-        ++submit_retries;
-        const std::uint32_t delay_us = backoff_delay_us(backoff, attempt++);
-        submit_backoff_us += delay_us;
-        if (delay_us == 0) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-        }
+    for (const FaultEvent& event : workload.stream) {
+      if (submit_with_backoff(service, event, config.submit_backoff,
+                              submits) != SubmitStatus::Accepted) {
+        ++result.submits_shed;
       }
     }
   });
@@ -168,62 +221,30 @@ SvcLoadResult run_svc_load(const SvcLoadConfig& config) {
     workers.emplace_back([&, t] {
       stats::Rng rng(worker_seeds[t]);
       WorkerRecord& rec = records[t];
-      std::vector<std::uint64_t> last_epochs(shard_count, 0);
-      const auto note_epoch = [&rec, &last_epochs](std::uint32_t shard,
-                                                   std::uint64_t epoch) {
-        if (epoch < last_epochs[shard]) rec.epochs_monotone = false;
-        last_epochs[shard] = std::max(last_epochs[shard], epoch);
-      };
+      EpochWatch watch(shard_count);
+      std::vector<QueryItem> items(config.batch_size);
       for (std::size_t q = 0; q < config.queries_per_thread; ++q) {
         const auto begin = Clock::now();
         if (config.batch_every != 0 && q % config.batch_every == 0) {
-          std::vector<QueryItem> items(config.batch_size);
-          for (auto& item : items) {
-            const double pick = rng.uniform();
-            if (pick < 0.5) {
-              item = {QueryKind::Status, random_node(machine, rng), {}};
-            } else if (pick < 0.8) {
-              item = {QueryKind::Region, random_node(machine, rng), {}};
-            } else {
-              item = {QueryKind::Route, random_node(machine, rng),
-                      random_node(machine, rng)};
-            }
-          }
+          for (QueryItem& item : items) item = draw_query(machine, rng);
           const BatchAnswer answer = service.query_batch(items);
           if (answer.status == QueryStatus::Ok) {
             ++rec.ok;
             ++rec.batches_ok;
             rec.batch_items += answer.items.size();
             for (const CompositeEpoch& e : answer.epochs) {
-              note_epoch(e.shard, e.epoch);
+              rec.epochs_monotone &= watch.observe(e.shard, e.epoch);
             }
           } else {
             ++rec.rejected;
           }
         } else {
-          // A point answer's epoch is its owning shard's (a route's: the
-          // source owner's).
-          const double pick = rng.uniform();
-          const mesh::Coord node = random_node(machine, rng);
-          QueryStatus status;
-          std::uint64_t epoch;
-          if (pick < 0.5) {
-            const StatusAnswer answer = service.query_status(node);
-            status = answer.status;
-            epoch = answer.epoch;
-          } else if (pick < 0.8) {
-            const RegionAnswer answer = service.query_region(node);
-            status = answer.status;
-            epoch = answer.epoch;
-          } else {
-            const RouteAnswer answer =
-                service.query_route(node, random_node(machine, rng));
-            status = answer.status;
-            epoch = answer.epoch;
-          }
-          if (status == QueryStatus::Ok) {
+          const QueryItem item = draw_query(machine, rng);
+          const PointAnswer answer = ask(service, item);
+          if (answer.status == QueryStatus::Ok) {
             ++rec.ok;
-            note_epoch(service.shard_of(node), epoch);
+            rec.epochs_monotone &=
+                watch.observe(service.shard_of(item.a), answer.epoch);
           } else {
             ++rec.rejected;
           }
@@ -252,9 +273,8 @@ SvcLoadResult run_svc_load(const SvcLoadConfig& config) {
     result.epochs_monotone = result.epochs_monotone && rec.epochs_monotone;
     latency.merge(rec.latency_us);
   }
-  result.submit_retries = submit_retries;
-  result.submit_backoff_us = submit_backoff_us;
-  result.submits_shed = submits_shed;
+  result.submit_retries = submits.retries;
+  result.submit_backoff_us = submits.backoff_us;
   result.wall_seconds = us_between(start, end) / 1e6;
   // Each batch counts once in queries_ok but delivers batch_size answers;
   // throughput counts delivered answers.

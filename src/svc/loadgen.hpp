@@ -1,4 +1,5 @@
-// Deterministic closed-loop load generator for the serving runtime.
+// Deterministic closed-loop load generator for the serving runtime, and the
+// client pieces every seeded driver shares.
 //
 // One seeded master RNG forks independent streams — initial fault pattern,
 // churn event stream, one stream per query thread — with the same
@@ -20,10 +21,17 @@
 // `final_faults`) are bit-identical for any query-thread count AND any
 // shape — the composite digest at quiesce equals the single writer's — the
 // property the stress suite and the sharded tests pin down.
+//
+// The same workload derivation, submit-with-backoff loop, query mix,
+// per-shard epoch watch and post-chaos quiesce serve the chaos harness, the
+// schedule explorer and (with the job stream and storm added by
+// `alloc::derive_alloc_workload`) the two allocation drivers.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
+#include "stats/rng.hpp"
 #include "svc/backoff.hpp"
 #include "svc/service.hpp"
 
@@ -123,5 +131,81 @@ struct SvcLoadResult {
 /// FNV-1a digest of an event stream.
 [[nodiscard]] std::uint64_t event_stream_digest(
     const std::vector<FaultEvent>& events);
+
+// -- client pieces shared by the seeded drivers -----------------------------
+
+/// A driver's seeded fault workload: the initial fault pattern and the
+/// churn stream replayed over it.
+struct Workload {
+  grid::CellSet initial;
+  std::vector<FaultEvent> stream;
+};
+
+/// Forks the workload from `master` in replay-contract order — the fault
+/// RNG, then the stream seed — and leaves `master` where the caller's next
+/// fork (query or reader seeds, the job seed) draws.
+[[nodiscard]] Workload derive_workload(stats::Rng& master,
+                                       const mesh::Mesh2D& machine,
+                                       std::size_t initial_faults,
+                                       std::size_t events,
+                                       double repair_fraction);
+
+/// Retries and backoff slept by `submit_with_backoff` calls, accumulated.
+struct SubmitTally {
+  std::uint64_t retries = 0;
+  std::uint64_t backoff_us = 0;
+};
+
+/// Submits `event`, retrying `Overloaded` verdicts under `policy`'s seeded
+/// backoff. Returns `Accepted`; `Closed` at once (a closed queue never
+/// reopens); or `Overloaded` once a finite `policy.retry_budget` is spent.
+SubmitStatus submit_with_backoff(Service& service, const FaultEvent& event,
+                                 const BackoffPolicy& policy,
+                                 SubmitTally& tally);
+
+/// One draw of the 50/30/20 status/region/route query mix: `uniform()`
+/// picks the kind, then the node, then (routes only) the destination.
+[[nodiscard]] QueryItem draw_query(const mesh::Mesh2D& machine,
+                                   stats::Rng& rng);
+
+/// Verdict of one point query and the epoch it answered from: the epoch of
+/// `service.shard_of(item.a)`, the owner of the node (a route's source).
+struct PointAnswer {
+  QueryStatus status = QueryStatus::Ok;
+  std::uint64_t epoch = 0;
+};
+
+[[nodiscard]] PointAnswer ask(const Service& service, const QueryItem& item);
+
+/// Per-shard high-water marks of the epochs one client observed. An
+/// answer's epoch is its owning shard's and different shards' epochs are
+/// incomparable, so monotonicity is a per-shard property.
+class EpochWatch {
+ public:
+  explicit EpochWatch(std::uint32_t shards) : last_(shards, 0) {}
+
+  /// Records `epoch` for `shard`; false when it went backwards (the mark
+  /// then stays at `last(shard)`).
+  bool observe(std::uint32_t shard, std::uint64_t epoch) {
+    if (epoch < last_[shard]) return false;
+    last_[shard] = epoch;
+    return true;
+  }
+  [[nodiscard]] std::uint64_t last(std::uint32_t shard) const {
+    return last_[shard];
+  }
+
+ private:
+  std::vector<std::uint64_t> last_;
+};
+
+/// Restarts every shard whose writer a chaos kill took down; returns how
+/// many came back.
+std::uint64_t restart_crashed(Service& service);
+
+/// Brings a fleet to rest once its chaos plans are disarmed: restart
+/// crashed shards and flush until none is crashed (at most 8 rounds), then
+/// retry withheld publications and flush. Returns the shards restarted.
+std::uint64_t quiesce(Service& service);
 
 }  // namespace ocp::svc

@@ -7,6 +7,7 @@
 #include "core/safety_protocol.hpp"
 #include "fault/fixtures.hpp"
 #include "fault/generators.hpp"
+#include "simkernel/async_runner.hpp"
 
 namespace ocp::check {
 namespace {
@@ -50,9 +51,9 @@ TEST(SchedulesTest, RunScheduledMatchesRunSyncDirectly) {
   const mesh::AdjacencyTable adj(m);
   const SafetyProtocol proto(faults, SafeUnsafeDef::Def2a);
   const auto sync = sim::run_sync(adj, proto);
-  for (Schedule sched : kAllSchedules) {
+  for (sim::Schedule sched : sim::kAllSchedules) {
     stats::Rng rng(7);
-    const auto result = run_scheduled(adj, proto, sched, rng);
+    const auto result = sim::run_async(adj, proto, rng, sched);
     for (std::size_t i = 0; i < static_cast<std::size_t>(m.node_count());
          ++i) {
       ASSERT_EQ(result.states.at_index(i).safety,
@@ -68,11 +69,12 @@ TEST(SchedulesTest, SeededRunsAreDeterministic) {
   const auto faults = fault::uniform_random(m, 12, gen);
   const mesh::AdjacencyTable adj(m);
   const SafetyProtocol proto(faults, SafeUnsafeDef::Def2b);
-  for (Schedule sched : {Schedule::SeededRandom, Schedule::DelayedSweep}) {
+  for (sim::Schedule sched :
+       {sim::Schedule::SeededRandom, sim::Schedule::DelayedSweep}) {
     stats::Rng a(99);
     stats::Rng b(99);
-    const auto ra = run_scheduled(adj, proto, sched, a);
-    const auto rb = run_scheduled(adj, proto, sched, b);
+    const auto ra = sim::run_async(adj, proto, a, sched);
+    const auto rb = sim::run_async(adj, proto, b, sched);
     EXPECT_EQ(ra.stats.activations, rb.stats.activations)
         << to_string(sched);
     EXPECT_EQ(ra.stats.sweeps, rb.stats.sweeps) << to_string(sched);
@@ -87,7 +89,7 @@ TEST(SchedulesTest, LifoUsesSingleWorklistPass) {
   const mesh::AdjacencyTable adj(m);
   const SafetyProtocol proto(faults, SafeUnsafeDef::Def2b);
   stats::Rng rng(1);
-  const auto result = run_scheduled(adj, proto, Schedule::Lifo, rng);
+  const auto result = sim::run_async(adj, proto, rng, sim::Schedule::Lifo);
   EXPECT_EQ(result.stats.sweeps, 1);
   const auto sync = sim::run_sync(adj, proto);
   for (std::size_t i = 0; i < static_cast<std::size_t>(m.node_count()); ++i) {
