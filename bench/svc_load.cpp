@@ -280,40 +280,69 @@ void BM_SvcClosedLoopMixedRate(benchmark::State& state) {
 BENCHMARK(BM_SvcClosedLoopMixedRate)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Tile-partitioned multi-writer ingest through the deterministic round
-// driver: the same seeded 256-event stream as BM_SvcIngestChurn, applied by
-// S shards gossiping halo deltas to fixpoint. Items are applied external
-// events (halo-derived re-applications are overhead, not work), so the
-// items/s column is directly comparable with the single-writer churn
-// number; the halo counters quantify what the sharding costs in gossip.
+// Tile-partitioned multi-writer ingest through the Service: the same
+// seeded 256-event stream as BM_SvcIngestChurn (10 faults at 32x32, a 0.5%
+// background at 1024x1024), submitted to a paused fleet of S shards, then
+// timed from resume() until flush() returns — the shards have applied it
+// in 16-event batches and gossiped halo deltas to fixpoint. Construction,
+// submission and teardown stay outside the timing. Items are the stream's
+// applied external events (net fault-set changes, counted once from the
+// stream itself: halo-derived re-applications are overhead, not work), so
+// the items/s column is comparable with the single-writer churn number;
+// the halo counters quantify what the sharding costs in gossip.
 void BM_SvcShardedIngest(benchmark::State& state) {
-  const auto shard_count = state.range(0);
+  const auto n = static_cast<std::int32_t>(state.range(0));
+  const auto shard_count = static_cast<std::int32_t>(state.range(1));
   const std::int32_t rows = shard_count >= 4 ? 2 : 1;
-  const std::int32_t cols = static_cast<std::int32_t>(shard_count) / rows;
-  const mesh::Mesh2D m = mesh::Mesh2D::square(32);
+  const mesh::Mesh2D m = mesh::Mesh2D::square(n);
   stats::Rng rng(11);
-  const auto initial = fault::uniform_random(m, 10, rng);
+  const std::size_t background =
+      n >= 256 ? static_cast<std::size_t>(m.node_count()) / 200 : 10;
+  const auto initial = fault::uniform_random(m, background, rng);
   const auto stream = svc::generate_event_stream(m, initial, 256, 0.45, 13);
-  const svc::ShardGrid grid(m, rows, cols);
+  std::int64_t per_run = 0;
+  grid::CellSet faults = initial;
+  for (const svc::FaultEvent& e : stream) {
+    const bool fault = e.kind == svc::EventKind::Fault;
+    if (faults.contains(e.node) == fault) continue;
+    fault ? faults.insert(e.node) : faults.erase(e.node);
+    ++per_run;
+  }
+  const svc::ServiceConfig config{.shard_rows = rows,
+                                  .shard_cols = shard_count / rows,
+                                  .queue_capacity = stream.size(),
+                                  .max_batch = 16,
+                                  .start_paused = true};
 
-  std::int64_t applied = 0;
   double halo_deltas = 0.0;
   double halo_events = 0.0;
   for (auto _ : state) {
-    const svc::ShardedRoundsResult result =
-        svc::run_sharded_rounds(grid, initial, stream, 16);
-    applied += static_cast<std::int64_t>(result.applied);
-    halo_deltas = static_cast<double>(result.halo_deltas);
-    halo_events = static_cast<double>(result.halo_events);
-    benchmark::DoNotOptimize(result);
+    state.PauseTiming();
+    auto service = std::make_unique<svc::Service>(initial, config);
+    for (const svc::FaultEvent& e : stream) {
+      if (service->submit(e) != svc::SubmitStatus::Accepted) {
+        state.SkipWithError("submission rejected");
+      }
+    }
+    state.ResumeTiming();
+    service->resume();
+    service->flush();
+    state.PauseTiming();
+    const svc::ServiceStats stats = service->stats();
+    halo_deltas = static_cast<double>(stats.halo_deltas);
+    halo_events = static_cast<double>(stats.halo_events);
+    service.reset();
+    state.ResumeTiming();
   }
-  state.SetItemsProcessed(applied);
+  state.SetItemsProcessed(per_run *
+                          static_cast<std::int64_t>(state.iterations()));
   state.counters["halo_deltas"] = halo_deltas;
   state.counters["halo_events"] = halo_events;
   state.SetLabel("items = applied external events");
 }
-BENCHMARK(BM_SvcShardedIngest)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SvcShardedIngest)
+    ->ArgsProduct({{32, 1024}, {1, 2, 4}})
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The sharded runtime end to end under closed-loop load: S ingest workers
 // (one per shard) racing N query threads, queries scatter-gathered against

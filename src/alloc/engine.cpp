@@ -6,9 +6,6 @@ namespace ocp::alloc {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
 std::uint64_t pack_coord(mesh::Coord c) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.x)) << 32) |
          static_cast<std::uint32_t>(c.y);
@@ -28,8 +25,7 @@ AllocEngine::AllocEngine(const svc::Snapshot& snap, AllocConfig config)
       tiles_(machine_),
       dirty_pages_(tiles_.page_count()),
       blocked_(static_cast<std::size_t>(machine_.node_count()), 0),
-      occupant_(static_cast<std::size_t>(machine_.node_count()), -1),
-      digest_(kFnvOffset) {
+      occupant_(static_cast<std::size_t>(machine_.node_count()), -1) {
   for (std::int32_t y = 0; y < machine_.height(); ++y) {
     for (std::int32_t x = 0; x < machine_.width(); ++x) {
       const mesh::Coord c{x, y};
@@ -78,12 +74,7 @@ void AllocEngine::note(Note code, std::uint64_t id, geom::Rect rect,
   const std::uint64_t vals[5] = {static_cast<std::uint64_t>(code), id,
                                  pack_coord(rect.lo), pack_coord(rect.hi),
                                  extra};
-  for (const std::uint64_t v : vals) {
-    for (int b = 0; b < 8; ++b) {
-      digest_ ^= (v >> (8 * b)) & 0xffu;
-      digest_ *= kFnvPrime;
-    }
-  }
+  for (const std::uint64_t v : vals) digest_.mix_bytes(v);
 }
 
 void AllocEngine::set_busy(mesh::Coord c, bool busy) {
@@ -336,7 +327,7 @@ void AllocEngine::publish_view() {
   dirty_pages_.clear();
   next->epoch = epoch_;
   next->tick = tick_;
-  next->placement_digest = digest_;
+  next->placement_digest = digest_.value;
   next->live = live_.size();
   next->pending = pending_.size();
   next->free_cells = index_.free_cells();

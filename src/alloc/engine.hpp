@@ -51,6 +51,7 @@
 #include "geometry/rect.hpp"
 #include "grid/tiles.hpp"
 #include "obs/trace.hpp"
+#include "stats/fnv.hpp"
 #include "svc/backoff.hpp"
 #include "svc/pages.hpp"
 #include "svc/snapshot.hpp"
@@ -238,7 +239,7 @@ class AllocEngine {
   [[nodiscard]] std::uint64_t current_tick() const noexcept { return tick_; }
   /// FNV-1a digest over every state transition since construction.
   [[nodiscard]] std::uint64_t placement_digest() const noexcept {
-    return digest_;
+    return digest_.value;
   }
   [[nodiscard]] bool blocked_at(mesh::Coord c) const {
     return blocked_[cell_index(c)] != 0;
@@ -309,7 +310,9 @@ class AllocEngine {
   AllocStats stats_;
   std::uint64_t epoch_ = 0;
   std::uint64_t tick_ = 0;
-  std::uint64_t digest_;
+  /// Seeded with 1469598103934665603, the FNV offset basis short of its
+  /// last decimal digit: every recorded placement digest starts there.
+  stats::Fnv1a digest_{1469598103934665603ULL};
 
   mutable std::shared_mutex view_mu_;
   std::shared_ptr<const AllocView> view_;

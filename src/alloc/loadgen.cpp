@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "alloc/oracle.hpp"
+#include "stats/fnv.hpp"
 #include "stats/histogram.hpp"
 
 namespace ocp::alloc {
@@ -69,18 +70,14 @@ std::vector<JobRequest> generate_job_stream(const mesh::Mesh2D& machine,
 }
 
 std::uint64_t job_stream_digest(const std::vector<JobRequest>& jobs) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
+  stats::Fnv1a h;
   for (const JobRequest& j : jobs) {
-    mix(j.id + 1);
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(j.width)) + 1);
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(j.height)) + 1);
-    mix(static_cast<std::uint64_t>(j.lifetime_ticks) + 1);
+    h.mix(j.id + 1);
+    h.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(j.width)) + 1);
+    h.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(j.height)) + 1);
+    h.mix(static_cast<std::uint64_t>(j.lifetime_ticks) + 1);
   }
-  return h;
+  return h.value;
 }
 
 std::vector<svc::FaultEvent> storm_events(const mesh::Mesh2D& machine,

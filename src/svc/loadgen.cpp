@@ -7,6 +7,7 @@
 
 #include "analysis/trial_pool.hpp"
 #include "fault/generators.hpp"
+#include "stats/fnv.hpp"
 #include "stats/histogram.hpp"
 
 namespace ocp::svc {
@@ -90,17 +91,13 @@ std::vector<FaultEvent> generate_event_stream(const mesh::Mesh2D& machine,
 }
 
 std::uint64_t event_stream_digest(const std::vector<FaultEvent>& events) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
+  stats::Fnv1a h;
   for (const FaultEvent& e : events) {
-    mix(static_cast<std::uint64_t>(e.kind) + 1);
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.node.x)) + 1);
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.node.y)) + 1);
+    h.mix(static_cast<std::uint64_t>(e.kind) + 1);
+    h.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.node.x)) + 1);
+    h.mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.node.y)) + 1);
   }
-  return h;
+  return h.value;
 }
 
 Workload derive_workload(stats::Rng& master, const mesh::Mesh2D& machine,

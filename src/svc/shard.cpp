@@ -218,35 +218,17 @@ std::uint64_t composite_label_digest(
     const std::vector<std::shared_ptr<const Snapshot>>& snapshots) {
   // One shard owns every cell: its own digest is the composite.
   if (grid.count() == 1) return snapshots[0]->label_digest();
-  // Mirrors Snapshot::label_digest bit for bit: same FNV-1a constants, same
-  // fold order — per-cell planes row-major (each cell read from its owning
-  // shard), then block count, then region count, then (size, fault_count)
-  // per region in min-cell-index order (the order the single-writer
-  // maintains its regions() vector in).
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  const mesh::Mesh2D& m = grid.machine();
-  const std::size_t n = static_cast<std::size_t>(m.node_count());
-  for (std::size_t i = 0; i < n; ++i) {
-    const mesh::Coord c = m.coord(i);
-    const Snapshot& snap = *snapshots[grid.shard_of(c)];
-    std::uint64_t v = snap.faults().contains(c) ? 4u : 0u;
-    v |= snap.safety().at_index(i) == labeling::Safety::Unsafe ? 2u : 0u;
-    v |= snap.activation().at_index(i) == labeling::Activation::Disabled ? 1u
-                                                                         : 0u;
-    mix(v + 1);
-  }
   // Blocks and regions are collected from each shard only when they
   // intersect its OWNED cells (ghost areas of a replica may hold stale
   // structure for components the shard never hears about) and deduped by
   // min-cell-index: a seam-spanning entry is extracted identically by every
   // owner — same converged fault knowledge, same deterministic extraction —
-  // so duplicates collapse to one key.
+  // so duplicates collapse to one key. Min-cell-index is also the key order
+  // the single writer keeps its regions in.
+  const mesh::Mesh2D& m = grid.machine();
+  const std::size_t n = static_cast<std::size_t>(m.node_count());
   std::map<std::size_t, std::uint8_t> block_keys;
-  std::map<std::size_t, std::pair<std::uint64_t, std::uint64_t>> regions;
+  std::map<std::size_t, std::pair<std::size_t, std::size_t>> regions;
   for (std::uint32_t s = 0; s < grid.count(); ++s) {
     const Snapshot& snap = *snapshots[s];
     for (const labeling::FaultyBlock& block : snap.blocks()) {
@@ -266,102 +248,23 @@ std::uint64_t composite_label_digest(
         owned = owned || grid.owns(s, c);
       }
       if (owned) {
-        regions.emplace(
-            key, std::make_pair(static_cast<std::uint64_t>(region.size()),
-                                static_cast<std::uint64_t>(region.fault_count)));
+        regions.emplace(key, std::pair(region.size(), region.fault_count));
       }
     }
   }
-  mix(block_keys.size());
-  mix(regions.size());
-  for (const auto& [key, entry] : regions) {
-    mix(entry.first);
-    mix(entry.second);
-  }
-  return h;
-}
-
-ShardedRoundsResult run_sharded_rounds(const ShardGrid& grid,
-                                       const grid::CellSet& initial,
-                                       std::span<const FaultEvent> stream,
-                                       std::size_t max_batch,
-                                       IngestConfig config) {
-  const std::uint32_t count = grid.count();
-  std::vector<std::unique_ptr<Shard>> shards;
-  shards.reserve(count);
-  for (std::uint32_t s = 0; s < count; ++s) {
-    shards.push_back(std::make_unique<Shard>(s, grid, initial, config));
-  }
-
-  const mesh::Mesh2D& m = grid.machine();
-  std::vector<std::vector<FaultEvent>> backlog(count);
-  for (const FaultEvent& event : stream) {
-    const std::uint32_t target =
-        m.contains(event.node) ? grid.shard_of(event.node) : 0;
-    backlog[target].push_back(event);
-  }
-
-  std::vector<std::size_t> cursor(count, 0);
-  std::vector<std::vector<HaloDelta>> inbox(count);
-  std::vector<std::vector<HaloDelta>> next_inbox(count);
-  std::vector<Shard::ApplyResult> results(count);
-  ShardedRoundsResult out;
-  for (;;) {
-    bool pending = false;
-    for (std::uint32_t s = 0; s < count; ++s) {
-      if (cursor[s] < backlog[s].size() || !inbox[s].empty()) {
-        pending = true;
-        break;
-      }
-    }
-    if (!pending) break;
-    ++out.rounds;
-
-    // Parallel section (serial at one shard): shards touch disjoint state
-    // (their own engine, their own inbox slice); results land in per-shard
-    // slots. Identical for any thread count.
-    const auto shard_count = static_cast<std::int64_t>(count);
-#ifdef OCP_HAVE_OPENMP
-#pragma omp parallel for schedule(static) if (count > 1)
-#endif
-    for (std::int64_t s = 0; s < shard_count; ++s) {
-      const auto idx = static_cast<std::size_t>(s);
-      const std::size_t take =
-          std::min(max_batch, backlog[idx].size() - cursor[idx]);
-      const std::span<const FaultEvent> external(
-          backlog[idx].data() + cursor[idx], take);
-      results[idx] = shards[idx]->apply(external, inbox[idx]);
-      cursor[idx] += take;
-    }
-
-    // Serial delta routing in ascending shard order: the inter-round
-    // delivery order — and with it every downstream batch — is fixed.
-    for (std::uint32_t s = 0; s < count; ++s) {
-      Shard::ApplyResult& result = results[s];
-      // Attribute applies to the external stream vs gossip; a halo-derived
-      // event can itself coalesce away, so clamp instead of underflowing.
-      const std::size_t halo_share =
-          std::min(result.halo_events, result.outcome.applied);
-      out.applied += result.outcome.applied - halo_share;
-      out.halo_events += result.halo_events;
-      for (auto& [target, delta] : result.outgoing) {
-        next_inbox[target].push_back(std::move(delta));
-        ++out.halo_deltas;
-      }
-      result = {};
-    }
-    for (std::uint32_t s = 0; s < count; ++s) {
-      inbox[s] = std::move(next_inbox[s]);
-      next_inbox[s].clear();
-    }
-  }
-
-  out.snapshots.reserve(count);
-  for (std::uint32_t s = 0; s < count; ++s) {
-    out.snapshots.push_back(shards[s]->engine().snapshot());
-  }
-  out.composite_digest = composite_label_digest(grid, out.snapshots);
-  return out;
+  // Each node's planes are read from its owning shard.
+  return fold_label_digest(
+      m,
+      [&](mesh::Coord c, std::size_t i) {
+        const Snapshot& snap = *snapshots[grid.shard_of(c)];
+        return label_bits(snap.faults().contains(c), snap.safety().at_index(i),
+                          snap.activation().at_index(i));
+      },
+      block_keys.size(), regions.size(), [&regions](auto&& fold) {
+        for (const auto& [key, entry] : regions) {
+          fold(entry.first, entry.second);
+        }
+      });
 }
 
 }  // namespace ocp::svc

@@ -120,9 +120,8 @@ struct HaloDelta {
 
 /// One shard's single-writer world: engine + halo bookkeeping. Thread-free
 /// like `IngestEngine`; `Service` serializes `apply` calls on the shard's
-/// worker thread, the deterministic round driver calls it inline. In a
-/// one-shard grid there is no other shard to tell: `apply` is the engine's
-/// own `apply`, with no halo bookkeeping at all.
+/// worker thread. In a one-shard grid there is no other shard to tell:
+/// `apply` is the engine's own `apply`, with no halo bookkeeping at all.
 class Shard {
  public:
   /// In a grid of more than one shard `config.collect_applied` is forced
@@ -136,7 +135,7 @@ class Shard {
     /// order. Empty when the batch's dirty extent stayed inside the shard.
     std::vector<std::pair<std::uint32_t, HaloDelta>> outgoing;
     /// Synthetic events derived from incoming halo deltas this call (the
-    /// gossip overhead a fixpoint round pays, for stats).
+    /// gossip overhead, for `ServiceStats::halo_events`).
     std::size_t halo_events = 0;
     /// Only on a crash: the exact batch the engine was interrupted on
     /// (external events plus the halo-derived ones), which the caller must
@@ -191,42 +190,13 @@ class Shard {
 
 /// Folds per-shard snapshots (one per `grid` shard, in shard order) into
 /// the digest a single-writer `Snapshot::label_digest()` computes over the
-/// same converged state: per-cell planes read from each cell's owner,
-/// blocks/regions deduped by min-cell-index and regions folded in key
-/// order. Shards agree on seam-spanning entries because every owner of a
-/// piece extracts it from the same converged fault knowledge with the same
-/// deterministic extraction.
+/// same converged state, through the same `fold_label_digest`: per-cell
+/// planes read from each cell's owner, blocks/regions deduped by
+/// min-cell-index. Shards agree on seam-spanning entries because every
+/// owner of a piece extracts it from the same converged fault knowledge
+/// with the same deterministic extraction.
 [[nodiscard]] std::uint64_t composite_label_digest(
     const ShardGrid& grid,
     const std::vector<std::shared_ptr<const Snapshot>>& snapshots);
-
-/// Result of the deterministic round driver.
-struct ShardedRoundsResult {
-  /// Net fault-set changes applied from the external stream (all shards).
-  std::size_t applied = 0;
-  /// Synthetic halo-derived events applied (gossip overhead).
-  std::size_t halo_events = 0;
-  /// Halo deltas exchanged.
-  std::size_t halo_deltas = 0;
-  /// Exchange rounds until fixpoint.
-  std::size_t rounds = 0;
-  std::uint64_t composite_digest = 0;
-  /// Final per-shard snapshots, in shard order.
-  std::vector<std::shared_ptr<const Snapshot>> snapshots;
-};
-
-/// Thread-free deterministic multi-writer driver: routes `stream` into
-/// per-shard FIFO backlogs, then runs barrier-synchronized rounds — every
-/// shard applies one batch (<= max_batch external events plus its whole
-/// inbox) with the per-shard applies parallelized over OpenMP threads, then
-/// the emitted deltas are routed serially in shard order — until no shard
-/// has pending work. Bit-identical for any thread count: shards touch
-/// disjoint state during the parallel section and the inter-round delivery
-/// order is fixed by shard index. The seam-geometry property tests and the
-/// sharded ingest bench use it.
-[[nodiscard]] ShardedRoundsResult run_sharded_rounds(
-    const ShardGrid& grid, const grid::CellSet& initial,
-    std::span<const FaultEvent> stream, std::size_t max_batch = 256,
-    IngestConfig config = {});
 
 }  // namespace ocp::svc

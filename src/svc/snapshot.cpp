@@ -319,32 +319,21 @@ check::ViolationReport Snapshot::validate(labeling::SafeUnsafeDef def,
 }
 
 std::uint64_t Snapshot::label_digest() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  const grid::CellSet& f = faults();
-  const grid::NodeGrid<labeling::Safety>& s = safety();
-  const grid::NodeGrid<labeling::Activation>& a = activation();
-  const mesh::Mesh2D& m = machine();
-  for (std::int32_t y = 0; y < m.height(); ++y) {
-    for (std::int32_t x = 0; x < m.width(); ++x) {
-      const mesh::Coord c{x, y};
-      std::uint64_t v = f.contains(c) ? 4u : 0u;
-      v |= s[c] == labeling::Safety::Unsafe ? 2u : 0u;
-      v |= a[c] == labeling::Activation::Disabled ? 1u : 0u;
-      mix(v + 1);
-    }
-  }
-  mix(records_ ? block_order_.size() : blocks_->size());
-  mix(region_order_.size());
-  for (std::size_t r = 0; r < region_order_.size(); ++r) {
-    const labeling::DisabledRegion& region = region_at(r);
-    mix(region.size());
-    mix(static_cast<std::uint64_t>(region.fault_count));
-  }
-  return h;
+  const grid::BitPlane& f = faults().bits();
+  const labeling::Safety* s = safety().data();
+  const labeling::Activation* a = activation().data();
+  return fold_label_digest(
+      machine(),
+      [&](mesh::Coord c, std::size_t i) {
+        return label_bits(f.contains(c), s[i], a[i]);
+      },
+      records_ ? block_order_.size() : blocks_->size(), region_order_.size(),
+      [this](auto&& fold) {
+        for (std::size_t r = 0; r < region_order_.size(); ++r) {
+          const labeling::DisabledRegion& region = region_at(r);
+          fold(region.size(), region.fault_count);
+        }
+      });
 }
 
 }  // namespace ocp::svc

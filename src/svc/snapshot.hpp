@@ -51,6 +51,7 @@
 #include "core/maintenance.hpp"
 #include "core/pipeline.hpp"
 #include "routing/route_cache.hpp"
+#include "stats/fnv.hpp"
 #include "svc/pages.hpp"
 
 namespace ocp::svc {
@@ -278,5 +279,43 @@ class Snapshot {
   mutable std::optional<std::vector<labeling::FaultyBlock>> blocks_;
   mutable std::optional<std::vector<labeling::DisabledRegion>> regions_;
 };
+
+/// A node's bits in the label digest: 4 if faulty, 2 if unsafe, 1 if
+/// disabled.
+[[nodiscard]] constexpr std::uint64_t label_bits(
+    bool faulty, labeling::Safety safety,
+    labeling::Activation activation) noexcept {
+  return (faulty ? 4u : 0u) | (safety == labeling::Safety::Unsafe ? 2u : 0u) |
+         (activation == labeling::Activation::Disabled ? 1u : 0u);
+}
+
+/// The label digest format, one fold for `Snapshot::label_digest` and the
+/// shard fleet's `composite_label_digest` (shard.hpp): FNV-1a over every
+/// node's `label_bits` plus one, row-major, then the block count, the
+/// region count, and (size, fault count) per region in key order.
+/// `cell_bits(c, i)` reads node `c` (row-major index `i`);
+/// `for_each_region(fold)` calls `fold(size, fault_count)` per region in
+/// key order.
+template <typename CellBits, typename ForEachRegion>
+[[nodiscard]] std::uint64_t fold_label_digest(const mesh::Mesh2D& m,
+                                              CellBits&& cell_bits,
+                                              std::size_t blocks,
+                                              std::size_t regions,
+                                              ForEachRegion&& for_each_region) {
+  stats::Fnv1a h;
+  std::size_t i = 0;
+  for (std::int32_t y = 0; y < m.height(); ++y) {
+    for (std::int32_t x = 0; x < m.width(); ++x) {
+      h.mix(cell_bits(mesh::Coord{x, y}, i++) + 1);
+    }
+  }
+  h.mix(blocks);
+  h.mix(regions);
+  for_each_region([&h](std::size_t size, std::size_t fault_count) {
+    h.mix(size);
+    h.mix(fault_count);
+  });
+  return h.value;
+}
 
 }  // namespace ocp::svc

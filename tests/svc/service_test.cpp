@@ -6,6 +6,9 @@
 #include <string>
 #include <utility>
 
+#include "chaos/plan.hpp"
+#include "svc/loadgen.hpp"
+
 namespace ocp::svc {
 namespace {
 
@@ -257,6 +260,23 @@ TEST(ServiceTest, DestructorAppliesAcceptedEventsBeforeExit) {
     }  // destructor joins the ingest thread after the queue drains
     SUCCEED();
   }
+}
+
+TEST(ServiceTest, QuiesceRetriesAWithheldPublication) {
+  // The fault's only publish attempt is poisoned: nothing is left queued,
+  // so a flush alone cannot republish. quiesce's publish retry must.
+  chaos::FaultPlan plan({.poison_publish = 1.0, .max_poisons = 1});
+  ServiceConfig config;
+  config.ingest.chaos.plan = &plan;
+  Service service(empty16(), config);
+  ASSERT_EQ(service.submit({EventKind::Fault, {5, 5}}),
+            SubmitStatus::Accepted);
+  service.flush();
+  ASSERT_EQ(service.stale_epochs_pending(), 1u);
+  plan.disarm();
+  quiesce(service);
+  EXPECT_EQ(service.stale_epochs_pending(), 0u);
+  EXPECT_EQ(service.query_status({5, 5}).node, NodeStatus::Faulty);
 }
 
 }  // namespace

@@ -59,15 +59,34 @@ std::vector<FaultEvent> fault_rect(std::int32_t x0, std::int32_t x1,
   return events;
 }
 
-void expect_rounds_match_single_writer(const Mesh2D& m, std::int32_t rows,
-                                       std::int32_t cols,
-                                       std::span<const FaultEvent> stream,
-                                       std::size_t max_batch = 256) {
+/// The fleet at fixpoint after `stream`: what the seam tests read.
+struct FleetRun {
+  std::uint64_t digest = 0;
+  ServiceStats stats;
+};
+
+/// Submits `stream` to a Service of the given shape and batching cap, whose
+/// queues hold the whole stream, and flushes it to fixpoint.
+FleetRun run_fleet(const grid::CellSet& initial, std::int32_t rows,
+                   std::int32_t cols, std::span<const FaultEvent> stream,
+                   std::size_t max_batch = 256) {
+  Service service(initial, {.shard_rows = rows,
+                            .shard_cols = cols,
+                            .queue_capacity = stream.size(),
+                            .max_batch = max_batch});
+  for (const FaultEvent& e : stream) {
+    EXPECT_EQ(service.submit(e), SubmitStatus::Accepted);
+  }
+  service.flush();
+  return {service.composite_digest(), service.stats()};
+}
+
+void expect_fleet_matches_single_writer(const Mesh2D& m, std::int32_t rows,
+                                        std::int32_t cols,
+                                        std::span<const FaultEvent> stream,
+                                        std::size_t max_batch = 256) {
   const grid::CellSet initial(m);
-  const ShardGrid grid(m, rows, cols);
-  const ShardedRoundsResult sharded =
-      run_sharded_rounds(grid, initial, stream, max_batch);
-  EXPECT_EQ(sharded.composite_digest,
+  EXPECT_EQ(run_fleet(initial, rows, cols, stream, max_batch).digest,
             single_writer_digest(initial, stream, max_batch))
       << rows << "x" << cols << " shards, " << stream.size() << " events";
 }
@@ -137,13 +156,13 @@ TEST(ShardedRoundsTest, BlockSpanningVerticalSeam) {
   // 1x2 shards: the vertical seam sits at a tile boundary (x = 16); the
   // block straddles it.
   const auto events = fault_rect(14, 17, 5, 8);
-  expect_rounds_match_single_writer(m, 1, 2, events);
+  expect_fleet_matches_single_writer(m, 1, 2, events);
 }
 
 TEST(ShardedRoundsTest, BlockSpanningHorizontalSeam) {
   const Mesh2D m(32, 32);
   const auto events = fault_rect(5, 8, 14, 17);
-  expect_rounds_match_single_writer(m, 2, 1, events);
+  expect_fleet_matches_single_writer(m, 2, 1, events);
 }
 
 TEST(ShardedRoundsTest, BlockSpanningCornerSeam) {
@@ -151,7 +170,7 @@ TEST(ShardedRoundsTest, BlockSpanningCornerSeam) {
   // 2x2 shards: the block covers the four-corner point (16, 16) — every
   // shard owns a piece and must converge on the same component.
   const auto events = fault_rect(14, 17, 14, 17);
-  expect_rounds_match_single_writer(m, 2, 2, events);
+  expect_fleet_matches_single_writer(m, 2, 2, events);
 }
 
 TEST(ShardedRoundsTest, TilesNarrowerThanFaultyBlock) {
@@ -160,15 +179,15 @@ TEST(ShardedRoundsTest, TilesNarrowerThanFaultyBlock) {
   // wider than any single shard, so the halo extent must relay through a
   // middle shard that owns none of the block's endpoints.
   const auto events = fault_rect(6, 17, 10, 12);
-  expect_rounds_match_single_writer(m, 1, 4, events);
+  expect_fleet_matches_single_writer(m, 1, 4, events);
 }
 
 TEST(ShardedRoundsTest, SmallBatchesForceMultiRoundGossip) {
   const Mesh2D m(32, 32);
-  // max_batch 1: every event is its own round, halo deltas interleave with
+  // max_batch 1: every event is its own batch, halo deltas interleave with
   // later external events — the digest must still converge.
   const auto events = fault_rect(14, 17, 14, 17);
-  expect_rounds_match_single_writer(m, 2, 2, events, 1);
+  expect_fleet_matches_single_writer(m, 2, 2, events, 1);
 }
 
 TEST(ShardedRoundsTest, TorusWrapSeamCoincidingWithShardSeam) {
@@ -182,7 +201,7 @@ TEST(ShardedRoundsTest, TorusWrapSeamCoincidingWithShardSeam) {
       events.push_back({EventKind::Fault, {x, y}});
     }
   }
-  expect_rounds_match_single_writer(m, 1, 2, events);
+  expect_fleet_matches_single_writer(m, 1, 2, events);
 }
 
 TEST(ShardedRoundsTest, RepairsRetractAcrossSeams) {
@@ -193,23 +212,21 @@ TEST(ShardedRoundsTest, RepairsRetractAcrossSeams) {
   for (std::int32_t y = 5; y <= 8; ++y) {
     events.push_back({EventKind::Repair, {16, y}});
   }
-  expect_rounds_match_single_writer(m, 1, 2, events, 4);
+  expect_fleet_matches_single_writer(m, 1, 2, events, 4);
 }
 
 TEST(ShardedRoundsTest, CountsHaloTrafficOnlyWhenSeamsAreTouched) {
   const Mesh2D m(32, 32);
   const grid::CellSet initial(m);
-  const ShardGrid grid(m, 2, 2);
   // Interior faults whose dirty extents stay inside one shard: no gossip.
   const auto interior = faults_at({{4, 4}, {26, 5}});
-  const ShardedRoundsResult quiet =
-      run_sharded_rounds(grid, initial, interior);
+  const ServiceStats quiet = run_fleet(initial, 2, 2, interior).stats;
   EXPECT_EQ(quiet.halo_deltas, 0u);
   EXPECT_EQ(quiet.halo_events, 0u);
-  EXPECT_EQ(quiet.applied, 2u);
+  EXPECT_EQ(quiet.ingest.applied, 2u);
   // A seam-touching block gossips.
   const auto seam = fault_rect(15, 16, 4, 5);
-  const ShardedRoundsResult loud = run_sharded_rounds(grid, initial, seam);
+  const ServiceStats loud = run_fleet(initial, 2, 2, seam).stats;
   EXPECT_GT(loud.halo_deltas, 0u);
 }
 
@@ -233,30 +250,12 @@ TEST(ShardedRoundsTest, PropertyRandomChurnMatchesSingleWriter) {
       }();
       for (const auto& [rows, cols] :
            {std::pair{1, 1}, {1, 2}, {2, 2}, {4, 1}, {2, 4}}) {
-        const ShardGrid grid(m, rows, cols);
-        const ShardedRoundsResult result =
-            run_sharded_rounds(grid, initial, stream, 32);
-        EXPECT_EQ(result.composite_digest, expected)
+        EXPECT_EQ(run_fleet(initial, rows, cols, stream, 32).digest, expected)
             << "seed " << seed << ", " << rows << "x" << cols << " shards, "
             << (topology == Topology::Torus ? "torus" : "mesh");
       }
     }
   }
-}
-
-TEST(ShardedRoundsTest, DeterministicAcrossRepeatRuns) {
-  const Mesh2D m(32, 32);
-  stats::Rng rng(11);
-  const grid::CellSet initial = fault::uniform_random(m, 10, rng);
-  const auto stream = generate_event_stream(m, initial, 120, 0.4, 777);
-  const ShardGrid grid(m, 2, 2);
-  const ShardedRoundsResult a = run_sharded_rounds(grid, initial, stream, 16);
-  const ShardedRoundsResult b = run_sharded_rounds(grid, initial, stream, 16);
-  EXPECT_EQ(a.composite_digest, b.composite_digest);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.halo_deltas, b.halo_deltas);
-  EXPECT_EQ(a.halo_events, b.halo_events);
-  EXPECT_EQ(a.applied, b.applied);
 }
 
 // -- threaded service -------------------------------------------------------
