@@ -2,19 +2,23 @@
 // incremental free-region index against a from-scratch rebuild (the
 // wall-clock twin of the deterministic cells_patched() pin in
 // tests/alloc/free_index_test.cpp), per-strategy placement-decision
-// throughput, and the closed-loop driver end to end at 1/2/8 reader
-// threads. The closed-loop rows export utilization / fragmentation /
-// placement p99 / storm-recovery counters, which is where the committed
-// allocation table in EXPERIMENTS.md comes from. run_bench.sh --alloc
-// gates fresh runs against BENCH_alloc.json.
+// throughput, one re-formation's `observe_epoch`, and the closed-loop
+// driver end to end at 1/2/8 reader threads. The closed-loop rows export
+// utilization / fragmentation / placement p99 / storm-recovery counters,
+// which is where the committed allocation table in EXPERIMENTS.md comes
+// from. run_bench.sh --alloc gates fresh runs against BENCH_alloc.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
+#include "alloc/engine.hpp"
 #include "alloc/loadgen.hpp"
 #include "alloc/strategy.hpp"
+#include "fault/generators.hpp"
 #include "stats/rng.hpp"
+#include "svc/ingest.hpp"
 
 namespace {
 
@@ -41,10 +45,10 @@ std::vector<mesh::Coord> churn_cells(const mesh::Mesh2D& m, std::size_t count,
 }
 
 // A single-fault epoch against the incrementally maintained index: each
-// toggle patches one row segment (<= 64 cells on the 64x64 machine), never
-// the whole plane. Items are single-cell epochs. The committed ratio of
-// this row to BM_AllocIndexSingleFaultRebuild is the wall-clock form of
-// ISSUE 10's >= 4x acceptance pin.
+// toggle flips one bit of the free-cell plane, never the whole plane.
+// Items are single-cell epochs. The committed ratio of this row to
+// BM_AllocIndexSingleFaultRebuild is the wall-clock form of the >= 4x
+// incremental-vs-rebuild pin.
 void BM_AllocIndexSingleFaultIncremental(benchmark::State& state) {
   const mesh::Mesh2D m(kIndexSide, kIndexSide);
   alloc::FreeRegionIndex idx(m);
@@ -74,7 +78,7 @@ BENCHMARK(BM_AllocIndexSingleFaultIncremental);
 
 // The same single-fault epochs paid for by a from-scratch rebuild: flip the
 // cell in a busy plane, then reconstruct the whole index from it — what
-// epoch turnover would cost without the left-run patching.
+// epoch turnover would cost without single-bit flips.
 void BM_AllocIndexSingleFaultRebuild(benchmark::State& state) {
   const mesh::Mesh2D m(kIndexSide, kIndexSide);
   const std::vector<mesh::Coord> cells = churn_cells(m, 512, 29);
@@ -126,6 +130,52 @@ void BM_AllocPlacementDecision(benchmark::State& state) {
   state.SetLabel(strategy->name());
 }
 BENCHMARK(BM_AllocPlacementDecision)->Arg(0)->Arg(1)->Arg(2);
+
+// One re-formation as the allocator sees it: a 256x256 machine at 2% faults
+// carrying 1,024 first-fit jobs of sides 1-6 observes an independent 2%
+// machine, so every cell whose status differs is dirty and each job on a
+// newly blocked cell is evicted and re-placed. Only `observe_epoch` is
+// timed (its blocked-plane refresh, the evictions with their re-placing
+// anchor searches, the drain and the publish); the engine is rebuilt and
+// refilled outside the timer before every call.
+void BM_AllocObserveReform(benchmark::State& state) {
+  const mesh::Mesh2D m(256, 256);
+  const auto faults = static_cast<std::size_t>(m.node_count() / 50);
+  stats::Rng rng(43);
+  const std::shared_ptr<const svc::Snapshot> before =
+      svc::IngestEngine(fault::uniform_random(m, faults, rng)).snapshot();
+  const std::shared_ptr<const svc::Snapshot> after =
+      svc::IngestEngine(fault::uniform_random(m, faults, rng)).snapshot();
+  std::vector<mesh::Coord> dirty;
+  for (std::int32_t y = 0; y < m.height(); ++y) {
+    for (std::int32_t x = 0; x < m.width(); ++x) {
+      if (before->status_of({x, y}) != after->status_of({x, y})) {
+        dirty.push_back({x, y});
+      }
+    }
+  }
+  const std::vector<alloc::JobRequest> jobs = alloc::generate_job_stream(
+      m, 1024, /*max_side=*/6, /*min_lifetime=*/1, /*max_lifetime=*/1, 47);
+
+  std::unique_ptr<alloc::AllocEngine> engine;
+  alloc::EpochOutcome last;
+  for (auto _ : state) {
+    state.PauseTiming();
+    engine = std::make_unique<alloc::AllocEngine>(*before);
+    for (const alloc::JobRequest& j : jobs) {
+      static_cast<void>(engine->submit(j));
+    }
+    state.ResumeTiming();
+    last = engine->observe_epoch(*after, dirty);
+    benchmark::DoNotOptimize(last);
+  }
+  state.counters["dirty"] = static_cast<double>(dirty.size());
+  state.counters["evicted"] = static_cast<double>(last.evicted);
+  state.counters["replaced"] = static_cast<double>(last.replaced);
+  state.SetLabel("items = re-formations");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AllocObserveReform)->Unit(benchmark::kMicrosecond);
 
 // The allocation subsystem end to end under the closed-loop driver: one
 // writer interleaving job submissions with fault churn (including the

@@ -315,8 +315,7 @@ void AllocEngine::publish_view() {
   // O(W x H) pass: fragmentation is computed by the reader.
   const auto busy_rows = [this](std::int32_t y, std::int32_t x0,
                                 std::span<std::uint8_t> out) {
-    const std::span<const std::uint8_t> row = index_.busy_row(y);
-    std::copy_n(row.begin() + x0, out.size(), out.begin());
+    expand_busy(index_.free_row(y), x0, out);
   };
   svc::PageStats pages;
   auto next = std::make_shared<AllocView>(

@@ -9,11 +9,12 @@
 // drivers fed the same call sequence produce bit-identical digests — the
 // replay-identity property the load generator and the chaos harness assert.
 //
-// Placement state is three planes plus the free-region index:
+// Placement state is two per-cell planes plus the free-region index:
 //  * blocked_  — cells unusable per the observed snapshot (status_of !=
 //                Enabled: disabled regions and faulty blocks alike);
 //  * occupant_ — live-job id per cell (-1 when unoccupied);
-//  * index_    — busy = blocked OR occupied, maintained incrementally.
+//  * index_    — one bit plane of free cells (free = neither blocked nor
+//                occupied), one bit flip per changed cell.
 //
 // Epoch turnover (`observe_epoch`) is O(dirty): only the caller-provided
 // dirty cells are re-read from the snapshot. A live job whose footprint
@@ -29,7 +30,8 @@
 //
 // Every transition ends in one publish of the `AllocView`. Publishing is
 // O(dirty pages): every busy flip marks its page, and the view's frozen busy
-// plane rebuilds only those pages, sharing the rest with the previous view.
+// plane rebuilds only those pages (expanding the index's free bits to busy
+// bytes eight at a time), sharing the rest with the previous view.
 // The O(W x H) fragmentation scan is left to the readers that ask for it.
 //
 // Conservation invariant (checked by `alloc::check_engine`):

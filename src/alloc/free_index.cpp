@@ -2,87 +2,95 @@
 
 namespace ocp::alloc {
 
+namespace {
+
+/// `fit &= fit >> s` over a row of words: bit x keeps its value only if bit
+/// x + s is set too, carrying bits across word boundaries; zeros enter past
+/// the row's end. Reads only words at or above the one it writes, so it
+/// works in place. Returns the OR of the result.
+std::uint64_t and_shifted(std::span<std::uint64_t> fit, std::int32_t s) {
+  const std::size_t q = static_cast<std::size_t>(s) / 64;
+  const std::size_t r = static_cast<std::size_t>(s) % 64;
+  std::uint64_t any = 0;
+  for (std::size_t k = 0; k < fit.size(); ++k) {
+    const std::uint64_t lo = k + q < fit.size() ? fit[k + q] : 0;
+    const std::uint64_t hi = k + q + 1 < fit.size() ? fit[k + q + 1] : 0;
+    fit[k] &= r == 0 ? lo : lo >> r | hi << (64 - r);
+    any |= fit[k];
+  }
+  return any;
+}
+
+}  // namespace
+
 FreeRegionIndex::FreeRegionIndex(const mesh::Mesh2D& machine)
-    : machine_(machine),
-      busy_(static_cast<std::size_t>(machine.node_count()), 0),
-      run_(static_cast<std::size_t>(machine.node_count()), 0),
+    : free_(machine),
       free_cells_(static_cast<std::size_t>(machine.node_count())) {
-  for (std::int32_t y = 0; y < machine_.height(); ++y) {
-    for (std::int32_t x = 0; x < machine_.width(); ++x) {
-      run_[cell_index({x, y})] = x + 1;
-    }
-  }
+  free_.flip();
 }
 
-void FreeRegionIndex::set_busy(mesh::Coord c, bool busy) {
-  const std::size_t i = cell_index(c);
-  if ((busy_[i] != 0) == busy) return;
-  busy_[i] = busy ? 1 : 0;
-  if (busy) {
-    --free_cells_;
-  } else {
-    ++free_cells_;
-  }
-  // Runs right of a busy cell restart from 0, so the patch ends at the next
-  // busy cell (its run is 0 and stays 0; cells beyond it derive from that 0).
-  const std::size_t row_base =
-      static_cast<std::size_t>(c.y) * static_cast<std::size_t>(machine_.width());
-  std::int32_t run = c.x > 0 ? run_[row_base + static_cast<std::size_t>(c.x) -
-                                    1]
-                             : 0;
-  for (std::int32_t x = c.x; x < machine_.width(); ++x) {
-    const std::size_t j = row_base + static_cast<std::size_t>(x);
-    if (busy_[j] != 0) {
-      if (x > c.x) break;
-      run = 0;
-    } else {
-      ++run;
+bool FreeRegionIndex::anchors_in_row(std::int32_t y, std::int32_t w,
+                                     std::int32_t h,
+                                     std::span<std::uint64_t> fit) const {
+  // Columns free in all h rows.
+  std::uint64_t any = 0;
+  for (std::size_t k = 0; k < fit.size(); ++k) {
+    std::uint64_t acc = free_.row(y)[k];
+    for (std::int32_t dy = 1; dy < h && acc != 0; ++dy) {
+      acc &= free_.row(y + dy)[k];
     }
-    run_[j] = run;
-    ++cells_patched_;
+    fit[k] = acc;
+    any |= acc;
   }
+  // Bit x holds iff columns x .. x+len-1 are; each step extends len by
+  // s <= len, so the two windows overlap and their AND is one window.
+  for (std::int32_t len = 1; len < w && any != 0;) {
+    const std::int32_t s = std::min(len, w - len);
+    any = and_shifted(fit, s);
+    len += s;
+  }
+  return any != 0;
 }
 
-std::optional<mesh::Coord> FreeRegionIndex::first_anchor(std::int32_t w,
-                                                         std::int32_t h) const {
-  std::optional<mesh::Coord> found;
-  for_each_anchor(w, h, [&](mesh::Coord a) {
-    found = a;
-    return false;
-  });
-  return found;
+std::int32_t FreeRegionIndex::run_at(mesh::Coord c) const {
+  // Back to the nearest busy cell at or left of `c` (column -1 if none).
+  const std::uint64_t* row = free_.row(c.y);
+  std::size_t k = static_cast<std::size_t>(c.x) / 64;
+  std::uint64_t busy = ~row[k] & (~std::uint64_t{0} >> (63 - c.x % 64));
+  while (busy == 0 && k > 0) busy = ~row[--k];
+  if (busy == 0) return c.x + 1;
+  return c.x - static_cast<std::int32_t>(64 * k + 63) +
+         std::countl_zero(busy);
 }
 
 std::int32_t FreeRegionIndex::row_extent_right(mesh::Coord c) const {
-  if (busy_[cell_index(c)] != 0) return 0;
-  std::int32_t n = 0;
-  for (std::int32_t x = c.x; x < machine_.width() && busy_[cell_index({x, c.y})] == 0;
-       ++x) {
-    ++n;
-  }
-  return n;
+  // Up to the nearest busy cell at or right of `c`; the zero pad bits stop
+  // the search at the row's end.
+  const std::uint64_t* row = free_.row(c.y);
+  std::size_t k = static_cast<std::size_t>(c.x) / 64;
+  std::uint64_t busy = ~row[k] & (~std::uint64_t{0} << (c.x % 64));
+  while (busy == 0 && ++k < free_.words_per_row()) busy = ~row[k];
+  if (busy == 0) return machine().width() - c.x;
+  return static_cast<std::int32_t>(64 * k) + std::countr_zero(busy) - c.x;
 }
 
 std::int32_t FreeRegionIndex::col_extent_down(mesh::Coord c) const {
-  if (busy_[cell_index(c)] != 0) return 0;
-  std::int32_t n = 0;
-  for (std::int32_t y = c.y;
-       y < machine_.height() && busy_[cell_index({c.x, y})] == 0; ++y) {
-    ++n;
-  }
-  return n;
+  std::int32_t y = c.y;
+  while (y < machine().height() && free_.contains({c.x, y})) ++y;
+  return y - c.y;
 }
 
 std::int64_t FreeRegionIndex::largest_free_rect_area() const {
+  std::vector<std::uint8_t> busy(static_cast<std::size_t>(machine().width()));
   return alloc::largest_free_rect_area(
-      machine_.width(), machine_.height(),
-      [this](std::int32_t y) { return busy_row(y).data(); });
+      machine().width(), machine().height(), [&](std::int32_t y) {
+        expand_busy(free_row(y), 0, busy);
+        return busy.data();
+      });
 }
 
 bool FreeRegionIndex::equivalent_to(const FreeRegionIndex& other) const {
-  return machine_.width() == other.machine_.width() &&
-         machine_.height() == other.machine_.height() && busy_ == other.busy_ &&
-         run_ == other.run_ && free_cells_ == other.free_cells_;
+  return free_ == other.free_ && free_cells_ == other.free_cells_;
 }
 
 }  // namespace ocp::alloc

@@ -2,39 +2,38 @@
 // whose busy set (disabled regions, faulty blocks, live placements) changes
 // a few cells per epoch.
 //
-// The index keeps one plane of per-cell "left runs": `run(x, y)` is the
-// number of consecutive free cells in row `y` ending at `(x, y)` (0 when the
-// cell is busy). A width-w x height-h submesh fits with its top-left corner
-// at `(x, y)` iff `run(x + w - 1, y') >= w` for the h rows y' = y .. y+h-1 —
-// so anchor enumeration is the classic staircase sweep: walk rows once,
-// counting per column how many consecutive rows satisfy the run predicate,
-// and emit an anchor whenever the counter reaches h. One pass, O(W x H),
-// no per-anchor rectangle scan.
+// The index holds one `grid::BitPlane` of free cells, 64 columns to a word;
+// the pad bits past a row's end are zero, so they read as busy. A
+// width-w x height-h submesh fits with its top-left corner at `(x, y)` iff
+// columns x .. x+w-1 are free in each of the h rows y .. y+h-1. Anchor
+// enumeration works a word at a time per anchor row: AND the h rows' words
+// (a word stops early once it is 0), then shrink the result to width w
+// with log2(w) shift-ANDs that carry bits across word boundaries; the set
+// bits left are the anchors, emitted by `countr_zero` in (y, x) order. No
+// per-anchor rectangle scan, no per-cell counters.
 //
-// The incremental part is the point (ISSUE 10 pins it >= 4x cheaper than a
-// rebuild on single-fault epochs at 64 x 64): flipping one cell only changes
-// runs in its own row, from the flipped cell rightward up to (exclusive)
-// the next busy cell — everything beyond is computed from a busy cell's 0
-// and cannot have moved. `set_busy` patches exactly that range, and the
-// cumulative `cells_patched()` counter makes the O(dirty-row-segment) claim
-// a testable number instead of a timing assertion. Epoch turnover therefore
-// costs O(sum of dirty-row segments), never O(W x H); a from-scratch
-// `build` exists for the oracle's equivalence check and for the bench that
-// pins the speedup.
+// Epoch turnover is the point: `set_busy` flips one bit, so a turnover
+// costs O(dirty cells), never O(W x H). The cumulative `cells_patched()`
+// counter (one per effective flip) keeps that a testable number. A
+// from-scratch `build` exists for the oracle's equivalence check and for
+// the bench that pins the speedup. Run lengths and extents are derived
+// from the bits on demand.
 //
 // Torus note: placements are submeshes in machine coordinates and never
 // wrap. A torus machine wraps routes, not job footprints, so rows end at
-// x = width - 1 for run purposes on both topologies (documented in
-// DESIGN.md sec. 14).
+// x = width - 1 on both topologies (documented in DESIGN.md sec. 14).
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "geometry/rect.hpp"
+#include "grid/bit_plane.hpp"
 #include "mesh/mesh2d.hpp"
 
 namespace ocp::alloc {
@@ -77,6 +76,28 @@ template <typename BusyRow>
   return best;
 }
 
+/// Writes the busy bytes (1 where the free bit is clear) of columns
+/// x0 .. x0 + out.size() - 1 of one free-cell row, eight cells per
+/// multiply: the byte is copied into every lane, lane i keeps its bit i,
+/// and adding 0x7f carries a nonzero lane into its top bit. The columns
+/// must not cross a word boundary unless x0 is a multiple of 64: a whole
+/// row, or a page row (pages are at most 32 columns wide and start at a
+/// multiple of their width).
+inline void expand_busy(std::span<const std::uint64_t> free_row,
+                        std::int32_t x0, std::span<std::uint8_t> out) {
+  constexpr std::uint64_t kLow = 0x0101010101010101ULL;  // bit 0 of each lane
+  for (std::size_t j = 0; j < out.size(); j += 64) {
+    const std::size_t x = static_cast<std::size_t>(x0) + j;
+    const std::uint64_t busy = ~(free_row[x / 64] >> x % 64);
+    std::uint64_t lanes[8] = {};  // a fixed trip count, so it unrolls
+    for (std::size_t i = 0; i < 8; ++i) {
+      const std::uint64_t byte = (busy >> 8 * i & 0xff) * kLow;
+      lanes[i] = (((byte & 0x8040201008040201ULL) + 0x7f * kLow) >> 7) & kLow;
+    }
+    std::memcpy(&out[j], lanes, std::min<std::size_t>(64, out.size() - j));
+  }
+}
+
 class FreeRegionIndex {
  public:
   /// All cells free.
@@ -90,58 +111,50 @@ class FreeRegionIndex {
                                              Fn&& busy_of) {
     FreeRegionIndex idx(machine);
     for (std::int32_t y = 0; y < machine.height(); ++y) {
-      std::int32_t run = 0;
       for (std::int32_t x = 0; x < machine.width(); ++x) {
-        const std::size_t i = idx.cell_index({x, y});
-        const bool busy = static_cast<bool>(busy_of(mesh::Coord{x, y}));
-        idx.busy_[i] = busy ? 1 : 0;
-        run = busy ? 0 : run + 1;
-        idx.run_[i] = run;
-        if (busy) --idx.free_cells_;
+        if (busy_of(mesh::Coord{x, y})) idx.free_.take({x, y});
       }
     }
+    idx.free_cells_ = idx.free_.count();
     return idx;
   }
 
-  /// Flips one cell; patches runs in its row rightward up to the next busy
-  /// cell. No-op when the cell already has the requested state.
-  void set_busy(mesh::Coord c, bool busy);
+  /// Flips one cell's bit. No-op when the cell already has the requested
+  /// state.
+  void set_busy(mesh::Coord c, bool busy) {
+    if (busy != free_.contains(c)) return;
+    if (busy) {
+      free_.take(c);
+      --free_cells_;
+    } else {
+      free_.insert(c);
+      ++free_cells_;
+    }
+    ++cells_patched_;
+  }
 
-  [[nodiscard]] bool busy(mesh::Coord c) const {
-    return busy_[cell_index(c)] != 0;
+  [[nodiscard]] bool busy(mesh::Coord c) const { return !free_.contains(c); }
+  /// The free-cell words of row `y` (`grid::BitPlane` layout, pad bits 0).
+  [[nodiscard]] std::span<const std::uint64_t> free_row(std::int32_t y) const {
+    return {free_.row(y), free_.words_per_row()};
   }
-  /// The busy bytes (0 or 1) of row `y`, `machine().width()` of them.
-  [[nodiscard]] std::span<const std::uint8_t> busy_row(std::int32_t y) const {
-    return {busy_.data() + cell_index({0, y}),
-            static_cast<std::size_t>(machine_.width())};
-  }
-  /// Left-run value at `c` (exposed for the equivalence check).
-  [[nodiscard]] std::int32_t run_at(mesh::Coord c) const {
-    return run_[cell_index(c)];
-  }
+  /// Consecutive free cells in row `c.y` ending at `c` (0 when busy).
+  [[nodiscard]] std::int32_t run_at(mesh::Coord c) const;
 
   /// Enumerates every top-left anchor of a free w x h submesh in row-major
   /// (y, then x) order. `fn(anchor) -> bool` returns false to stop early.
   template <typename Fn>
   void for_each_anchor(std::int32_t w, std::int32_t h, Fn&& fn) const {
-    if (w <= 0 || h <= 0 || w > machine_.width() || h > machine_.height()) return;
-    // cnt[xe]: consecutive rows ending at the current row whose run at
-    // column xe admits width w.
-    std::vector<std::int32_t> cnt(static_cast<std::size_t>(machine_.width()), 0);
-    for (std::int32_t yb = 0; yb < machine_.height(); ++yb) {
-      const std::int32_t* row =
-          run_.data() +
-          static_cast<std::size_t>(yb) *
-              static_cast<std::size_t>(machine_.width());
-      for (std::int32_t xe = w - 1; xe < machine_.width(); ++xe) {
-        cnt[static_cast<std::size_t>(xe)] =
-            row[xe] >= w ? cnt[static_cast<std::size_t>(xe)] + 1 : 0;
-      }
-      if (yb < h - 1) continue;
-      const std::int32_t y = yb - h + 1;
-      for (std::int32_t xe = w - 1; xe < machine_.width(); ++xe) {
-        if (cnt[static_cast<std::size_t>(xe)] >= h) {
-          if (!fn(mesh::Coord{xe - w + 1, y})) return;
+    const mesh::Mesh2D& m = machine();
+    if (w <= 0 || h <= 0 || w > m.width() || h > m.height()) return;
+    std::vector<std::uint64_t> fit(free_.words_per_row());
+    for (std::int32_t y = 0; y + h <= m.height(); ++y) {
+      if (!anchors_in_row(y, w, h, fit)) continue;
+      for (std::size_t k = 0; k < fit.size(); ++k) {
+        for (std::uint64_t word = fit[k]; word != 0; word &= word - 1) {
+          const std::int32_t x =
+              static_cast<std::int32_t>(64 * k) + std::countr_zero(word);
+          if (!fn(mesh::Coord{x, y})) return;
         }
       }
     }
@@ -149,7 +162,14 @@ class FreeRegionIndex {
 
   /// First anchor in (y, x) order, if any (the first-fit strategy).
   [[nodiscard]] std::optional<mesh::Coord> first_anchor(std::int32_t w,
-                                                        std::int32_t h) const;
+                                                        std::int32_t h) const {
+    std::optional<mesh::Coord> found;
+    for_each_anchor(w, h, [&](mesh::Coord a) {
+      found = a;
+      return false;
+    });
+    return found;
+  }
 
   /// Free cells from `c` rightward (0 when `c` is busy). Strategy scoring.
   [[nodiscard]] std::int32_t row_extent_right(mesh::Coord c) const;
@@ -158,33 +178,31 @@ class FreeRegionIndex {
 
   [[nodiscard]] std::size_t free_cells() const noexcept { return free_cells_; }
   /// Area of the largest fully free rectangle (`alloc::largest_free_rect_area`
-  /// over the busy plane, O(W x H)); the numerator of the fragmentation
-  /// metric largest-free-rect / total-free.
+  /// over the busy bytes expanded row by row, O(W x H)); the numerator of
+  /// the fragmentation metric largest-free-rect / total-free.
   [[nodiscard]] std::int64_t largest_free_rect_area() const;
 
-  /// Cumulative count of run cells rewritten by `set_busy` — the
-  /// deterministic work measure behind the incremental-vs-rebuild pin.
+  /// Cumulative count of effective `set_busy` flips, each of which rewrites
+  /// exactly one cell's bit (no-op calls count 0): the deterministic work
+  /// measure behind the incremental-vs-rebuild pin.
   [[nodiscard]] std::uint64_t cells_patched() const noexcept {
     return cells_patched_;
   }
 
-  /// Busy planes and run planes agree cell-for-cell (oracle check).
+  /// Free planes and free-cell counts agree (oracle check).
   [[nodiscard]] bool equivalent_to(const FreeRegionIndex& other) const;
 
   [[nodiscard]] const mesh::Mesh2D& machine() const noexcept {
-    return machine_;
+    return free_.topology();
   }
 
  private:
-  [[nodiscard]] std::size_t cell_index(mesh::Coord c) const {
-    return static_cast<std::size_t>(c.y) * static_cast<std::size_t>(
-                                               machine_.width()) +
-           static_cast<std::size_t>(c.x);
-  }
+  /// Sets `fit` to the anchors of free w x h submeshes in row `y`, one bit
+  /// per column; false when there are none.
+  bool anchors_in_row(std::int32_t y, std::int32_t w, std::int32_t h,
+                      std::span<std::uint64_t> fit) const;
 
-  mesh::Mesh2D machine_;
-  std::vector<std::uint8_t> busy_;
-  std::vector<std::int32_t> run_;
+  grid::BitPlane free_;
   std::size_t free_cells_ = 0;
   std::uint64_t cells_patched_ = 0;
 };

@@ -1,5 +1,7 @@
 #include "alloc/strategy.hpp"
 
+#include <bit>
+
 namespace ocp::alloc {
 
 namespace {
@@ -12,6 +14,21 @@ bool contact_at(const FreeRegionIndex& index, mesh::Coord c) {
   const auto& m = index.machine();
   if (c.x < 0 || c.y < 0 || c.x >= m.width() || c.y >= m.height()) return true;
   return index.busy(c);
+}
+
+/// Busy or off-machine cells among columns x0 .. x1 (inside the machine)
+/// of row `y`: the row's free bits counted a word at a time.
+std::int32_t contact_in_row(const FreeRegionIndex& index, std::int32_t y,
+                            std::int32_t x0, std::int32_t x1) {
+  if (y < 0 || y >= index.machine().height()) return x1 - x0 + 1;
+  const std::span<const std::uint64_t> row = index.free_row(y);
+  std::int32_t n = x1 - x0 + 1;
+  for (std::int32_t x = x0; x <= x1; x = (x | 63) + 1) {  // word by word
+    std::uint64_t free = row[static_cast<std::size_t>(x) / 64] >> (x % 64);
+    if (x1 - x < 63) free &= (std::uint64_t{1} << (x1 - x + 1)) - 1;
+    n -= std::popcount(free);
+  }
+  return n;
 }
 
 class FirstFitStrategy final : public PlacementStrategy {
@@ -114,10 +131,8 @@ BoundaryContact boundary_contact(const FreeRegionIndex& index,
     const bool vert = contact_at(index, {corners[i].x, corners[i].y + dy[i]});
     if (side && vert) ++out.corners;
   }
-  for (std::int32_t x = x0; x <= x1; ++x) {
-    if (contact_at(index, {x, y0 - 1})) ++out.ring;
-    if (contact_at(index, {x, y1 + 1})) ++out.ring;
-  }
+  out.ring = contact_in_row(index, y0 - 1, x0, x1) +
+             contact_in_row(index, y1 + 1, x0, x1);
   for (std::int32_t y = y0; y <= y1; ++y) {
     if (contact_at(index, {x0 - 1, y})) ++out.ring;
     if (contact_at(index, {x1 + 1, y})) ++out.ring;

@@ -1,11 +1,14 @@
-// The incremental free-region index: left-run maintenance under single-cell
-// flips, anchor enumeration against brute force, the largest-free-rectangle
+// The incremental free-region index: single-bit flips against a rebuild,
+// word-parallel anchor enumeration and the run/extent queries against brute
+// force (across 64-bit word boundaries too), the largest-free-rectangle
 // metric, and the cells_patched() work bound behind the O(dirty) claim.
 #include "alloc/free_index.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "stats/rng.hpp"
@@ -83,17 +86,23 @@ TEST(FreeIndexTest, SetBusyIsIdempotent) {
   EXPECT_EQ(idx.free_cells(), 35u);
 }
 
-TEST(FreeIndexTest, PatchStopsAtNextBusyCell) {
-  const Mesh2D m(16, 2);
+TEST(FreeIndexTest, FlipRewritesOneCell) {
+  const Mesh2D m(130, 2);
   FreeRegionIndex idx(m);
-  idx.set_busy({10, 0}, true);
+  idx.set_busy({100, 0}, true);
   const std::uint64_t before = idx.cells_patched();
-  // Flipping x=2 must rewrite only x=2..9 (the run segment up to the busy
-  // cell at x=10), not the rest of the row.
+  // An effective flip rewrites its own cell only, wherever the next busy
+  // cell of the row is; a no-op flip rewrites nothing.
   idx.set_busy({2, 0}, true);
-  EXPECT_EQ(idx.cells_patched() - before, 8u);
-  EXPECT_EQ(idx.run_at({9, 0}), 7);
-  EXPECT_EQ(idx.run_at({11, 0}), 1);
+  EXPECT_EQ(idx.cells_patched() - before, 1u);
+  idx.set_busy({2, 0}, true);
+  idx.set_busy({5, 1}, false);
+  EXPECT_EQ(idx.cells_patched() - before, 1u);
+  EXPECT_EQ(idx.run_at({99, 0}), 97);
+  EXPECT_EQ(idx.run_at({101, 0}), 1);
+  idx.set_busy({2, 0}, false);
+  EXPECT_EQ(idx.cells_patched() - before, 2u);
+  EXPECT_EQ(idx.run_at({99, 0}), 100);
 }
 
 TEST(FreeIndexTest, IncrementalMatchesRebuildUnderRandomChurn) {
@@ -140,6 +149,124 @@ TEST(FreeIndexTest, AnchorsMatchBruteForce) {
   }
 }
 
+// Machines whose rows span one to three 64-bit words, at busy densities
+// from empty to full, with shapes whose windows end on, straddle and cross
+// word boundaries: every query against a brute-force model of the busy
+// cells (prefix sums for the fits, cell walks for runs and extents, a row
+// pair sweep for the largest free rectangle).
+TEST(FreeIndexTest, WordAnchorsMatchBruteForce) {
+  stats::Rng rng(64);
+  for (const mesh::Topology topo :
+       {mesh::Topology::Mesh, mesh::Topology::Torus}) {
+    for (const std::int32_t width : {1, 5, 63, 64, 65, 127, 130}) {
+      for (const std::int32_t height : {1, 7, 33}) {
+        for (const double density : {0.0, 0.05, 0.3, 0.7, 1.0}) {
+          const Mesh2D m(width, height, topo);
+          const auto at = [width](std::int32_t x, std::int32_t y) {
+            return static_cast<std::size_t>(y) *
+                       static_cast<std::size_t>(width) +
+                   static_cast<std::size_t>(x);
+          };
+          std::vector<std::uint8_t> busy(at(0, height), 0);
+          FreeRegionIndex idx(m);
+          for (std::int32_t y = 0; y < height; ++y) {
+            for (std::int32_t x = 0; x < width; ++x) {
+              busy[at(x, y)] = rng.uniform() < density ? 1 : 0;
+              idx.set_busy({x, y}, busy[at(x, y)] != 0);
+            }
+          }
+          const std::string where = std::to_string(width) + "x" +
+                                    std::to_string(height) + " " +
+                                    std::to_string(density);
+          ASSERT_TRUE(idx.equivalent_to(FreeRegionIndex::build(
+              m, [&](Coord c) { return busy[at(c.x, c.y)] != 0; })))
+              << where;
+          // sum[(y, x)] = busy cells above and left of (x, y).
+          const auto w1 = static_cast<std::size_t>(width) + 1;
+          std::vector<std::int32_t> sum(
+              w1 * (static_cast<std::size_t>(height) + 1), 0);
+          for (std::int32_t y = 0; y < height; ++y) {
+            for (std::int32_t x = 0; x < width; ++x) {
+              const auto i = static_cast<std::size_t>(y + 1) * w1 +
+                             static_cast<std::size_t>(x + 1);
+              sum[i] = busy[at(x, y)] + sum[i - 1] + sum[i - w1] -
+                       sum[i - w1 - 1];
+            }
+          }
+          const auto busy_in = [&](std::int32_t x, std::int32_t y,
+                                   std::int32_t w, std::int32_t h) {
+            const auto s = [&](std::int32_t sx, std::int32_t sy) {
+              return sum[static_cast<std::size_t>(sy) * w1 +
+                         static_cast<std::size_t>(sx)];
+            };
+            return s(x + w, y + h) - s(x, y + h) - s(x + w, y) + s(x, y);
+          };
+          for (const std::int32_t w : {1, 2, 63, 64, 65, width}) {
+            for (const std::int32_t h : {1, 2, height}) {
+              std::vector<Coord> expected;
+              for (std::int32_t y = 0; y + h <= height; ++y) {
+                for (std::int32_t x = 0; x + w <= width; ++x) {
+                  if (busy_in(x, y, w, h) == 0) expected.push_back({x, y});
+                }
+              }
+              const std::string shape =
+                  where + " " + std::to_string(w) + "x" + std::to_string(h);
+              ASSERT_EQ(anchors_of(idx, w, h), expected) << shape;
+              const std::optional<Coord> first = idx.first_anchor(w, h);
+              ASSERT_EQ(first.has_value(), !expected.empty()) << shape;
+              if (first) {
+                EXPECT_EQ(*first, expected.front()) << shape;
+              }
+              // Stopping after half the anchors (at least one) yields
+              // exactly that prefix.
+              const std::size_t stop =
+                  std::min(expected.size(),
+                           std::max<std::size_t>(1, (expected.size() + 1) / 2));
+              std::vector<Coord> seen;
+              idx.for_each_anchor(w, h, [&](Coord a) {
+                seen.push_back(a);
+                return seen.size() < stop;
+              });
+              EXPECT_EQ(seen, std::vector<Coord>(
+                                  expected.begin(),
+                                  expected.begin() +
+                                      static_cast<std::ptrdiff_t>(stop)))
+                  << shape;
+            }
+          }
+          for (std::int32_t y = 0; y < height; ++y) {
+            for (std::int32_t x = 0; x < width; ++x) {
+              std::int32_t run = 0;
+              while (run <= x && busy[at(x - run, y)] == 0) ++run;
+              std::int32_t right = 0;
+              while (x + right < width && busy[at(x + right, y)] == 0) {
+                ++right;
+              }
+              std::int32_t down = 0;
+              while (y + down < height && busy[at(x, y + down)] == 0) ++down;
+              ASSERT_EQ(idx.run_at({x, y}), run) << where << " " << x;
+              ASSERT_EQ(idx.row_extent_right({x, y}), right) << where;
+              ASSERT_EQ(idx.col_extent_down({x, y}), down) << where;
+            }
+          }
+          std::int64_t largest = 0;
+          for (std::int32_t y0 = 0; y0 < height; ++y0) {
+            for (std::int32_t y1 = y0; y1 < height; ++y1) {
+              std::int32_t run = 0;
+              for (std::int32_t x = 0; x < width; ++x) {
+                run = busy_in(x, y0, 1, y1 - y0 + 1) == 0 ? run + 1 : 0;
+                largest = std::max<std::int64_t>(
+                    largest, static_cast<std::int64_t>(run) * (y1 - y0 + 1));
+              }
+            }
+          }
+          EXPECT_EQ(idx.largest_free_rect_area(), largest) << where;
+        }
+      }
+    }
+  }
+}
+
 TEST(FreeIndexTest, AnchorEnumerationStopsEarly) {
   const FreeRegionIndex idx(Mesh2D(6, 6));
   int seen = 0;
@@ -183,10 +310,10 @@ TEST(FreeIndexTest, ExtentsMeasureFreeSlabs) {
   EXPECT_EQ(idx.col_extent_down({2, 5}), 0);
 }
 
-// The pin behind ISSUE 10's acceptance criterion, in deterministic units:
-// on a 64x64 machine a single-fault epoch patches at most one row segment
-// (<= 64 cells), >= 4x fewer cell writes than the 4096 a rebuild touches.
-// The wall-clock twin lives in bench/alloc_load.
+// The incremental-vs-rebuild pin in deterministic units: on a 64x64
+// machine a single-fault epoch rewrites one cell, >= 4x fewer cell writes
+// than the 4096 a rebuild touches. The wall-clock twin lives in
+// bench/alloc_load.
 TEST(FreeIndexTest, SingleFaultEpochPatchesFarLessThanRebuild) {
   const Mesh2D m(64, 64);
   FreeRegionIndex idx(m);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "fault/shapes.hpp"
 
 namespace ocp::geom {
@@ -116,6 +119,32 @@ TEST(QuadrantTest, RectangleQuadrantsHoldCorners) {
           << "origin " << mesh::to_string(u);
     }
   }
+}
+
+// Lemma 2 holds for every finite cell set, not only for regions the
+// labeling produces (DESIGN.md sec. 7): in each closed quadrant of a member
+// u, the member farthest out along the quadrant's y and then x direction
+// is a corner. Every one of the 2^16 cell sets of a 4x4 box, every member,
+// every quadrant.
+TEST(QuadrantTest, EveryCellSetOfA4x4BoxHasCornersInEveryQuadrant) {
+  std::uint32_t failures = 0;
+  std::uint32_t first_failing_set = 0;
+  for (std::uint32_t set = 1; set < (1u << 16); ++set) {
+    std::vector<Coord> cells;
+    for (std::int32_t i = 0; i < 16; ++i) {
+      if ((set >> i & 1u) != 0) cells.push_back({i % 4, i / 4});
+    }
+    const Region r(std::move(cells));
+    for (const Coord u : r.cells()) {
+      for (const Quadrant q : kAllQuadrants) {
+        if (!quadrant_has_corner(r, u, q) && failures++ == 0) {
+          first_failing_set = set;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(failures, 0u) << "first failing cell set 0x" << std::hex
+                          << first_failing_set;
 }
 
 }  // namespace
