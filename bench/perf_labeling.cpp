@@ -1,5 +1,5 @@
-// Microbenchmarks of the labeling engines: distributed kernel (dense vs
-// frontier scheduling) and the centralized reference solver, across machine
+// Microbenchmarks of the labeling engines: the distributed engine's word
+// rounds and the centralized reference solver, across machine
 // sizes and fault densities, plus the oracle pass and the first labeling of
 // an incrementally maintained machine.
 #include <benchmark/benchmark.h>
@@ -41,22 +41,6 @@ void BM_PipelineDistributedFrontier(benchmark::State& state) {
 BENCHMARK(BM_PipelineDistributedFrontier)
     ->ArgsProduct({{32, 64, 100, 200}, {5, 20}})
     ->Args({256, 20})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PipelineDistributedDense(benchmark::State& state) {
-  const auto n = static_cast<std::int32_t>(state.range(0));
-  const auto faults = make_faults(n, state.range(1), 42);
-  labeling::PipelineOptions opts;
-  opts.engine = labeling::Engine::Distributed;
-  opts.run_mode = sim::RunMode::Dense;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(labeling::run_pipeline(faults, opts));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n) * n);
-}
-BENCHMARK(BM_PipelineDistributedDense)
-    ->ArgsProduct({{32, 64, 100, 200}, {5, 20}})
     ->Unit(benchmark::kMillisecond);
 
 // Cost of building the CSR adjacency table itself (paid once per machine,

@@ -1,6 +1,5 @@
 // Microbenchmarks of the wormhole simulator. Every benchmark reports
-// throughput as flit moves per second (items_per_second) — the one work
-// unit both kernels execute identically — so event-vs-sweep and
+// throughput as flit moves per second (items_per_second), so batch and
 // cached-vs-direct comparisons read off the same scale.
 #include <benchmark/benchmark.h>
 
@@ -31,7 +30,7 @@ std::vector<netsim::PacketSpec> random_specs(const mesh::Mesh2D& m,
   return specs;
 }
 
-void run_batch(benchmark::State& state, netsim::SimKernel kernel) {
+void BM_WormholeBatch(benchmark::State& state) {
   const auto n = static_cast<std::int32_t>(state.range(0));
   const auto packets = static_cast<std::size_t>(state.range(1));
   const mesh::Mesh2D m = mesh::Mesh2D::square(n);
@@ -40,8 +39,7 @@ void run_batch(benchmark::State& state, netsim::SimKernel kernel) {
 
   std::int64_t flit_moves = 0;
   for (auto _ : state) {
-    netsim::WormholeSim sim(
-        m, {.num_vcs = 1, .vc_buffer_flits = 2, .kernel = kernel});
+    netsim::WormholeSim sim(m, {.num_vcs = 1, .vc_buffer_flits = 2});
     for (const auto& spec : specs) sim.submit(spec);
     const auto result = sim.run();
     flit_moves += result.flit_moves;
@@ -50,26 +48,11 @@ void run_batch(benchmark::State& state, netsim::SimKernel kernel) {
   state.SetItemsProcessed(flit_moves);
   state.SetLabel("items = flit moves");
 }
-
-void BM_WormholeBatch(benchmark::State& state) {
-  run_batch(state, netsim::SimKernel::Event);
-}
 BENCHMARK(BM_WormholeBatch)
     ->Args({16, 32})
     ->Args({16, 256})
     ->Args({32, 256})
     ->Args({32, 1024})
-    ->Args({64, 1024})
-    ->Unit(benchmark::kMillisecond);
-
-// The reference sweep kernel on the same batches: committed next to the
-// event numbers so the baseline records the kernel speedup itself.
-void BM_WormholeBatchSweepKernel(benchmark::State& state) {
-  run_batch(state, netsim::SimKernel::Sweep);
-}
-BENCHMARK(BM_WormholeBatchSweepKernel)
-    ->Args({16, 256})
-    ->Args({32, 256})
     ->Args({64, 1024})
     ->Unit(benchmark::kMillisecond);
 

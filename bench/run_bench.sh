@@ -43,7 +43,7 @@
 #                                       # baselines touched
 #   BUILD_DIR=out bench/run_bench.sh    # non-default build tree
 #   BENCH_MIN_TIME=0.5 bench/run_bench.sh   # steadier timings (slower)
-#   BENCH_FILTER=Dense bench/run_bench.sh   # subset of benchmarks
+#   BENCH_FILTER=Frontier bench/run_bench.sh   # subset of benchmarks
 #   BENCH_TOLERANCE=0.5 bench/run_bench.sh --netsim   # wider band
 set -euo pipefail
 

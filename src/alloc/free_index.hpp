@@ -82,19 +82,37 @@ template <typename BusyRow>
 /// and adding 0x7f carries a nonzero lane into its top bit. The columns
 /// must not cross a word boundary unless x0 is a multiple of 64: a whole
 /// row, or a page row (pages are at most 32 columns wide and start at a
-/// multiple of their width).
+/// multiple of their width). Every copy has a compile-time size — whole
+/// 64-cell chunks, then 8-cell lanes, then single bytes — because one
+/// variable-length `memcpy` per row costs more than the expansion.
 inline void expand_busy(std::span<const std::uint64_t> free_row,
                         std::int32_t x0, std::span<std::uint8_t> out) {
   constexpr std::uint64_t kLow = 0x0101010101010101ULL;  // bit 0 of each lane
-  for (std::size_t j = 0; j < out.size(); j += 64) {
+  const auto lanes = [](std::uint64_t busy) {
+    const std::uint64_t byte = (busy & 0xff) * kLow;
+    return (((byte & 0x8040201008040201ULL) + 0x7f * kLow) >> 7) & kLow;
+  };
+  const auto busy_word = [&](std::size_t j) {
     const std::size_t x = static_cast<std::size_t>(x0) + j;
-    const std::uint64_t busy = ~(free_row[x / 64] >> x % 64);
-    std::uint64_t lanes[8] = {};  // a fixed trip count, so it unrolls
+    return ~(free_row[x / 64] >> x % 64);
+  };
+  const std::size_t n = out.size();
+  std::size_t j = 0;
+  for (; j + 64 <= n; j += 64) {
+    const std::uint64_t busy = busy_word(j);
     for (std::size_t i = 0; i < 8; ++i) {
-      const std::uint64_t byte = (busy >> 8 * i & 0xff) * kLow;
-      lanes[i] = (((byte & 0x8040201008040201ULL) + 0x7f * kLow) >> 7) & kLow;
+      const std::uint64_t lane = lanes(busy >> 8 * i);
+      std::memcpy(&out[j + 8 * i], &lane, 8);
     }
-    std::memcpy(&out[j], lanes, std::min<std::size_t>(64, out.size() - j));
+  }
+  if (j == n) return;
+  std::uint64_t busy = busy_word(j);
+  for (; j + 8 <= n; j += 8, busy >>= 8) {
+    const std::uint64_t lane = lanes(busy);
+    std::memcpy(&out[j], &lane, 8);
+  }
+  for (; j < n; ++j, busy >>= 1) {
+    out[j] = static_cast<std::uint8_t>(busy & 1);
   }
 }
 

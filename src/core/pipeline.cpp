@@ -25,10 +25,7 @@ PipelineResult run_pipeline(const grid::CellSet& faults,
                             const PipelineOptions& opts) {
   const mesh::Mesh2D& m = faults.topology();
   const obs::Span pipeline_span(opts.trace, "pipeline.run");
-  sim::RunOptions run_opts;
-  run_opts.mode = opts.run_mode;
-  run_opts.parallel = opts.parallel;
-  run_opts.trace = opts.trace;
+  const sim::RunOptions run_opts{.trace = opts.trace};
 
   grid::NodeGrid<Safety> safety(m, Safety::Safe);
   grid::NodeGrid<Activation> activation(m, Activation::Enabled);

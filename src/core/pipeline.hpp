@@ -29,10 +29,10 @@ enum class Engine : std::uint8_t {
 struct PipelineOptions {
   SafeUnsafeDef definition = SafeUnsafeDef::Def2b;
   Engine engine = Engine::Distributed;
+  /// `run_mode` and `parallel` change neither results nor timings: both
+  /// phases run word rounds, which ignore them. They stay because the
+  /// repository benchmark's label_cold names them.
   sim::RunMode run_mode = sim::RunMode::Frontier;
-  /// Passed on as `sim::RunOptions::parallel`. Both phases run the
-  /// word-parallel evaluator, to which it does not apply, so the pipeline's
-  /// results and timings do not depend on it.
   bool parallel = false;
   /// Observability (src/obs): disabled by default (null sink). When set,
   /// the run emits per-phase spans ("pipeline.safety"/"pipeline.activation"/

@@ -24,7 +24,6 @@ TrafficSimResult run_traffic_sim_impl(const mesh::Mesh2D& machine,
   WormholeSim sim(machine, {.num_vcs = config.num_vcs,
                             .vc_buffer_flits = config.vc_buffer_flits,
                             .deadlock_threshold = config.deadlock_threshold,
-                            .kernel = config.kernel,
                             .trace = config.trace});
 
   // Usable sources/destinations.

@@ -37,9 +37,6 @@ struct TrafficSimConfig {
   std::int32_t vc_buffer_flits = 2;
   std::int64_t deadlock_threshold = 1024;
   std::uint64_t seed = 1;
-  /// Wormhole execution kernel (see netsim/wormhole.hpp); both produce
-  /// bit-identical results.
-  SimKernel kernel = SimKernel::Event;
   /// Observability (src/obs): propagated to the wormhole kernel; the run
   /// itself is a "traffic_sim.run" span with offered/delivered/unroutable
   /// counters. Disabled (null sink) by default; never affects results.

@@ -220,8 +220,7 @@ SimResult WormholeSim::run() {
   const obs::Span run_span(config_.trace, "wormhole.run");
   flit_moves_ = 0;
   cycles_jumped_ = 0;
-  SimResult result = config_.kernel == SimKernel::Sweep ? run_sweep()
-                                                        : run_event();
+  SimResult result = run_event();
   result.flit_moves = flit_moves_;
   if (config_.trace.enabled()) {
     config_.trace.counter("wormhole.cycles", result.cycles);
@@ -234,57 +233,10 @@ SimResult WormholeSim::run() {
   return result;
 }
 
-// Reference kernel: every worm is stepped on every cycle, in submission
-// order. The event kernel below is asserted bit-identical against this in
-// tests/netsim/kernel_equivalence_test.cpp.
-SimResult WormholeSim::run_sweep() {
-  SimResult result;
-  result.packets.resize(worms_.size());
-  for (std::size_t i = 0; i < worms_.size(); ++i) {
-    result.packets[i].inject_cycle = worms_[i].inject_cycle;
-  }
-
-  std::size_t remaining = worms_.size();
-  std::int64_t idle_cycles = 0;
-  std::int64_t now = 0;
-  const auto no_release = [](std::size_t) {};
-  for (; now < config_.max_cycles && remaining > 0; ++now) {
-    bool any_motion = false;
-    bool waiting_on_schedule = false;
-    for (std::size_t i = 0; i < worms_.size(); ++i) {
-      Worm& worm = worms_[i];
-      if (worm.done) continue;
-      if (now < worm.inject_cycle) {
-        waiting_on_schedule = true;
-        continue;
-      }
-      if (step_worm(i, no_release)) any_motion = true;
-      if (worm.flits_absorbed == worm.length_flits) {
-        worm.done = true;
-        --remaining;
-        result.packets[i].delivered = true;
-        result.packets[i].finish_cycle = now;
-        ++result.delivered;
-        result.latency.add(static_cast<double>(result.packets[i].latency()));
-      }
-    }
-    if (any_motion) {
-      idle_cycles = 0;
-    } else if (!waiting_on_schedule) {
-      if (++idle_cycles >= config_.deadlock_threshold) {
-        result.deadlocked = true;
-        ++now;
-        break;
-      }
-    }
-  }
-  result.cycles = now;
-  result.stuck = remaining;
-  return result;
-}
-
-// Event-driven kernel. Same cycle-by-cycle semantics as the sweep, but only
-// worms that can change state are stepped:
+// Event-driven kernel. Same cycle-by-cycle semantics as the sweep that steps
+// every worm on every cycle in submission order (the test tree's reference,
+// tests/support/wormhole_sweep.hpp), but only worms that can change state
+// are stepped:
 //
 //  * A worm whose step makes no move is *parked* on the one virtual channel
 //    whose release can unblock it — `channels[head_hop]` (a stalled worm is

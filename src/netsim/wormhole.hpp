@@ -15,22 +15,19 @@
 //  * if no flit moves for `deadlock_threshold` consecutive cycles while
 //    worms are in flight, the run reports deadlock and the stuck worms.
 //
-// Two execution kernels share this semantics (see DESIGN.md §8):
-//
-//  * `SimKernel::Sweep` — the reference: every worm is stepped on every
-//    cycle, in submission order. Trivially correct, O(worms) per cycle even
-//    when almost nothing can move.
-//  * `SimKernel::Event` (default) — an event-driven worklist: only worms
-//    that can change state are stepped; a worm blocked on a busy virtual
-//    channel is parked on that channel's wake list and re-activated when
-//    the owning worm releases it, and the clock jumps over quiescent gaps
-//    between injections. Produces a bit-identical `SimResult`.
+// `run()` is an event-driven worklist (see DESIGN.md §8): only worms that
+// can change state are stepped. A worm blocked on a busy virtual channel is
+// parked on that channel's wake list and re-activated when the owning worm
+// releases it, and the clock jumps over quiescent gaps between injections.
+// Its `SimResult` is bit-identical to stepping every worm on every cycle in
+// submission order; that sweep is a reference in the test tree
+// (`tests/support/wormhole_sweep.hpp`), written without this class.
 //
 // Tests drive the classic scenarios: dimension-order traffic never
 // deadlocks on one virtual channel; a turn cycle of four long worms
 // deadlocks on one virtual channel and is broken by assigning a second one;
-// `tests/netsim/kernel_equivalence_test.cpp` asserts kernel equivalence on
-// seeded random batches.
+// `tests/netsim/kernel_equivalence_test.cpp` asserts equivalence with the
+// sweep on seeded random batches.
 #pragma once
 
 #include <cstdint>
@@ -78,13 +75,6 @@ struct PacketSpec {
                                                  std::int32_t length_flits,
                                                  std::int64_t inject_cycle);
 
-/// Which execution kernel `WormholeSim::run` uses. Both produce bit-identical
-/// `SimResult`s; Sweep is the slow, obviously-correct reference.
-enum class SimKernel : std::uint8_t {
-  Event = 0,
-  Sweep = 1,
-};
-
 struct SimConfig {
   std::uint8_t num_vcs = 1;
   /// Flit buffer capacity per virtual channel.
@@ -93,7 +83,6 @@ struct SimConfig {
   std::int64_t max_cycles = 1 << 20;
   /// Cycles without any flit movement that count as deadlock.
   std::int64_t deadlock_threshold = 256;
-  SimKernel kernel = SimKernel::Event;
   /// Observability: when enabled, run() is a span and reports cycles /
   /// flit-move / worms-retired / clock-jump counters. Never affects results.
   obs::TraceConfig trace;
@@ -166,12 +155,10 @@ class WormholeSim {
                                        std::uint8_t vc) const noexcept;
   /// Advances one worm by at most one flit per channel; returns true if
   /// anything moved. `on_release(channel)` fires for every virtual channel
-  /// the worm's tail releases this cycle (the event kernel's wake hook; the
-  /// sweep kernel passes a no-op).
+  /// the worm's tail releases this cycle (the wake hook).
   template <typename OnRelease>
   bool step_worm(std::size_t wi, OnRelease&& on_release);
 
-  [[nodiscard]] SimResult run_sweep();
   [[nodiscard]] SimResult run_event();
 
   mesh::Mesh2D mesh_;
@@ -188,8 +175,7 @@ class WormholeSim {
   std::uint32_t submit_epoch_ = 0;
   /// Flit movements executed by step_worm during the current run().
   std::int64_t flit_moves_ = 0;
-  /// Idle cycles the event kernel's clock jumps skipped over in the current
-  /// run() (always 0 under the sweep kernel, which executes them).
+  /// Idle cycles the clock jumps skipped over in the current run().
   std::int64_t cycles_jumped_ = 0;
 };
 

@@ -57,13 +57,13 @@ concept SyncProtocol = requires(const P p, typename P::State s,
   { p.update(s, inbox) } -> std::same_as<bool>;
 };
 
-/// Optional word-parallel form of a protocol whose message is a one-byte
-/// 0/1 value (a node's bit is `announce(state)`, the ghost bit is
-/// `ghost_message()`) and whose participation never changes: both of the
-/// paper's phases. `run_sync` detects it with `if constexpr` and evaluates
-/// 64 nodes per operation on `grid::BitPlane`s; rounds, states and every
-/// `RoundStats` field match the per-node path exactly on every input the
-/// protocol's hook documents as valid.
+/// Word-parallel form of a protocol whose message is a one-byte 0/1 value
+/// (a node's bit is `announce(state)`, the ghost bit is `ghost_message()`)
+/// and whose participation never changes: both of the paper's phases.
+/// `run_sync` requires it and evaluates 64 nodes per operation on
+/// `grid::BitPlane`s; rounds, states and every `RoundStats` field match the
+/// per-node rounds of the same protocol exactly on every input the
+/// protocol's hook documents as valid (`WordRoundsTest`).
 template <typename P>
 concept WordProtocol =
     SyncProtocol<P> && sizeof(typename P::Message) == 1 &&
@@ -90,9 +90,9 @@ concept WordProtocol =
   return (a & b) | (c & d) | ((a | b) & (c | d));
 }
 
-/// How the kernel schedules node updates. All modes compute the same
-/// fixpoint; they differ in faithfulness vs speed. Protocols with the
-/// word-parallel hook run the same word rounds in either mode.
+/// How per-node rounds schedule node updates. Both modes compute the same
+/// round-by-round states. `run_sync`'s word rounds are the same in either
+/// mode.
 enum class RunMode : std::uint8_t {
   /// Lock-step rounds, every node evaluated every round — the paper's model.
   Dense = 0,
@@ -123,14 +123,15 @@ struct RoundStats {
 
 /// Kernel knobs.
 struct RunOptions {
+  /// `mode` and `parallel` are read only by the per-node reference rounds
+  /// in the test tree (`tests/support/node_rounds.hpp`); `run_sync` ignores
+  /// both. They stay because the repository benchmark's label_cold names
+  /// them.
   RunMode mode = RunMode::Frontier;
-  /// Evaluate dense rounds of the per-node path across OpenMP threads.
-  /// Sound because `update` is a pure function of the previous-round plane
-  /// (double-buffered states make a round embarrassingly parallel) and all
-  /// round statistics are integer reductions, so results and stats are
-  /// bit-identical for any thread count. Ignored in Frontier mode, without
-  /// OpenMP, and for protocols with the word-parallel hook (`WordProtocol`),
-  /// whose rounds run on one thread.
+  /// Evaluate dense per-node rounds across OpenMP threads. Sound because
+  /// `update` is a pure function of the previous-round plane and all round
+  /// statistics are integer reductions, so results and stats are
+  /// bit-identical for any thread count.
   bool parallel = false;
   /// Safety cap; the monotone labeling protocols converge in at most
   /// max-fault-block-diameter rounds, so hitting this cap indicates a bug.

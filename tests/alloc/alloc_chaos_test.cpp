@@ -1,7 +1,7 @@
 // Chaos schedules against the allocation subsystem: a writer kill during an
 // eviction storm must crash-recover and replay to the exact placement
 // history of a kill-free run (ISSUE 10's convergence criterion).
-#include "chaos/alloc_schedule.hpp"
+#include "support/alloc_schedule.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,7 +1,8 @@
 // The incremental free-region index: single-bit flips against a rebuild,
 // word-parallel anchor enumeration and the run/extent queries against brute
-// force (across 64-bit word boundaries too), the largest-free-rectangle
-// metric, and the cells_patched() work bound behind the O(dirty) claim.
+// force (across 64-bit word boundaries too), the busy-byte expansion, the
+// largest-free-rectangle metric, and the cells_patched() work bound behind
+// the O(dirty) claim.
 #include "alloc/free_index.hpp"
 
 #include <gtest/gtest.h>
@@ -296,6 +297,44 @@ TEST(FreeIndexTest, LargestFreeRectMatchesBruteForce) {
     }
   }
   EXPECT_EQ(idx.largest_free_rect_area(), best);
+}
+
+TEST(FreeIndexTest, ExpandBusyMatchesCellByCell) {
+  // Every legal call: a whole row from x0 = 0, and every page row of every
+  // page side (a power of two up to 32, starting at a multiple of it). The
+  // widths cover whole 64-cell chunks, 8-cell lanes and byte tails.
+  stats::Rng rng(2611);
+  for (std::int32_t width = 1; width <= 130; ++width) {
+    for (const double density : {0.0, 0.3, 1.0}) {
+      const Mesh2D m(width, 3);
+      FreeRegionIndex idx(m);
+      for (std::int32_t y = 0; y < m.height(); ++y) {
+        for (std::int32_t x = 0; x < width; ++x) {
+          if (rng.uniform() < density) idx.set_busy({x, y}, true);
+        }
+      }
+      const auto check = [&](std::int32_t y, std::int32_t x0,
+                             std::int32_t n) {
+        std::vector<std::uint8_t> out(static_cast<std::size_t>(n), 0xee);
+        expand_busy(idx.free_row(y), x0, out);
+        std::vector<std::uint8_t> expected;
+        for (std::int32_t x = x0; x < x0 + n; ++x) {
+          expected.push_back(idx.busy({x, y}) ? 1 : 0);
+        }
+        EXPECT_EQ(out, expected) << "width " << width << " density "
+                                 << density << " y " << y << " x0 " << x0
+                                 << " cells " << n;
+      };
+      for (std::int32_t y = 0; y < m.height(); ++y) {
+        check(y, 0, width);
+        for (std::int32_t side = 1; side <= 32; side *= 2) {
+          for (std::int32_t x0 = 0; x0 < width; x0 += side) {
+            check(y, x0, std::min(side, width - x0));
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(FreeIndexTest, ExtentsMeasureFreeSlabs) {

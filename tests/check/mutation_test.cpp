@@ -4,13 +4,13 @@
 // local-minimal counterexample.
 #include <gtest/gtest.h>
 
-#include "check/mutants.hpp"
 #include "check/oracle.hpp"
 #include "check/shrink.hpp"
 #include "core/reference.hpp"
 #include "fault/generators.hpp"
 #include "fault/trace.hpp"
 #include "stats/rng.hpp"
+#include "support/mutants.hpp"
 
 namespace ocp::check {
 namespace {

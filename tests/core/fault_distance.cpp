@@ -1,6 +1,6 @@
 #include "fault_distance.hpp"
 
-#include "simkernel/sync_runner.hpp"
+#include "support/node_rounds.hpp"
 
 namespace ocp::labeling {
 
@@ -8,7 +8,7 @@ grid::NodeGrid<FaultDistanceVector> compute_fault_distances(
     const grid::CellSet& faults, const grid::NodeGrid<Safety>& safety,
     sim::RoundStats* stats) {
   const FaultDistanceProtocol proto(faults, safety);
-  auto result = sim::run_sync(faults.topology(), proto);
+  auto result = sim::run_nodes(faults.topology(), proto);
   if (stats) *stats = result.stats;
   grid::NodeGrid<FaultDistanceVector> out(faults.topology());
   for (std::size_t i = 0; i < out.size(); ++i) {

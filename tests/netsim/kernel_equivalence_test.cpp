@@ -1,15 +1,17 @@
-// Old-vs-new kernel equivalence: the event-driven worklist kernel must
-// reproduce the reference sweep kernel bit-for-bit — same per-packet finish
-// cycles, same deadlock verdicts, same cycle counts, same flit-move totals,
-// same latency statistics — over seeded random packet batches on meshes and
-// tori, plus the adversarial scenarios (turn cycles, wrap rings, sparse
-// injection gaps the event kernel clock-jumps over, cycle caps).
+// Kernel equivalence: the simulator's event-driven worklist kernel must
+// reproduce the test tree's reference sweep (support/wormhole_sweep.hpp,
+// which shares no code with `WormholeSim`) bit-for-bit — same per-packet
+// finish cycles, same deadlock verdicts, same cycle counts, same flit-move
+// totals, same latency statistics — over seeded random packet batches on
+// meshes and tori, plus the adversarial scenarios (turn cycles, wrap rings,
+// sparse injection gaps the event kernel clock-jumps over, cycle caps).
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
 #include "fault/generators.hpp"
 #include "netsim/wormhole.hpp"
 #include "routing/router.hpp"
+#include "support/wormhole_sweep.hpp"
 
 namespace ocp::netsim {
 namespace {
@@ -18,9 +20,8 @@ using mesh::Coord;
 using mesh::Mesh2D;
 using mesh::Topology;
 
-SimResult run_with(const Mesh2D& m, SimConfig config, SimKernel kernel,
-                   const std::vector<PacketSpec>& specs) {
-  config.kernel = kernel;
+SimResult run_event(const Mesh2D& m, const SimConfig& config,
+                    const std::vector<PacketSpec>& specs) {
   WormholeSim sim(m, config);
   for (const auto& spec : specs) sim.submit(spec);
   return sim.run();
@@ -29,8 +30,8 @@ SimResult run_with(const Mesh2D& m, SimConfig config, SimKernel kernel,
 void expect_identical(const Mesh2D& m, const SimConfig& config,
                       const std::vector<PacketSpec>& specs,
                       const std::string& what) {
-  const SimResult event = run_with(m, config, SimKernel::Event, specs);
-  const SimResult sweep = run_with(m, config, SimKernel::Sweep, specs);
+  const SimResult event = run_event(m, config, specs);
+  const SimResult sweep = run_sweep_reference(m, config, specs);
   SCOPED_TRACE(what);
   EXPECT_EQ(event.deadlocked, sweep.deadlocked);
   EXPECT_EQ(event.cycles, sweep.cycles);
@@ -206,7 +207,7 @@ TEST(KernelEquivalenceTest, TorusWrapRingDeadlockOnOneClass) {
   }
   const SimConfig config{.num_vcs = 1, .vc_buffer_flits = 1,
                          .deadlock_threshold = 64};
-  const SimResult result = run_with(m, config, SimKernel::Event, specs);
+  const SimResult result = run_event(m, config, specs);
   EXPECT_TRUE(result.deadlocked);
   EXPECT_EQ(result.stuck, 4u);
   expect_identical(m, config, specs, "torus wrap ring, one vc");
@@ -235,7 +236,7 @@ TEST(KernelEquivalenceTest, ClassBasedAssignmentBreaksTheWrapRing) {
   EXPECT_EQ(specs[3].vcs.front(), 1);
   const SimConfig config{.num_vcs = 4, .vc_buffer_flits = 1,
                          .deadlock_threshold = 64};
-  const SimResult result = run_with(m, config, SimKernel::Event, specs);
+  const SimResult result = run_event(m, config, specs);
   EXPECT_FALSE(result.deadlocked);
   EXPECT_EQ(result.delivered, 4u);
   expect_identical(m, config, specs, "torus wrap ring, class vcs");

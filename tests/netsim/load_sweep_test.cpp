@@ -237,25 +237,6 @@ TEST(RouteCacheTrafficTest, CachedOverloadIsExactDropIn) {
   EXPECT_EQ(cached.latency.mean(), warm.latency.mean());
 }
 
-TEST(RouteCacheTrafficTest, KernelChoicePropagatesThroughTrafficSim) {
-  const Mesh2D m(10, 10);
-  const grid::CellSet blocked(m);
-  const routing::XYRouter router(m, blocked);
-  TrafficSimConfig config;
-  config.injection_rate = 0.008;
-  config.warm_cycles = 256;
-  config.seed = 77;
-  config.kernel = SimKernel::Event;
-  const auto event = run_traffic_sim(m, blocked, router, config);
-  config.kernel = SimKernel::Sweep;
-  const auto sweep = run_traffic_sim(m, blocked, router, config);
-  EXPECT_EQ(event.delivered_packets, sweep.delivered_packets);
-  EXPECT_EQ(event.cycles, sweep.cycles);
-  EXPECT_EQ(event.flit_moves, sweep.flit_moves);
-  EXPECT_EQ(event.latency.mean(), sweep.latency.mean());
-  EXPECT_EQ(event.latency_overflow, sweep.latency_overflow);
-}
-
 TEST(RouteCacheTrafficTest, LatencyOverflowSurfacesClampedTail) {
   // Light load on an open mesh: every latency fits in the 4096-cycle
   // histogram, so the overflow counter stays zero and matches the

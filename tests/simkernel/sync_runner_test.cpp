@@ -1,8 +1,13 @@
+// The synchronous runners: the per-node reference rounds of the test tree
+// (`run_nodes`) on the kernel's test protocols, and the library's
+// `run_sync`, which takes only word-parallel protocols.
 #include "simkernel/sync_runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include "core/safety_protocol.hpp"
 #include "grid/cell_set.hpp"
+#include "support/node_rounds.hpp"
 
 namespace ocp::sim {
 namespace {
@@ -50,10 +55,23 @@ class BfsProtocol {
 
 static_assert(SyncProtocol<BfsProtocol>);
 
+/// Whether `run_sync` accepts `P` on a mesh and on an adjacency table.
+template <typename P>
+constexpr bool kRunSyncAccepts =
+    requires(const Mesh2D& m, const mesh::AdjacencyTable& adj, const P& p) {
+      run_sync(m, p);
+      run_sync(adj, p);
+    };
+
+// The library runs word rounds only: a protocol without the word hook is
+// rejected at compile time and runs on `run_nodes` instead.
+static_assert(!kRunSyncAccepts<BfsProtocol>);
+static_assert(kRunSyncAccepts<labeling::SafetyProtocol>);
+
 TEST(SyncRunnerTest, BfsDistancesAreCorrect) {
   const Mesh2D m(7, 5);
   const grid::CellSet seeds{m, {{0, 0}}};
-  const auto result = run_sync(m, BfsProtocol(seeds));
+  const auto result = run_nodes(m, BfsProtocol(seeds));
   for (std::int32_t x = 0; x < 7; ++x) {
     for (std::int32_t y = 0; y < 5; ++y) {
       EXPECT_EQ((result.states[{x, y}].distance), x + y);
@@ -64,7 +82,7 @@ TEST(SyncRunnerTest, BfsDistancesAreCorrect) {
 TEST(SyncRunnerTest, RoundsEqualEccentricity) {
   const Mesh2D m(7, 5);
   const grid::CellSet seeds{m, {{0, 0}}};
-  const auto result = run_sync(m, BfsProtocol(seeds));
+  const auto result = run_nodes(m, BfsProtocol(seeds));
   // Farthest node is at distance 6 + 4 = 10; information travels one hop per
   // round.
   EXPECT_EQ(result.stats.rounds_to_quiesce, 10);
@@ -75,7 +93,7 @@ TEST(SyncRunnerTest, AlreadyStableInputQuiescesInZeroRounds) {
   const Mesh2D m(4, 4);
   grid::CellSet seeds(m);
   for (std::size_t i = 0; i < 16; ++i) seeds.insert(m.coord(i));  // all seeds
-  const auto result = run_sync(m, BfsProtocol(seeds));
+  const auto result = run_nodes(m, BfsProtocol(seeds));
   EXPECT_EQ(result.stats.rounds_to_quiesce, 0);
   EXPECT_EQ(result.stats.rounds_executed, 1);
   EXPECT_EQ(result.stats.state_changes, 0u);
@@ -86,8 +104,8 @@ TEST(SyncRunnerTest, DenseAndFrontierAgree) {
   const grid::CellSet seeds{m, {{4, 4}, {0, 8}}};
   RunOptions dense{.mode = RunMode::Dense};
   RunOptions frontier{.mode = RunMode::Frontier};
-  const auto a = run_sync(m, BfsProtocol(seeds), dense);
-  const auto b = run_sync(m, BfsProtocol(seeds), frontier);
+  const auto a = run_nodes(m, BfsProtocol(seeds), dense);
+  const auto b = run_nodes(m, BfsProtocol(seeds), frontier);
   EXPECT_EQ(a.states, b.states);
   EXPECT_EQ(a.stats.rounds_to_quiesce, b.stats.rounds_to_quiesce);
   EXPECT_EQ(a.stats.state_changes, b.stats.state_changes);
@@ -98,7 +116,7 @@ TEST(SyncRunnerTest, DenseAndFrontierAgree) {
 TEST(SyncRunnerTest, MessageAccounting) {
   const Mesh2D m(3, 3);
   const grid::CellSet seeds{m, {{1, 1}}};
-  const auto result = run_sync(m, BfsProtocol(seeds));
+  const auto result = run_nodes(m, BfsProtocol(seeds));
   // 3x3 mesh: total degree = 4*2 + 4*3 + 1*4 = 24 per round.
   EXPECT_EQ(result.stats.messages_broadcast,
             24u * static_cast<std::uint64_t>(result.stats.rounds_executed));
@@ -112,7 +130,7 @@ TEST(SyncRunnerTest, MessageAccounting) {
 TEST(SyncRunnerTest, TorusHasNoGhostInbox) {
   const Mesh2D m(5, 5, mesh::Topology::Torus);
   const grid::CellSet seeds{m, {{0, 0}}};
-  const auto result = run_sync(m, BfsProtocol(seeds));
+  const auto result = run_nodes(m, BfsProtocol(seeds));
   // On a torus distances wrap: node (4,4) is 2 away from (0,0).
   EXPECT_EQ((result.states[{4, 4}].distance), 2);
   EXPECT_EQ((result.states[{2, 2}].distance), 4);
@@ -123,7 +141,22 @@ TEST(SyncRunnerTest, ThrowsWhenRoundCapExceeded) {
   const grid::CellSet seeds{m, {{0, 0}}};
   RunOptions opts;
   opts.max_rounds = 3;  // needs 14
-  EXPECT_THROW(run_sync(m, BfsProtocol(seeds), opts), std::runtime_error);
+  EXPECT_THROW(run_nodes(m, BfsProtocol(seeds), opts), std::runtime_error);
+}
+
+TEST(SyncRunnerTest, WordRoundsThrowWhenRoundCapExceeded) {
+  // A fault staircase: its inner corner turns unsafe only after both of its
+  // neighbors have, one round later.
+  const Mesh2D m(8, 8);
+  const grid::CellSet faults{m, {{2, 0}, {1, 1}, {0, 2}}};
+  const labeling::SafetyProtocol proto(faults, labeling::SafeUnsafeDef::Def2a);
+  const std::int32_t rounds = run_sync(m, proto).stats.rounds_to_quiesce;
+  ASSERT_GE(rounds, 2);
+  EXPECT_THROW(run_sync(m, proto, {.max_rounds = 1}), std::runtime_error);
+  EXPECT_THROW(run_sync(m, proto, {.max_rounds = rounds}),
+               std::runtime_error);
+  // One more round is the all-quiet one, which ends the run.
+  EXPECT_NO_THROW(run_sync(m, proto, {.max_rounds = rounds + 1}));
 }
 
 /// Ghost-aware protocol: a node becomes marked when it has a ghost neighbor.
@@ -154,7 +187,7 @@ class GhostProbeProtocol {
 
 TEST(SyncRunnerTest, GhostMessagesOnlyOnMeshBoundary) {
   const Mesh2D m(5, 4);
-  const auto result = run_sync(m, GhostProbeProtocol{});
+  const auto result = run_nodes(m, GhostProbeProtocol{});
   for (std::int32_t x = 0; x < 5; ++x) {
     for (std::int32_t y = 0; y < 4; ++y) {
       const bool boundary = x == 0 || x == 4 || y == 0 || y == 3;
@@ -165,7 +198,7 @@ TEST(SyncRunnerTest, GhostMessagesOnlyOnMeshBoundary) {
 
 TEST(SyncRunnerTest, NoGhostsOnTorus) {
   const Mesh2D m(5, 4, mesh::Topology::Torus);
-  const auto result = run_sync(m, GhostProbeProtocol{});
+  const auto result = run_nodes(m, GhostProbeProtocol{});
   for (const auto& s : result.states) EXPECT_FALSE(s.marked);
 }
 
@@ -198,8 +231,8 @@ TEST(SyncRunnerTest, BroadcastCountTracksShrinkingParticipation) {
   const Mesh2D m(6, 4);
   RunOptions dense{.mode = RunMode::Dense};
   RunOptions frontier{.mode = RunMode::Frontier};
-  const auto a = run_sync(m, CountdownProtocol{}, dense);
-  const auto b = run_sync(m, CountdownProtocol{}, frontier);
+  const auto a = run_nodes(m, CountdownProtocol{}, dense);
+  const auto b = run_nodes(m, CountdownProtocol{}, frontier);
 
   // A node at column x participates in rounds 1..x; the run quiesces once
   // the last column reaches zero.

@@ -1,9 +1,9 @@
 // Round-by-round property test of the word-parallel evaluator: for both of
-// the paper's phases, `run_sync` on the genuine protocols (word rounds) must
-// match `run_sync` on the same protocols behind an adapter that hides the
-// word hook (per-node rounds) — per-round change counts, final states and
-// every RoundStats field — on mesh and torus, Definitions 2a and 2b, 0–30%
-// faults, and widths on, off and around whole 64-bit words.
+// the paper's phases, `run_sync` (word rounds) must match the test tree's
+// `run_nodes` on the same protocols (per-node rounds) — per-round change
+// counts, final states and every RoundStats field — on mesh and torus,
+// Definitions 2a and 2b, 0–30% faults, and widths on, off and around whole
+// 64-bit words.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,6 +14,7 @@
 #include "fault/generators.hpp"
 #include "simkernel/sync_runner.hpp"
 #include "stats/rng.hpp"
+#include "support/node_rounds.hpp"
 
 #ifdef OCP_HAVE_OPENMP
 #include <omp.h>
@@ -25,38 +26,8 @@ namespace {
 using labeling::Safety;
 using labeling::SafeUnsafeDef;
 
-/// Exposes exactly the `SyncProtocol` interface of `P`, so `run_sync` takes
-/// the per-node path.
-template <typename P>
-class PerNode {
- public:
-  using State = typename P::State;
-  using Message = typename P::Message;
-
-  explicit PerNode(const P& inner) : inner_(&inner) {}
-
-  [[nodiscard]] State init(mesh::Coord c) const { return inner_->init(c); }
-  [[nodiscard]] Message announce(const State& s) const {
-    return inner_->announce(s);
-  }
-  [[nodiscard]] Message ghost_message() const {
-    return inner_->ghost_message();
-  }
-  [[nodiscard]] bool participates(const State& s) const {
-    return inner_->participates(s);
-  }
-  [[nodiscard]] bool update(State& s, const Inbox<Message>& inbox) const {
-    return inner_->update(s, inbox);
-  }
-
- private:
-  const P* inner_;
-};
-
 static_assert(WordProtocol<labeling::SafetyProtocol>);
 static_assert(WordProtocol<labeling::ActivationProtocol>);
-static_assert(!WordProtocol<PerNode<labeling::SafetyProtocol>>);
-static_assert(!WordProtocol<PerNode<labeling::ActivationProtocol>>);
 
 struct Traced {
   grid::NodeGrid<std::uint8_t> states;
@@ -64,14 +35,16 @@ struct Traced {
   std::vector<std::int64_t> changes;  // "sync.changes", one per round
 };
 
-/// Runs `proto` at TraceLevel::Round and keeps each state's encoding
-/// (`encode`), the statistics and the per-round change counts.
+/// Runs `proto` at TraceLevel::Round, in word rounds or (`per_node`) node
+/// by node, and keeps each state's encoding (`encode`), the statistics and
+/// the per-round change counts.
 template <typename P, typename Encode>
 Traced traced_run(const mesh::Mesh2D& m, const P& proto, RunOptions opts,
-                  Encode encode) {
+                  Encode encode, bool per_node = false) {
   obs::TraceSink sink;
   opts.trace = {&sink, obs::TraceLevel::Round};
-  const auto r = run_sync(m, proto, opts);
+  const auto r =
+      per_node ? run_nodes(m, proto, opts) : run_sync(m, proto, opts);
   Traced out{grid::NodeGrid<std::uint8_t>(m), r.stats, {}};
   for (std::size_t i = 0; i < r.states.size(); ++i) {
     out.states.at_index(i) = encode(r.states.at_index(i));
@@ -102,22 +75,23 @@ void expect_same(const Traced& word, const Traced& node,
 
 /// Compares `word` with the per-node runs of `proto` in every
 /// configuration: dense, frontier, and dense across 1, 2 and 8 OpenMP
-/// threads (the per-node loop that mutants and the test tree's
+/// threads (the per-node loop that the mutants and
 /// `FaultDistanceProtocol` run).
 template <typename P, typename Encode>
 void expect_per_node_same(const mesh::Mesh2D& m, const Traced& word,
                           const P& proto, Encode encode,
                           const std::string& what) {
   for (const RunMode mode : {RunMode::Dense, RunMode::Frontier}) {
-    expect_same(word, traced_run(m, PerNode(proto), {.mode = mode}, encode),
+    expect_same(word, traced_run(m, proto, {.mode = mode}, encode, true),
                 what + (mode == RunMode::Dense ? " dense" : " frontier"));
   }
 #ifdef OCP_HAVE_OPENMP
   for (const int threads : {1, 2, 8}) {
     omp_set_num_threads(threads);
     expect_same(word,
-                traced_run(m, PerNode(proto),
-                           {.mode = RunMode::Dense, .parallel = true}, encode),
+                traced_run(m, proto,
+                           {.mode = RunMode::Dense, .parallel = true}, encode,
+                           true),
                 what + " parallel(threads=" + std::to_string(threads) + ")");
   }
   omp_set_num_threads(omp_get_num_procs());

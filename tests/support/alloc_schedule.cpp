@@ -1,4 +1,4 @@
-#include "chaos/alloc_schedule.hpp"
+#include "support/alloc_schedule.hpp"
 
 #include <algorithm>
 #include <sstream>

@@ -19,6 +19,9 @@
 // Ops render as one-line repros ("J8 F4 W K F9 T4"): J=submit jobs,
 // F=fault events, W=eviction storm (whirlwind), T=ticks, R=release,
 // K=arm kill at the next publish stamp.
+//
+// Test-only: the allocation chaos suite and the driver replay digests run
+// it; the library does not ship it.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,9 @@
-#include "check/mutants.hpp"
+#include "support/mutants.hpp"
 
 #include "core/activation_protocol.hpp"
 #include "core/regions.hpp"
 #include "core/safety_protocol.hpp"
-#include "simkernel/sync_runner.hpp"
+#include "support/node_rounds.hpp"
 
 namespace ocp::check {
 
@@ -125,7 +125,7 @@ labeling::PipelineResult run_mutant_pipeline(const grid::CellSet& faults,
 
   const MutantSafetyProtocol phase1(faults, def, safety_threshold,
                                     safety_ghost);
-  const auto r1 = sim::run_sync(adj, phase1);
+  const auto r1 = sim::run_nodes(adj, phase1);
   result.safety_stats = r1.stats;
   for (std::size_t i = 0; i < result.safety.size(); ++i) {
     result.safety.at_index(i) = r1.states.at_index(i).safety;
@@ -134,7 +134,7 @@ labeling::PipelineResult run_mutant_pipeline(const grid::CellSet& faults,
   const MutantActivationProtocol phase2(faults, result.safety,
                                         activation_threshold,
                                         activation_ghost);
-  const auto r2 = sim::run_sync(adj, phase2);
+  const auto r2 = sim::run_nodes(adj, phase2);
   result.activation_stats = r2.stats;
   for (std::size_t i = 0; i < result.activation.size(); ++i) {
     result.activation.at_index(i) = r2.states.at_index(i).activation;

@@ -4,7 +4,9 @@
 // below miscomputes the labeling in a way a careless engine rewrite could
 // (wrong activation threshold, dropped ghost support, a degenerate safety
 // rule); the mutation smoke tests assert that the InvariantOracle flags
-// every one of them on crafted fixtures and fuzzed instances alike.
+// every one of them on crafted fixtures and fuzzed instances alike. The
+// mutant protocols have no word-parallel hook, so they run on the per-node
+// reference rounds (`support/node_rounds.hpp`). Test-only.
 #pragma once
 
 #include <array>

@@ -12,9 +12,9 @@
 #include <utility>
 
 #include "alloc/loadgen.hpp"
-#include "chaos/alloc_schedule.hpp"
 #include "chaos/harness.hpp"
 #include "chaos/schedule.hpp"
+#include "support/alloc_schedule.hpp"
 #include "svc/loadgen.hpp"
 
 namespace ocp {
