@@ -1,5 +1,5 @@
 // Summarizes an ocpmesh-trace-v1 JSON-lines trace (obs::TraceSink's
-// write_jsonl output) into per-span / per-instant / counter tables.
+// write_jsonl output) into per-span and per-instant tables.
 //
 // Usage:
 //   obs_report trace.jsonl
@@ -83,8 +83,7 @@ int main(int argc, char** argv) {
   std::istringstream stream(text);
   const ocp::obs::TraceReport report = ocp::obs::summarize_jsonl(stream);
 
-  if (report.spans.empty() && report.instants.empty() &&
-      report.counters.empty()) {
+  if (report.spans.empty() && report.instants.empty()) {
     std::cerr << "obs_report: no trace events found"
               << (report.malformed_lines > 0
                       ? " (input does not look like ocpmesh-trace-v1)"

@@ -84,9 +84,6 @@ int main(int argc, char** argv) {
 
   obs::TraceSink sink;
   const obs::TraceConfig trace{&sink, obs::TraceLevel::Round};
-#ifdef OCP_OBS_DISABLE
-  std::cerr << "obs_trace: built with OCP_OBS=OFF; the trace will be empty\n";
-#endif
 
   run_traced_pipeline(trace);
   run_traced_netsim(trace);
@@ -118,12 +115,10 @@ int main(int argc, char** argv) {
   // does, so the demo fails loudly if the formats ever drift apart.
   std::ifstream back(jsonl_path);
   const obs::TraceReport report = obs::summarize_jsonl(back);
-#ifndef OCP_OBS_DISABLE
   if (report.spans.empty()) {
     std::cerr << "obs_trace: round-trip produced no spans\n";
     return 1;
   }
-#endif
   obs::print_report(report, std::cout);
   return 0;
 }

@@ -96,7 +96,7 @@ run_trace() {
   local out="$BUILD/bench/trace"
   echo "== obs_trace -> $out"
   "$BUILD/bench/obs_trace" --out-dir "$out" > /dev/null
-  "$BUILD/bench/obs_report" "$out/trace.jsonl"
+  "$BUILD/bench/obs_report" --strict "$out/trace.jsonl"
   echo "trace artifacts: $out/trace.jsonl, $out/trace_chrome.json"
   echo "(load trace_chrome.json in chrome://tracing or ui.perfetto.dev)"
 }

@@ -9,6 +9,10 @@
 #      lenient skips the line, --strict fails the capture
 #   4. duplicate keys on one line         -> structurally valid JSON; the
 #      v1 parser deterministically takes the FIRST occurrence
+#
+# Every fixture record is a span or an instant, the only kinds a v1 trace
+# holds; a `c` (counter) or `h` (histogram) line is an unknown kind and
+# counts as malformed.
 #   5. empty file / pure garbage / missing file -> exit 1 in any mode
 #
 # Usage: test_obs_report.sh <path-to-obs_report>
@@ -33,13 +37,13 @@ expect() {
   fi
 }
 
-# A minimal healthy v1 capture: meta, one completed span, one counter.
+# A minimal healthy v1 capture: meta, one completed span, one instant.
 make_clean() {
   cat > "$1" <<'EOF'
 {"ev":"meta","schema":"ocpmesh-trace-v1"}
 {"ev":"b","name":"work","ts_ns":100}
 {"ev":"e","name":"work","ts_ns":300,"dur_ns":200}
-{"ev":"c","name":"events","value":3}
+{"ev":"i","name":"events","ts_ns":310,"value":3}
 EOF
 }
 
@@ -54,7 +58,7 @@ fi
 
 # 2. Truncated capture: the writer died mid-line (no trailing quote/brace).
 make_clean "$TMP/truncated.jsonl"
-printf '{"ev":"c","name":"cut","va' >> "$TMP/truncated.jsonl"
+printf '{"ev":"i","name":"cut","va' >> "$TMP/truncated.jsonl"
 expect "truncated file (lenient)" 0 "$BIN" "$TMP/truncated.jsonl"
 if ! grep -q "malformed line(s) skipped" "$TMP/stdout.log"; then
   echo "FAIL truncated file: malformed-line note missing" >&2
@@ -69,25 +73,26 @@ fi
 # 3. NaN: JSON has no NaN literal, and the v1 integer parser must reject it
 # rather than read 0.
 make_clean "$TMP/nan.jsonl"
-echo '{"ev":"c","name":"bad","value":NaN}' >> "$TMP/nan.jsonl"
+echo '{"ev":"i","name":"bad","ts_ns":400,"value":NaN}' >> "$TMP/nan.jsonl"
 expect "NaN value (lenient)" 0 "$BIN" "$TMP/nan.jsonl"
 if ! grep -q "malformed line(s) skipped" "$TMP/stdout.log"; then
   echo "FAIL NaN: malformed-line note missing" >&2
   FAILURES=$((FAILURES + 1))
 fi
 if grep -Eq '^bad ' "$TMP/stdout.log"; then
-  echo "FAIL NaN: counter 'bad' summarized despite unparseable value" >&2
+  echo "FAIL NaN: instant 'bad' summarized despite unparseable value" >&2
   FAILURES=$((FAILURES + 1))
 fi
 expect "NaN value --strict" 1 "$BIN" --strict "$TMP/nan.jsonl"
 
 # 4. Duplicate keys: valid JSON (RFC 8259 leaves it undefined), so strict
 # mode accepts it — but the summary must be deterministic: the first
-# occurrence wins, so the counter reads 1, not 7.
+# occurrence wins, so the instant's sum reads 1, not 7.
 make_clean "$TMP/dup.jsonl"
-echo '{"ev":"c","name":"twice","value":1,"value":7}' >> "$TMP/dup.jsonl"
+echo '{"ev":"i","name":"twice","ts_ns":400,"value":1,"value":7}' >> "$TMP/dup.jsonl"
 expect "duplicate keys --strict" 0 "$BIN" --strict "$TMP/dup.jsonl"
-if ! grep -Eq '^twice +1 *$' "$TMP/stdout.log"; then
+# instant table columns: name, count, sum, min, max
+if ! grep -Eq '^twice +1 +1 +1 +1 *$' "$TMP/stdout.log"; then
   echo "FAIL duplicate keys: first-occurrence value not reported" >&2
   sed 's/^/    /' "$TMP/stdout.log" >&2
   FAILURES=$((FAILURES + 1))

@@ -111,7 +111,6 @@ void AllocEngine::free_cells_of(const geom::Rect& rect) {
 
 SubmitResult AllocEngine::submit(const JobRequest& request) {
   ++stats_.submitted;
-  config_.trace.counter("alloc.submitted", 1);
   const bool bad_dims = request.width <= 0 || request.height <= 0 ||
                         request.width > machine_.width() ||
                         request.height > machine_.height();
@@ -122,7 +121,6 @@ SubmitResult AllocEngine::submit(const JobRequest& request) {
       });
   if (bad_dims || duplicate) {
     ++stats_.rejected;
-    config_.trace.counter("alloc.rejected", 1);
     note(Note::kRejected, request.id, geom::Rect{}, bad_dims ? 1 : 2);
     publish_view();
     return {SubmitOutcome::Rejected, {}};
@@ -131,7 +129,6 @@ SubmitResult AllocEngine::submit(const JobRequest& request) {
           strategy_->choose(index_, request.width, request.height)) {
     place_live(request, *anchor, 0);
     ++stats_.placed;
-    config_.trace.counter("alloc.placed", 1);
     const geom::Rect rect = live_.at(request.id).rect;
     note(Note::kPlaced, request.id, rect, 0);
     publish_view();
@@ -140,13 +137,11 @@ SubmitResult AllocEngine::submit(const JobRequest& request) {
   if (pending_.size() < config_.queue_capacity) {
     pending_.push_back(PendingJob{request, 0, 0});
     ++stats_.queued;
-    config_.trace.counter("alloc.queued", 1);
     note(Note::kQueued, request.id, geom::Rect{}, 0);
     publish_view();
     return {SubmitOutcome::Queued, {}};
   }
   ++stats_.rejected;
-  config_.trace.counter("alloc.rejected", 1);
   note(Note::kRejected, request.id, geom::Rect{}, 3);
   publish_view();
   return {SubmitOutcome::Rejected, {}};
@@ -159,7 +154,6 @@ bool AllocEngine::release(std::uint64_t id) {
   free_cells_of(rect);
   live_.erase(it);
   ++stats_.released;
-  config_.trace.counter("alloc.released", 1);
   note(Note::kReleased, id, rect, 0);
   drain_pending();
   publish_view();
@@ -182,7 +176,6 @@ std::size_t AllocEngine::tick() {
     free_cells_of(rect);
     live_.erase(it);
     ++stats_.completed;
-    config_.trace.counter("alloc.completed", 1);
     note(Note::kCompleted, id, rect, 0);
   }
   drain_pending();
@@ -230,14 +223,12 @@ EpochOutcome AllocEngine::observe_epoch(const svc::Snapshot& snap,
     live_.erase(it);
     ++stats_.evicted;
     ++out.evicted;
-    config_.trace.counter("alloc.evicted", 1);
     note(Note::kEvicted, id, job.rect, out.epoch);
     recover_evicted(std::move(job), out);
   }
   drain_pending();
   epoch_ = out.epoch;
   ++stats_.epochs_observed;
-  config_.trace.counter("alloc.epochs", 1);
   note(Note::kEpoch, out.epoch, geom::Rect{}, out.evicted);
   publish_view();
   return out;
@@ -251,7 +242,6 @@ void AllocEngine::recover_evicted(LiveJob job, EpochOutcome& out) {
     place_live(request, *anchor, job.evictions);
     ++stats_.replaced;
     ++out.replaced;
-    config_.trace.counter("alloc.replaced", 1);
     note(Note::kReplaced, request.id, live_.at(request.id).rect,
          job.evictions);
     return;
@@ -267,13 +257,11 @@ void AllocEngine::recover_evicted(LiveJob job, EpochOutcome& out) {
         PendingJob{request, job.evictions, tick_ + job.evictions});
     ++stats_.requeued;
     ++out.requeued;
-    config_.trace.counter("alloc.requeued", 1);
     note(Note::kRequeued, request.id, geom::Rect{}, job.evictions);
     return;
   }
   ++stats_.shed;
   ++out.shed;
-  config_.trace.counter("alloc.shed", 1);
   note(Note::kShed, request.id, geom::Rect{}, job.evictions);
 }
 
@@ -294,7 +282,6 @@ std::size_t AllocEngine::drain_pending() {
     const JobRequest request = it->request;
     place_live(request, *anchor, it->evictions);
     ++stats_.placed;
-    config_.trace.counter("alloc.placed", 1);
     note(Note::kPlaced, request.id, live_.at(request.id).rect, 1);
     it = pending_.erase(it);
     ++placed;

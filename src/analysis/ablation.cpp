@@ -1,10 +1,10 @@
 #include "analysis/ablation.hpp"
 
-#include "analysis/trial_pool.hpp"
 #include "fault/generators.hpp"
 #include "routing/router.hpp"
 #include "routing/traffic.hpp"
 #include "stats/rng.hpp"
+#include "stats/trial_pool.hpp"
 
 namespace ocp::analysis {
 
@@ -30,10 +30,10 @@ std::vector<DefinitionAblationRow> run_definition_ablation(
     DefinitionAblationRow& row = rows[fi];
     row.f = config.fault_counts[fi];
     stats::Rng seeder(config.seed + 0x1000 * static_cast<std::uint64_t>(fi));
-    const auto trial_seeds = fork_trial_seeds(seeder, config.trials);
+    const auto trial_seeds = stats::fork_trial_seeds(seeder, config.trials);
 
     std::vector<DefTrialRecord> records(config.trials);
-    for_each_trial(config.trials, [&](std::size_t t) {
+    stats::for_each_trial(config.trials, [&](std::size_t t) {
       stats::Rng rng(trial_seeds[t]);
       const grid::CellSet faults = fault::uniform_random(
           machine, static_cast<std::size_t>(row.f), rng);
@@ -142,10 +142,10 @@ std::vector<RoutingAblationRow> run_routing_ablation(
 
   for (std::size_t fi = 0; fi < config.fault_counts.size(); ++fi) {
     stats::Rng seeder(config.seed + 0x1000 * static_cast<std::uint64_t>(fi));
-    const auto trial_seeds = fork_trial_seeds(seeder, config.trials);
+    const auto trial_seeds = stats::fork_trial_seeds(seeder, config.trials);
 
     std::vector<RoutingTrialRecord> records(config.trials * kModels.size());
-    for_each_trial(config.trials, [&](std::size_t t) {
+    stats::for_each_trial(config.trials, [&](std::size_t t) {
       stats::Rng rng(trial_seeds[t]);
       const grid::CellSet faults = fault::uniform_random(
           machine, static_cast<std::size_t>(config.fault_counts[fi]), rng);

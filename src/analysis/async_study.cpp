@@ -1,10 +1,10 @@
 #include "analysis/async_study.hpp"
 
-#include "analysis/trial_pool.hpp"
 #include "core/safety_protocol.hpp"
 #include "fault/generators.hpp"
 #include "simkernel/async_runner.hpp"
 #include "simkernel/sync_runner.hpp"
+#include "stats/trial_pool.hpp"
 
 namespace ocp::analysis {
 
@@ -30,10 +30,10 @@ std::vector<AsyncStudyRow> run_async_study(const AsyncStudyConfig& config) {
     AsyncStudyRow& row = rows[fi];
     row.f = config.fault_counts[fi];
     stats::Rng seeder(config.seed + 0x10 * static_cast<std::uint64_t>(fi));
-    const auto trial_seeds = fork_trial_seeds(seeder, config.trials);
+    const auto trial_seeds = stats::fork_trial_seeds(seeder, config.trials);
 
     std::vector<AsyncTrialRecord> records(config.trials);
-    for_each_trial(config.trials, [&](std::size_t t) {
+    stats::for_each_trial(config.trials, [&](std::size_t t) {
       stats::Rng rng(trial_seeds[t]);
       const auto faults = fault::uniform_random(
           machine, static_cast<std::size_t>(row.f), rng);

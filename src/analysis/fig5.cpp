@@ -2,9 +2,9 @@
 
 #include <vector>
 
-#include "analysis/trial_pool.hpp"
 #include "fault/generators.hpp"
 #include "stats/rng.hpp"
+#include "stats/trial_pool.hpp"
 
 namespace ocp::analysis {
 
@@ -82,10 +82,10 @@ std::vector<Fig5Row> run_fig5(const Fig5Config& config) {
     // Per-trial seeds are derived deterministically so results do not
     // depend on sweep order or parallel scheduling.
     stats::Rng seeder(config.seed + 0x1000 * static_cast<std::uint64_t>(fi));
-    const auto trial_seeds = fork_trial_seeds(seeder, config.trials);
+    const auto trial_seeds = stats::fork_trial_seeds(seeder, config.trials);
 
     std::vector<Fig5Row> trial_rows(config.trials);
-    for_each_trial(config.trials, [&](std::size_t t) {
+    stats::for_each_trial(config.trials, [&](std::size_t t) {
       stats::Rng rng(trial_seeds[t]);
       const grid::CellSet faults = fault::uniform_random(
           machine, static_cast<std::size_t>(row.f), rng);

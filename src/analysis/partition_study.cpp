@@ -1,10 +1,10 @@
 #include "analysis/partition_study.hpp"
 
-#include "analysis/trial_pool.hpp"
 #include "core/partition.hpp"
 #include "core/pipeline.hpp"
 #include "fault/generators.hpp"
 #include "stats/rng.hpp"
+#include "stats/trial_pool.hpp"
 
 namespace ocp::analysis {
 
@@ -29,10 +29,10 @@ std::vector<PartitionStudyRow> run_partition_study(
     PartitionStudyRow& row = rows[fi];
     row.f = config.fault_counts[fi];
     stats::Rng seeder(config.seed + 0x100 * static_cast<std::uint64_t>(fi));
-    const auto trial_seeds = fork_trial_seeds(seeder, config.trials);
+    const auto trial_seeds = stats::fork_trial_seeds(seeder, config.trials);
 
     std::vector<PartitionTrialRecord> records(config.trials);
-    for_each_trial(config.trials, [&](std::size_t t) {
+    stats::for_each_trial(config.trials, [&](std::size_t t) {
       stats::Rng rng(trial_seeds[t]);
       const auto faults =
           config.clustered

@@ -5,8 +5,8 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/trial_pool.hpp"
 #include "stats/rng.hpp"
+#include "stats/trial_pool.hpp"
 
 namespace ocp::chaos {
 
@@ -29,7 +29,7 @@ ChaosLoadResult run_chaos_load(const ChaosLoadConfig& config) {
       svc::derive_workload(master, machine, config.initial_faults,
                            config.events, config.repair_fraction);
   const std::vector<std::uint64_t> worker_seeds =
-      analysis::fork_trial_seeds(master, config.query_threads);
+      stats::fork_trial_seeds(master, config.query_threads);
 
   ChaosLoadResult result;
   svc::SubmitTally submits;

@@ -147,11 +147,9 @@ FuzzReport run_fuzz(const FuzzConfig& config) {
 
     ViolationReport report = check_instance(faults, def, config);
     ++fuzz.instances_run;
-    config.trace.counter("fuzz.instances", 1);
     if (report.ok()) continue;
 
     ++fuzz.failure_count;
-    config.trace.counter("fuzz.failures", 1);
     if (fuzz.failures.size() >= config.max_failures) continue;
 
     FuzzFailure failure;
@@ -174,8 +172,6 @@ FuzzReport run_fuzz(const FuzzConfig& config) {
           });
       failure.shrunk_trace = shrunk.trace;
       failure.shrink_evaluations = shrunk.evaluations;
-      config.trace.counter("fuzz.shrink_steps",
-                           static_cast<std::int64_t>(shrunk.evaluations));
       failure.shrunk_report = check_instance(shrunk.faults, def, config);
     }
     fuzz.failures.push_back(std::move(failure));

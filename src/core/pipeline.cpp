@@ -67,18 +67,6 @@ PipelineResult run_pipeline(const grid::CellSet& faults,
         extract_disabled_regions(faults, result.activation, result.blocks);
   }
   if (opts.trace.enabled()) {
-    opts.trace.counter("pipeline.runs", 1);
-    opts.trace.counter(
-        "pipeline.nodes_flipped",
-        static_cast<std::int64_t>(safety_stats.state_changes +
-                                  activation_stats.state_changes));
-    opts.trace.counter(
-        "pipeline.messages_broadcast",
-        static_cast<std::int64_t>(safety_stats.messages_broadcast +
-                                  activation_stats.messages_broadcast));
-    opts.trace.counter("pipeline.rounds",
-                       safety_stats.rounds_to_quiesce +
-                           activation_stats.rounds_to_quiesce);
     opts.trace.instant("pipeline.blocks",
                        static_cast<std::int64_t>(result.blocks.size()));
     opts.trace.instant("pipeline.regions",

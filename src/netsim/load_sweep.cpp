@@ -1,6 +1,6 @@
 #include "netsim/load_sweep.hpp"
 
-#include "analysis/trial_pool.hpp"
+#include "stats/trial_pool.hpp"
 
 namespace ocp::netsim {
 
@@ -12,15 +12,13 @@ LoadPoint run_point(const mesh::Mesh2D& machine, const grid::CellSet& blocked,
                     routing::RouteCache& routes, const TrafficSimConfig& base,
                     double rate, const std::vector<std::uint64_t>& seeds) {
   std::vector<TrafficSimResult> records(seeds.size());
-  analysis::for_each_trial(seeds.size(), [&](std::size_t t) {
+  stats::for_each_trial(seeds.size(), [&](std::size_t t) {
     const obs::Span trial_span(base.trace, "load_sweep.trial");
     TrafficSimConfig config = base;
     config.injection_rate = rate;
     config.seed = seeds[t];
     records[t] = run_traffic_sim(machine, blocked, config, routes);
   });
-  base.trace.counter("load_sweep.trials",
-                     static_cast<std::int64_t>(seeds.size()));
 
   LoadPoint point;
   point.injection_rate = rate;
@@ -56,29 +54,19 @@ LoadSweepResult run_load_sweep(const mesh::Mesh2D& machine,
   // One RNG stream per grid cell, forked up-front in rate-major order, and
   // one shared route cache for the whole sweep.
   stats::Rng seeder(config.seed);
-  const auto seeds = analysis::fork_trial_seeds(seeder, rates * trials);
+  const auto seeds = stats::fork_trial_seeds(seeder, rates * trials);
   routing::RouteCache routes(router, machine);
 
   // Run the whole (rate x trial) grid as one flat parallel loop so slow
   // high-load cells overlap cheap low-load ones.
   std::vector<TrafficSimResult> records(rates * trials);
-  analysis::for_each_trial(rates * trials, [&](std::size_t cell) {
+  stats::for_each_trial(rates * trials, [&](std::size_t cell) {
     const obs::Span trial_span(config.base.trace, "load_sweep.trial");
     TrafficSimConfig trial_config = config.base;
     trial_config.injection_rate = config.injection_rates[cell / trials];
     trial_config.seed = seeds[cell];
     records[cell] = run_traffic_sim(machine, blocked, trial_config, routes);
   });
-  if (config.base.trace.enabled()) {
-    config.base.trace.counter("load_sweep.trials",
-                              static_cast<std::int64_t>(rates * trials));
-    config.base.trace.counter(
-        "route_cache.hits", static_cast<std::int64_t>(routes.hits()));
-    config.base.trace.counter(
-        "route_cache.misses", static_cast<std::int64_t>(routes.misses()));
-    config.base.trace.counter(
-        "route_cache.routes", static_cast<std::int64_t>(routes.size()));
-  }
 
   LoadSweepResult result;
   result.points.reserve(rates);
@@ -116,7 +104,7 @@ SaturationResult find_saturation_rate(const mesh::Mesh2D& machine,
   // probe's seeds on demand keeps the whole search reproducible.
   const auto probe = [&](double rate) -> const LoadPoint& {
     const obs::Span probe_span(config.base.trace, "saturation.probe");
-    const auto seeds = analysis::fork_trial_seeds(seeder, config.trials);
+    const auto seeds = stats::fork_trial_seeds(seeder, config.trials);
     result.probes.push_back(
         run_point(machine, blocked, routes, config.base, rate, seeds));
     return result.probes.back();

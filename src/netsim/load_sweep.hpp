@@ -4,7 +4,7 @@
 // for the saturation point) run at mesh sizes and load grids comparable to
 // real network studies.
 //
-// Parallelism follows the analysis/trial_pool contract: every (rate, trial)
+// Parallelism follows the stats/trial_pool contract: every (rate, trial)
 // cell gets its own RNG stream forked up-front in grid order, workers write
 // only their own preallocated slot, and the per-rate reduction runs
 // serially in trial order afterwards — so sweep output is bit-identical for

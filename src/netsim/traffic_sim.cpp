@@ -102,15 +102,6 @@ TrafficSimResult run_traffic_sim_impl(const mesh::Mesh2D& machine,
     }
   }
   result.latency_overflow = result.latency_hist.overflow();
-  if (config.trace.enabled()) {
-    config.trace.counter("traffic_sim.offered",
-                         static_cast<std::int64_t>(result.offered_packets));
-    config.trace.counter("traffic_sim.delivered",
-                         static_cast<std::int64_t>(result.delivered_packets));
-    config.trace.counter(
-        "traffic_sim.unroutable",
-        static_cast<std::int64_t>(result.unroutable_packets));
-  }
   if (run.cycles > 0) {
     result.accepted_flits_per_node_cycle =
         static_cast<double>(run.delivered) * config.packet_flits /

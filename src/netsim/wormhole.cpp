@@ -219,17 +219,8 @@ bool WormholeSim::step_worm(std::size_t wi, OnRelease&& on_release) {
 SimResult WormholeSim::run() {
   const obs::Span run_span(config_.trace, "wormhole.run");
   flit_moves_ = 0;
-  cycles_jumped_ = 0;
   SimResult result = run_event();
   result.flit_moves = flit_moves_;
-  if (config_.trace.enabled()) {
-    config_.trace.counter("wormhole.cycles", result.cycles);
-    config_.trace.counter("wormhole.flit_moves", flit_moves_);
-    config_.trace.counter("wormhole.worms_retired",
-                          static_cast<std::int64_t>(result.delivered));
-    config_.trace.counter("wormhole.cycles_jumped", cycles_jumped_);
-    if (result.deadlocked) config_.trace.counter("wormhole.deadlocks", 1);
-  }
   return result;
 }
 
@@ -303,7 +294,7 @@ SimResult WormholeSim::run_event() {
         const std::int64_t target =
             worms_[by_inject[next_inject]].inject_cycle;
         if (target > now) {
-          cycles_jumped_ += target - now;
+          result.cycles_jumped += target - now;
           now = target;
         }
       } else {
@@ -319,7 +310,7 @@ SimResult WormholeSim::run_event() {
           result.cycles = config_.max_cycles;
         }
         // Every cycle between `now` and the verdict was skipped, not run.
-        cycles_jumped_ += std::max<std::int64_t>(0, result.cycles - now);
+        result.cycles_jumped += std::max<std::int64_t>(0, result.cycles - now);
         result.stuck = remaining;
         return result;
       }

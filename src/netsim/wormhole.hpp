@@ -108,6 +108,8 @@ struct SimResult {
   /// Individual flit movements executed (injections + channel hops +
   /// ejections) — the natural work unit for throughput reporting.
   std::int64_t flit_moves = 0;
+  /// Idle cycles the event-driven clock jumped over instead of running.
+  std::int64_t cycles_jumped = 0;
   /// Latency (inject -> tail absorbed) of delivered worms.
   stats::Summary latency;
   /// Per-packet outcomes, in submission order.
@@ -175,8 +177,6 @@ class WormholeSim {
   std::uint32_t submit_epoch_ = 0;
   /// Flit movements executed by step_worm during the current run().
   std::int64_t flit_moves_ = 0;
-  /// Idle cycles the clock jumps skipped over in the current run().
-  std::int64_t cycles_jumped_ = 0;
 };
 
 }  // namespace ocp::netsim

@@ -75,18 +75,10 @@ const InstantStat* TraceReport::instant(std::string_view name) const {
   return nullptr;
 }
 
-std::int64_t TraceReport::counter(std::string_view name) const {
-  for (const auto& [n, v] : counters) {
-    if (n == name) return v;
-  }
-  return 0;
-}
-
 TraceReport summarize_jsonl(std::istream& in) {
   TraceReport report;
   std::map<std::string, SpanStat> spans;
   std::map<std::string, InstantStat> instants;
-  std::map<std::string, std::int64_t> counters;
 
   std::string line;
   while (std::getline(in, line)) {
@@ -139,17 +131,8 @@ TraceReport summarize_jsonl(std::istream& in) {
       s.sum += *value;
       s.min = std::min(s.min, *value);
       s.max = std::max(s.max, *value);
-    } else if (*ev == "c") {
-      const auto value = int_field(line, "value");
-      if (!value) {
-        ++report.malformed_lines;
-        continue;
-      }
-      counters[*name] += *value;
-    } else if (*ev != "h") {
-      // "h" histogram lines are derivable from "e" lines; other kinds are
-      // from a future schema.
-      ++report.malformed_lines;
+    } else {
+      ++report.malformed_lines;  // an event kind v1 does not have
     }
   }
 
@@ -159,7 +142,6 @@ TraceReport summarize_jsonl(std::istream& in) {
               return a.total_ms > b.total_ms;
             });
   for (auto& [_, s] : instants) report.instants.push_back(std::move(s));
-  report.counters.assign(counters.begin(), counters.end());
   return report;
 }
 
@@ -186,13 +168,6 @@ std::vector<stats::Table> report_tables(const TraceReport& report) {
                         std::to_string(s.max)});
     }
     tables.push_back(std::move(instants));
-  }
-  if (!report.counters.empty()) {
-    stats::Table counters({"counter", "value"});
-    for (const auto& [name, value] : report.counters) {
-      counters.add_row({name, std::to_string(value)});
-    }
-    tables.push_back(std::move(counters));
   }
   return tables;
 }

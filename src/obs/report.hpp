@@ -50,21 +50,21 @@ struct TraceReport {
   std::string schema;
   std::vector<SpanStat> spans;        // sorted by total_ms, descending
   std::vector<InstantStat> instants;  // sorted by name
-  std::vector<std::pair<std::string, std::int64_t>> counters;  // by name
-  /// Lines that were not valid v1 records (blank lines are not counted).
+  /// Lines that were not valid v1 records, unknown event kinds included
+  /// (blank lines are not counted).
   std::size_t malformed_lines = 0;
 
   [[nodiscard]] const SpanStat* span(std::string_view name) const;
   [[nodiscard]] const InstantStat* instant(std::string_view name) const;
-  [[nodiscard]] std::int64_t counter(std::string_view name) const;
 };
 
 /// Parses a JSON-lines trace (the TraceSink::write_jsonl format) into
-/// aggregates. Unknown `ev` kinds are skipped, broken lines are counted.
+/// aggregates. Lines of an unknown `ev` kind and broken lines are skipped
+/// and counted in `malformed_lines`.
 [[nodiscard]] TraceReport summarize_jsonl(std::istream& in);
 
-/// The three summary tables (spans, instants, counters) as printable
-/// `stats::Table`s; empty sections are omitted.
+/// The two summary tables (spans, instants) as printable `stats::Table`s;
+/// empty sections are omitted.
 [[nodiscard]] std::vector<stats::Table> report_tables(
     const TraceReport& report);
 

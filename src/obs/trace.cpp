@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <ostream>
+#include <string>
+#include <string_view>
 
 namespace ocp::obs {
 
 namespace {
 
-/// JSON string escaping for event/counter names. Instrumentation names are
+/// JSON string escaping for event names. Instrumentation names are
 /// dotted identifiers in practice, but exporters must not emit broken JSON
 /// for any input.
 std::string escape(std::string_view s) {
@@ -34,38 +36,7 @@ std::string escape(std::string_view s) {
   return out;
 }
 
-/// Dense round-robin stripe assignment, one id per thread for its lifetime
-/// (hashing std::thread::id clusters badly on some libstdc++ versions, and
-/// a dense sequence spreads any number of query threads evenly). The id is
-/// process-global, not per-sink: a thread keeps the same home stripe in
-/// every sink it touches.
-std::uint32_t this_thread_stripe_id() {
-  static std::atomic<std::uint32_t> next{0};
-  thread_local const std::uint32_t mine =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return mine;
-}
-
 }  // namespace
-
-LatencyRecorder::LatencyRecorder(double lo_ms, double hi_ms, std::size_t bins)
-    : lo_(lo_ms), hi_(hi_ms), bins_(bins) {}
-
-void LatencyRecorder::record(std::string_view name, double ms) {
-  const std::scoped_lock lock(mu_);
-  auto it = hists_.find(name);
-  if (it == hists_.end()) {
-    it = hists_.emplace(std::string(name), stats::Histogram(lo_, hi_, bins_))
-             .first;
-  }
-  it->second.add(ms);
-}
-
-std::vector<std::pair<std::string, stats::Histogram>>
-LatencyRecorder::snapshot() const {
-  const std::scoped_lock lock(mu_);
-  return {hists_.begin(), hists_.end()};
-}
 
 TraceSink::TraceSink() : epoch_(std::chrono::steady_clock::now()) {}
 
@@ -93,29 +64,22 @@ void TraceSink::span_begin(const char* name) {
 
 void TraceSink::span_end(const char* name) {
   const std::int64_t ts = now_ns();
-  std::int64_t duration = 0;
-  std::uint32_t tid = 0;
-  std::uint32_t depth = 0;
-  {
-    const std::scoped_lock lock(events_mu_);
-    ThreadState& st = thread_state();
-    tid = st.tid;
-    // Pop the matching begin. Mismatched ends (a bug in instrumented code)
-    // still record an event rather than corrupting the stack: unwind to the
-    // matching name if present, else treat as depth-0 with zero duration.
-    std::int64_t begin_ts = ts;
-    auto it = std::find_if(st.open.rbegin(), st.open.rend(),
-                           [&](const auto& p) { return p.first == name ||
-                                 std::string_view(p.first) == name; });
-    if (it != st.open.rend()) {
-      begin_ts = it->second;
-      st.open.erase(std::prev(it.base()), st.open.end());
-    }
-    depth = static_cast<std::uint32_t>(st.open.size());
-    duration = ts - begin_ts;
-    events_.push_back({EventKind::SpanEnd, name, ts, tid, depth, duration});
+  const std::scoped_lock lock(events_mu_);
+  ThreadState& st = thread_state();
+  // Pop the matching begin. Mismatched ends (a bug in instrumented code)
+  // still record an event rather than corrupting the stack: unwind to the
+  // matching name if present, else treat as depth-0 with zero duration.
+  std::int64_t begin_ts = ts;
+  auto it = std::find_if(st.open.rbegin(), st.open.rend(),
+                         [&](const auto& p) { return p.first == name ||
+                               std::string_view(p.first) == name; });
+  if (it != st.open.rend()) {
+    begin_ts = it->second;
+    st.open.erase(std::prev(it.base()), st.open.end());
   }
-  durations_.record(name, static_cast<double>(duration) / 1e6);
+  events_.push_back({EventKind::SpanEnd, name, ts, st.tid,
+                     static_cast<std::uint32_t>(st.open.size()),
+                     ts - begin_ts});
 }
 
 void TraceSink::instant(const char* name, std::int64_t value) {
@@ -126,51 +90,9 @@ void TraceSink::instant(const char* name, std::int64_t value) {
                      static_cast<std::uint32_t>(st.open.size()), value});
 }
 
-void TraceSink::counter_add(const char* name, std::int64_t delta) {
-  CounterStripe& stripe =
-      counter_stripes_[this_thread_stripe_id() % kCounterStripes];
-  {
-    const std::shared_lock lock(stripe.mu);
-    if (const auto it = stripe.values.find(name); it != stripe.values.end()) {
-      it->second.fetch_add(delta, std::memory_order_relaxed);
-      return;
-    }
-  }
-  const std::unique_lock lock(stripe.mu);
-  // try_emplace: another thread of this stripe may have created the entry
-  // between locks.
-  stripe.values.try_emplace(name).first->second.fetch_add(
-      delta, std::memory_order_relaxed);
-}
-
 std::vector<Event> TraceSink::events() const {
   const std::scoped_lock lock(events_mu_);
   return events_;
-}
-
-std::vector<std::pair<std::string, std::int64_t>> TraceSink::counters()
-    const {
-  // Aggregate-on-read: sum each name across the per-thread stripes.
-  std::map<std::string, std::int64_t, std::less<>> sums;
-  for (const CounterStripe& stripe : counter_stripes_) {
-    const std::shared_lock lock(stripe.mu);
-    for (const auto& [name, value] : stripe.values) {
-      sums[name] += value.load(std::memory_order_relaxed);
-    }
-  }
-  return {sums.begin(), sums.end()};
-}
-
-std::int64_t TraceSink::counter_value(std::string_view name) const {
-  std::int64_t sum = 0;
-  for (const CounterStripe& stripe : counter_stripes_) {
-    const std::shared_lock lock(stripe.mu);
-    if (const auto it = stripe.values.find(std::string(name));
-        it != stripe.values.end()) {
-      sum += it->second.load(std::memory_order_relaxed);
-    }
-  }
-  return sum;
 }
 
 void TraceSink::write_jsonl(std::ostream& os) const {
@@ -195,16 +117,6 @@ void TraceSink::write_jsonl(std::ostream& os) const {
         break;
     }
   }
-  for (const auto& [name, value] : counters()) {
-    os << "{\"ev\":\"c\",\"name\":\"" << escape(name) << "\",\"value\":"
-       << value << "}\n";
-  }
-  for (const auto& [name, hist] : durations_.snapshot()) {
-    os << "{\"ev\":\"h\",\"name\":\"" << escape(name) << "\",\"count\":"
-       << hist.count() << ",\"p50_ms\":" << hist.median()
-       << ",\"p99_ms\":" << hist.p99() << ",\"overflow\":" << hist.overflow()
-       << "}\n";
-  }
 }
 
 void TraceSink::write_chrome_trace(std::ostream& os) const {
@@ -215,9 +127,7 @@ void TraceSink::write_chrome_trace(std::ostream& os) const {
     first = false;
     os << "\n";
   };
-  std::int64_t last_ts = 0;
   for (const Event& e : events()) {
-    last_ts = std::max(last_ts, e.ts_ns);
     const double ts_us = static_cast<double>(e.ts_ns) / 1e3;
     switch (e.kind) {
       case EventKind::SpanBegin:
@@ -237,14 +147,6 @@ void TraceSink::write_chrome_trace(std::ostream& os) const {
            << "\",\"s\":\"t\",\"args\":{\"value\":" << e.value << "}}";
         break;
     }
-  }
-  // Final counter values as one Chrome counter sample each, stamped at the
-  // last event so they render at the end of the timeline.
-  for (const auto& [name, value] : counters()) {
-    sep();
-    os << "{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":"
-       << static_cast<double>(last_ts) / 1e3 << ",\"name\":\""
-       << escape(name) << "\",\"args\":{\"value\":" << value << "}}";
   }
   os << "\n],\"displayTimeUnit\":\"ms\"}\n";
 }

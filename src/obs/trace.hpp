@@ -1,43 +1,29 @@
-// Always-available observability: scoped spans, aggregate counters and
-// per-round instant events over one thread-safe in-memory sink, exported as
-// JSON-lines or Chrome trace-event JSON ("chrome://tracing" / Perfetto).
+// Timelines: scoped spans and value-carrying instant events over one
+// thread-safe in-memory sink, exported as JSON-lines or Chrome trace-event
+// JSON ("chrome://tracing" / Perfetto). A trace records those two things
+// and nothing else; how many of anything happened is a field of the typed
+// stats and result structs the instrumented code already returns
+// (`IngestStats`, `AllocStats`, `sim::RoundStats`, ...), traced or not.
 //
-// The layer is gated twice:
-//
-//  * runtime — every instrumented call site holds an `obs::TraceConfig`
-//    whose sink pointer is null by default; the disabled path is a single
-//    branch-on-null (verified against the committed bench baselines, which
-//    are produced with tracing off);
-//  * compile time — configuring with -DOCP_OBS=OFF defines OCP_OBS_DISABLE,
-//    which turns `TraceConfig::enabled()` into `constexpr false` so the
-//    instrumentation folds away entirely (the sink/report classes still
-//    compile; only the hooks go quiet).
+// Every instrumented call site holds an `obs::TraceConfig` whose sink
+// pointer is null by default; the disabled path is a single branch-on-null
+// (the committed bench baselines are produced with tracing off).
 //
 // Event names are `const char*` and must point at static-duration strings
 // (every call site passes a literal); this keeps recording allocation-free
-// on the event path. Counters aggregate by name with atomic adds under a
-// shared lock, so OpenMP regions can bump the same counter concurrently
-// without losing increments. Span begin/end pairing is tracked per thread,
-// which yields nesting depth and exact durations without any matching pass
-// in the exporters.
+// on the event path. Span begin/end pairing is tracked per thread, which
+// yields nesting depth and exact durations without any matching pass in the
+// exporters.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
-#include <memory>
 #include <mutex>
-#include <shared_mutex>
-#include <string>
-#include <string_view>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
-
-#include "stats/histogram.hpp"
 
 namespace ocp::obs {
 
@@ -65,40 +51,16 @@ struct Event {
 
 /// How much detail instrumented code emits.
 enum class TraceLevel : std::uint8_t {
-  /// Phase-level spans and aggregate counters only.
+  /// Phase-level spans only.
   Phase = 0,
   /// Additionally per-round / per-instance / per-trial events — more
   /// volume, full convergence timelines.
   Round = 1,
 };
 
-/// Thread-safe histogram-per-name duration recorder (stats::Histogram
-/// underneath). The sink feeds it every span completion; it is also usable
-/// standalone for any latency-shaped measurement.
-class LatencyRecorder {
- public:
-  /// Histogram shape applied to every name: [lo_ms, hi_ms) over `bins`
-  /// equal-width buckets (overflow is tracked explicitly, see Histogram).
-  explicit LatencyRecorder(double lo_ms = 0.0, double hi_ms = 1000.0,
-                           std::size_t bins = 64);
-
-  void record(std::string_view name, double ms);
-
-  /// Copies of the per-name histograms, sorted by name.
-  [[nodiscard]] std::vector<std::pair<std::string, stats::Histogram>>
-  snapshot() const;
-
- private:
-  double lo_;
-  double hi_;
-  std::size_t bins_;
-  mutable std::mutex mu_;
-  std::map<std::string, stats::Histogram, std::less<>> hists_;
-};
-
-/// Collects events and counters from any number of threads. One sink spans
-/// one traced run; exporters snapshot under the same locks the recorders
-/// take, so exporting mid-run is safe (if rarely useful).
+/// Collects events from any number of threads. One sink spans one traced
+/// run; exporters snapshot under the lock the recorders take, so exporting
+/// mid-run is safe (if rarely useful).
 class TraceSink {
  public:
   TraceSink();
@@ -109,25 +71,12 @@ class TraceSink {
   void span_begin(const char* name);
   void span_end(const char* name);
   void instant(const char* name, std::int64_t value);
-  /// Atomic aggregate add; concurrent adds to one name never lose counts.
-  /// The add lands in the calling thread's stripe (see `CounterStripe`), so
-  /// query threads hammering the same counter name never contend on one
-  /// map, one lock, or one cache line; reads aggregate across stripes.
-  void counter_add(const char* name, std::int64_t delta);
 
   [[nodiscard]] std::vector<Event> events() const;
-  /// Final counter values, sorted by name, each summed across all stripes.
-  [[nodiscard]] std::vector<std::pair<std::string, std::int64_t>> counters()
-      const;
-  [[nodiscard]] std::int64_t counter_value(std::string_view name) const;
-  /// Span-duration histograms (milliseconds), one per span name.
-  [[nodiscard]] const LatencyRecorder& span_durations() const {
-    return durations_;
-  }
 
   /// One JSON object per line: a meta header, then b/e/i event lines in
-  /// record order, then c (counter) and h (histogram) aggregate lines.
-  /// Schema: "ocpmesh-trace-v1" (parsed back by obs/report.hpp).
+  /// record order. Schema: "ocpmesh-trace-v1" (parsed back by
+  /// obs/report.hpp).
   void write_jsonl(std::ostream& os) const;
   /// Chrome trace-event JSON object format: {"traceEvents": [...]}; loads
   /// in chrome://tracing and Perfetto.
@@ -147,23 +96,6 @@ class TraceSink {
   mutable std::mutex events_mu_;
   std::vector<Event> events_;
   std::unordered_map<std::thread::id, ThreadState> threads_;
-
-  /// One stripe of the counter aggregation: a name→atomic map under its own
-  /// shared_mutex, padded to a cache line so neighboring stripes' lock words
-  /// never false-share. Each thread picks a home stripe by thread-id hash
-  /// (cached thread-locally) and only ever writes there; the steady-state
-  /// add is a shared-lock + relaxed fetch_add against state no other stripe
-  /// touches. Readers take every stripe's shared lock and sum — counters
-  /// are read per run/report, written per event, so the aggregation cost
-  /// sits on the cold side.
-  struct alignas(64) CounterStripe {
-    mutable std::shared_mutex mu;
-    std::unordered_map<std::string, std::atomic<std::int64_t>> values;
-  };
-  static constexpr std::size_t kCounterStripes = 8;
-  mutable std::array<CounterStripe, kCounterStripes> counter_stripes_;
-
-  LatencyRecorder durations_{0.0, 10000.0, 64};
 };
 
 /// The value-type handle instrumented code holds: a sink pointer (null =
@@ -173,19 +105,12 @@ struct TraceConfig {
   TraceSink* sink = nullptr;
   TraceLevel level = TraceLevel::Phase;
 
-#ifdef OCP_OBS_DISABLE
-  [[nodiscard]] constexpr bool enabled() const noexcept { return false; }
-#else
   [[nodiscard]] bool enabled() const noexcept { return sink != nullptr; }
-#endif
   /// True when per-round detail should be emitted.
   [[nodiscard]] bool rounds() const noexcept {
     return enabled() && level >= TraceLevel::Round;
   }
 
-  void counter(const char* name, std::int64_t delta) const {
-    if (enabled()) sink->counter_add(name, delta);
-  }
   void instant(const char* name, std::int64_t value) const {
     if (enabled()) sink->instant(name, value);
   }
@@ -194,7 +119,7 @@ struct TraceConfig {
 /// RAII scoped span. Records begin on construction and end (with duration)
 /// on destruction when the trace is enabled — otherwise both are a null
 /// check. The optional `enable` gate lets call sites condition a span on
-/// verbosity without an #if at every use: `Span s(trace, "x", trace.rounds())`.
+/// verbosity: `Span s(trace, "x", trace.rounds())`.
 class Span {
  public:
   Span(const TraceConfig& trace, const char* name, bool enable = true)

@@ -119,6 +119,10 @@ struct RoundStats {
   /// Link messages under an event-driven refinement (a node announces only
   /// when its state changed; round 0 announces initial state).
   std::uint64_t messages_event_driven = 0;
+  /// Node updates computed, summed over executed rounds: every participant
+  /// each round in word rounds; only the frontier in the per-node reference
+  /// rounds' Frontier mode.
+  std::uint64_t nodes_evaluated = 0;
 };
 
 /// Kernel knobs.

@@ -53,24 +53,12 @@ inline void gather(const mesh::AdjacencyTable& adj, const P& proto,
   }
 }
 
-/// Ends a synchronous run: enforces the round cap and emits the run-level
-/// trace counters.
-inline void finish_run(const RunOptions& opts, const RoundStats& stats,
-                      std::uint64_t nodes_evaluated) {
+/// Ends a synchronous run: enforces the round cap.
+inline void finish_run(const RunOptions& opts, const RoundStats& stats) {
   if (stats.rounds_executed >= opts.max_rounds &&
       stats.rounds_to_quiesce == stats.rounds_executed) {
     throw std::runtime_error(
         "run_sync: protocol did not quiesce within max_rounds");
-  }
-  if (opts.trace.enabled()) {
-    opts.trace.counter("sync.rounds", stats.rounds_executed);
-    opts.trace.counter("sync.nodes_flipped",
-                       static_cast<std::int64_t>(stats.state_changes));
-    opts.trace.counter(
-        "sync.messages_broadcast",
-        static_cast<std::int64_t>(stats.messages_broadcast));
-    opts.trace.counter("sync.nodes_evaluated",
-                       static_cast<std::int64_t>(nodes_evaluated));
   }
 }
 
@@ -124,7 +112,6 @@ RunResult<P> run_sync(const mesh::Mesh2D& m, const P& proto,
   RoundStats stats;
   // Round 0 of the event-driven refinement: every participant announces.
   stats.messages_event_driven = part_links;
-  std::uint64_t nodes_evaluated = 0;
   for (std::int32_t round = 1; round <= opts.max_rounds; ++round) {
     stats.rounds_executed = round;
     const obs::Span round_span(opts.trace, "sync.round", opts.trace.rounds());
@@ -132,7 +119,7 @@ RunResult<P> run_sync(const mesh::Mesh2D& m, const P& proto,
       opts.trace.instant("sync.frontier",
                          static_cast<std::int64_t>(participants));
     }
-    nodes_evaluated += participants;
+    stats.nodes_evaluated += participants;
     stats.messages_broadcast += part_links;
 
     std::uint64_t changes = 0;
@@ -182,7 +169,7 @@ RunResult<P> run_sync(const mesh::Mesh2D& m, const P& proto,
     stats.messages_event_driven += changed_links;
     std::swap(cur, next);
   }
-  detail::finish_run(opts, stats, nodes_evaluated);
+  detail::finish_run(opts, stats);
 
   RunResult<P> result{grid::NodeGrid<typename P::State>(m), stats};
   proto.states_from_bits(

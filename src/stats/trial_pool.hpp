@@ -13,10 +13,10 @@
 
 #include "stats/rng.hpp"
 
-namespace ocp::analysis {
+namespace ocp::stats {
 
 /// One independent RNG seed per trial, forked in trial order.
-inline std::vector<std::uint64_t> fork_trial_seeds(stats::Rng& seeder,
+inline std::vector<std::uint64_t> fork_trial_seeds(Rng& seeder,
                                                    std::size_t trials) {
   std::vector<std::uint64_t> seeds(trials);
   for (auto& s : seeds) s = seeder.fork_seed();
@@ -38,4 +38,4 @@ void for_each_trial(std::size_t trials, Fn&& fn) {
 #endif
 }
 
-}  // namespace ocp::analysis
+}  // namespace ocp::stats

@@ -49,13 +49,10 @@ const Snapshot& IngestEngine::acquire() const {
     // Fast path: this thread already holds the current epoch. One atomic
     // load, no refcount traffic, no lock — the case every query after the
     // first takes until the next publish.
-    config_.trace.counter("svc.acquire_fast", 1);
     return *slot.snap;
   }
-  // Slow path: a shared-state touch (lock + refcount) the closed-loop
-  // scaling diagnosis wants attributed — one per thread per publish in the
-  // healthy steady state, one per query if something defeats the cache.
-  config_.trace.counter("svc.acquire_slow", 1);
+  // Slow path: a shared-state touch (lock + refcount) — one per thread per
+  // publish in the healthy steady state.
   std::shared_ptr<const Snapshot> snap;
   std::uint64_t observed;
   {
@@ -115,7 +112,6 @@ BatchOutcome IngestEngine::apply(std::span<const FaultEvent> batch) {
     outcome.applied = 0;
     outcome.coalesced = 0;
     outcome.epoch = epoch_;
-    config_.trace.counter("svc.ingest_crashes", 1);
     std::lock_guard lock(stats_mu_);
     ++stats_.batches;
     ++stats_.crashes;
@@ -160,13 +156,13 @@ BatchOutcome IngestEngine::apply(std::span<const FaultEvent> batch) {
     ++outcome.applied;
   }
   outcome.coalesced = batch.size() - outcome.applied;
-  config_.trace.counter("svc.events_applied",
-                        static_cast<std::int64_t>(outcome.applied));
-  config_.trace.counter("svc.events_coalesced",
-                        static_cast<std::int64_t>(outcome.coalesced));
 
   bool rejected = false;
   std::optional<check::ViolationReport> violation;
+  // What a successful publication built, summed into the stats below.
+  PageStats pages;
+  routing::RouteCache::AdoptStats carry;
+  std::uint64_t dirty_cells = 0;
   // `applied > 0` is the normal publish; `pending_dirty_cells_ > 0` with an
   // empty net delta is the retry path — earlier epochs were withheld and a
   // (possibly empty) later batch re-attempts publication of the labeling
@@ -191,7 +187,6 @@ BatchOutcome IngestEngine::apply(std::span<const FaultEvent> batch) {
       violation = check::ViolationReport{};
       violation->violations.push_back(
           {check::kChaosPoisoned, "chaos plan poisoned the oracle verdict"});
-      config_.trace.counter("svc.oracle_rejects", 1);
     }
     if (!rejected && config_.validate) {
       obs::Span gate_span(config_.trace, "svc.oracle_gate");
@@ -201,28 +196,15 @@ BatchOutcome IngestEngine::apply(std::span<const FaultEvent> batch) {
         // The pending dirty pages and mask stay armed for the next attempt.
         rejected = true;
         violation = std::move(report);
-        config_.trace.counter("svc.oracle_rejects", 1);
       }
     }
     if (rejected) {
       withheld_since_publish_.fetch_add(1, std::memory_order_relaxed);
-      config_.trace.counter("svc.epochs_withheld", 1);
     } else {
       ++epoch_;
-      config_.trace.counter(
-          "svc.pages_copied",
-          static_cast<std::int64_t>(next->page_stats().copied));
-      config_.trace.counter(
-          "svc.pages_shared",
-          static_cast<std::int64_t>(next->page_stats().shared));
-      config_.trace.counter(
-          "svc.cache_routes_carried",
-          static_cast<std::int64_t>(next->cache_carry_stats().carried));
-      config_.trace.counter(
-          "svc.cache_routes_invalidated",
-          static_cast<std::int64_t>(next->cache_carry_stats().invalidated));
-      config_.trace.counter(
-          "svc.dirty_cells", static_cast<std::int64_t>(pending_dirty_cells_));
+      pages = next->page_stats();
+      carry = next->cache_carry_stats();
+      dirty_cells = pending_dirty_cells_;
       pending_dirty_pages_.clear();
       pending_padded_tiles_ = 0;
       pending_dirty_cells_ = 0;
@@ -230,7 +212,6 @@ BatchOutcome IngestEngine::apply(std::span<const FaultEvent> batch) {
       withheld_since_publish_.store(0, std::memory_order_relaxed);
       latest_ = next;
       publish(std::move(next));
-      config_.trace.counter("svc.epochs_published", 1);
       outcome.published = true;
       outcome.epoch = epoch_;
       if (config_.on_publish) {
@@ -250,7 +231,14 @@ BatchOutcome IngestEngine::apply(std::span<const FaultEvent> batch) {
     stats_.applied += outcome.applied;
     stats_.coalesced += outcome.coalesced;
     stats_.invalid += outcome.invalid;
-    if (outcome.published) ++stats_.epochs_published;
+    if (outcome.published) {
+      ++stats_.epochs_published;
+      stats_.pages_copied += pages.copied;
+      stats_.pages_shared += pages.shared;
+      stats_.routes_carried += carry.carried;
+      stats_.routes_invalidated += carry.invalidated;
+      stats_.dirty_cells += dirty_cells;
+    }
     if (rejected) {
       ++stats_.oracle_rejects;
       last_violation_ = std::move(violation);

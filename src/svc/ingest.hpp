@@ -65,7 +65,8 @@ struct IngestConfig {
   /// not rolled back.
   bool validate = false;
   std::uint32_t oracle_checks = check::kAllChecks;
-  /// Observability: publish spans, event/epoch counters.
+  /// Observability: the batch, publish and oracle-gate spans. The
+  /// engine's counters are `IngestEngine::stats()`, traced or not.
   obs::TraceConfig trace;
   /// Deterministic fault injection (disabled by default): oracle poisoning,
   /// mid-batch kills, and — read by the owning `Service` — admission
@@ -133,6 +134,31 @@ struct IngestStats {
   std::uint64_t oracle_rejects = 0;
   /// Mid-batch chaos kills the engine crash-recovered from.
   std::uint64_t crashes = 0;
+  /// Sums over the published epochs: each snapshot's `page_stats()` and
+  /// `cache_carry_stats()`, and the dirty cells it covered (withheld
+  /// attempts included, counted once at the publish that lands them).
+  std::uint64_t pages_copied = 0;
+  std::uint64_t pages_shared = 0;
+  std::uint64_t routes_carried = 0;
+  std::uint64_t routes_invalidated = 0;
+  std::uint64_t dirty_cells = 0;
+
+  IngestStats& operator+=(const IngestStats& o) noexcept {
+    batches += o.batches;
+    events += o.events;
+    applied += o.applied;
+    coalesced += o.coalesced;
+    invalid += o.invalid;
+    epochs_published += o.epochs_published;
+    oracle_rejects += o.oracle_rejects;
+    crashes += o.crashes;
+    pages_copied += o.pages_copied;
+    pages_shared += o.pages_shared;
+    routes_carried += o.routes_carried;
+    routes_invalidated += o.routes_invalidated;
+    dirty_cells += o.dirty_cells;
+    return *this;
+  }
 };
 
 class IngestEngine {

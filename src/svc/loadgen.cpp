@@ -5,10 +5,10 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/trial_pool.hpp"
 #include "fault/generators.hpp"
 #include "stats/fnv.hpp"
 #include "stats/histogram.hpp"
+#include "stats/trial_pool.hpp"
 
 namespace ocp::svc {
 
@@ -187,7 +187,7 @@ SvcLoadResult run_svc_load(const SvcLoadConfig& config) {
       derive_workload(master, machine, config.initial_faults, config.events,
                       config.repair_fraction);
   const auto worker_seeds =
-      analysis::fork_trial_seeds(master, config.query_threads);
+      stats::fork_trial_seeds(master, config.query_threads);
 
   SvcLoadResult result;
   result.stream_digest = event_stream_digest(workload.stream);

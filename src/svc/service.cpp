@@ -145,7 +145,6 @@ void Service::worker_loop(std::uint32_t index) {
         rt.crashed = true;
         rt.draining = false;
       }
-      trace.counter("svc.shard_kills", 1);
       progress_.notify_all();
       return false;
     }
@@ -158,10 +157,6 @@ void Service::worker_loop(std::uint32_t index) {
         ++halo_deltas_;
       }
       halo_events_ += result.halo_events;
-    }
-    if (!result.outgoing.empty()) {
-      trace.counter("svc.halo_deltas",
-                    static_cast<std::int64_t>(result.outgoing.size()));
     }
     return true;
   };
@@ -202,11 +197,9 @@ void Service::worker_loop(std::uint32_t index) {
       // Mid-drain stall: the batch is out of the queue but not applied —
       // the window the flush barrier must not cross early (draining stays
       // set) while overload pressure builds at the admission edge.
-      trace.counter("svc.chaos_stalls", 1);
       std::this_thread::sleep_for(std::chrono::microseconds(decision.stall_us));
     }
     if (decision.defer && !stop_seen) {
-      trace.counter("svc.chaos_defers", 1);
       std::lock_guard lock(mu_);
       rt.deferred = std::move(batch);
       rt.inbox.insert(rt.inbox.begin(), std::make_move_iterator(halo.begin()),
@@ -222,7 +215,6 @@ void Service::worker_loop(std::uint32_t index) {
       // event re-coalesces to nothing (and every delta fails its version
       // gate), so this must not change the published state — the digest
       // invariant chaos tests pin.
-      trace.counter("svc.chaos_duplicates", 1);
       if (!apply_batch(batch)) return;
     }
     {
@@ -243,8 +235,6 @@ SubmitStatus Service::submit(FaultEvent event) {
     // between a predicate check and its wait.
     { std::lock_guard lock(mu_); }
     shards_[target]->wake.notify_one();
-  } else {
-    config_.ingest.trace.counter("svc.submit_rejects", 1);
   }
   if (config_.ingest.trace.enabled()) {
     // depth() takes the queue lock: read it only for a live trace.
@@ -343,7 +333,6 @@ bool Service::restart_shard(std::uint32_t shard) {
     rt.worker = std::thread([this, shard] { worker_loop(shard); });
   }
   if (dead.joinable()) dead.join();
-  config_.ingest.trace.counter("svc.shard_restarts", 1);
   return true;
 }
 
@@ -374,12 +363,11 @@ const Snapshot& Service::read(std::uint32_t s) const {
   // Contention-free acquisition: the reference is pinned by this thread's
   // epoch handle for the duration of the query (see IngestEngine::acquire).
   const Snapshot& snap = engine.acquire();
-  // One relaxed load on the hot path; the counters move only while the
+  // One relaxed load on the hot path; the counter moves only while the
   // oracle gate is actually withholding (degraded mode), never in steady
   // state.
   if (engine.stale_epochs_pending() != 0) {
     stale_queries_served_.fetch_add(1, std::memory_order_relaxed);
-    config_.ingest.trace.counter("svc.stale_epochs_served", 1);
   }
   return snap;
 }
@@ -415,13 +403,11 @@ RegionAnswer Service::query_region(mesh::Coord node) const {
 const routing::Route& Service::route(mesh::Coord src, mesh::Coord dst,
                                      ShardPinSet& pins,
                                      routing::Route& stitched) const {
-  const obs::TraceConfig& trace = config_.ingest.trace;
   std::uint32_t authority = grid_.shard_of(src);
   // The authoritative shard's cached segment. The reference is stable for
   // the snapshot's lifetime; the pin set keeps the snapshot alive for the
   // whole query. A segment that never leaves its shard is the answer as is.
   const routing::Route& direct = pins.get(authority).route(src, dst);
-  trace.counter("svc.route_segments", 1);
   if (grid_.count() == 1 ||
       std::all_of(direct.path.begin(), direct.path.end(),
                   [&](mesh::Coord c) { return grid_.owns(authority, c); })) {
@@ -459,7 +445,7 @@ const routing::Route& Service::route(mesh::Coord src, mesh::Coord dst,
           out.status = routing::RouteStatus::Livelock;
           return out;
         }
-        trace.counter("svc.route_stitch_switches", 1);
+        route_stitch_switches_.fetch_add(1, std::memory_order_relaxed);
         authority = owner;
         switched = true;
         break;
@@ -472,7 +458,6 @@ const routing::Route& Service::route(mesh::Coord src, mesh::Coord dst,
       out.status = routing::RouteStatus::Delivered;
       return out;
     }
-    trace.counter("svc.route_segments", 1);
   }
 }
 
@@ -612,19 +597,13 @@ ServiceStats Service::stats() const {
     stats.chaos_denied += rt->queue.chaos_denied();
     stats.stale_epochs_pending =
         std::max(stats.stale_epochs_pending, engine.stale_epochs_pending());
-    const IngestStats ingest = engine.stats();
-    stats.ingest.batches += ingest.batches;
-    stats.ingest.events += ingest.events;
-    stats.ingest.applied += ingest.applied;
-    stats.ingest.coalesced += ingest.coalesced;
-    stats.ingest.invalid += ingest.invalid;
-    stats.ingest.epochs_published += ingest.epochs_published;
-    stats.ingest.oracle_rejects += ingest.oracle_rejects;
-    stats.ingest.crashes += ingest.crashes;
+    stats.ingest += engine.stats();
   }
   stats.query_overloads = query_overloads_.load(std::memory_order_relaxed);
   stats.stale_queries_served =
       stale_queries_served_.load(std::memory_order_relaxed);
+  stats.route_stitch_switches =
+      route_stitch_switches_.load(std::memory_order_relaxed);
   std::lock_guard lock(mu_);
   stats.halo_deltas = halo_deltas_;
   stats.halo_events = halo_events_;

@@ -187,6 +187,10 @@ struct ServiceStats {
   /// Shard reads answered from a stale (withheld-behind) epoch — the
   /// degraded mode in action: stale answers, never unavailability.
   std::uint64_t stale_queries_served = 0;
+  /// Route queries' authority switches: a stitched segment stepped onto a
+  /// cell its owner serves as blocked and the owner re-routed the rest
+  /// (always 0 at 1x1). Bumped only when a switch happens.
+  std::uint64_t route_stitch_switches = 0;
   /// Halo exchange volume: deltas delivered into inboxes and the synthetic
   /// events they expanded to — the coordination overhead of the sharding
   /// (always 0 at 1x1).
@@ -326,6 +330,7 @@ class Service {
   mutable std::atomic<std::int64_t> inflight_queries_{0};
   mutable std::atomic<std::uint64_t> query_overloads_{0};
   mutable std::atomic<std::uint64_t> stale_queries_served_{0};
+  mutable std::atomic<std::uint64_t> route_stitch_switches_{0};
 };
 
 }  // namespace ocp::svc

@@ -8,8 +8,8 @@
 #include <omp.h>
 #endif
 
-#include "analysis/trial_pool.hpp"
 #include "netsim/load_sweep.hpp"
+#include "stats/trial_pool.hpp"
 
 namespace ocp::netsim {
 namespace {
@@ -125,7 +125,7 @@ TEST(LoadSweepTest, SweepMatchesIndependentTrafficSims) {
   const auto sweep = run_load_sweep(m, blocked, router, config);
 
   stats::Rng seeder(config.seed);
-  const auto seeds = analysis::fork_trial_seeds(seeder, 2);
+  const auto seeds = stats::fork_trial_seeds(seeder, 2);
   LoadPoint manual;
   manual.injection_rate = 0.003;
   manual.trials = 2;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string_view>
 
 #include "core/pipeline.hpp"
 #include "fault/generators.hpp"
@@ -12,8 +14,7 @@
 namespace ocp::obs {
 namespace {
 
-#ifndef OCP_OBS_DISABLE
-
+// A count a trace carries is an instant's value, summed by the report.
 TEST(TraceReportTest, JsonlRoundTripReproducesSpansInstantsAndCounters) {
   TraceSink sink;
   const TraceConfig trace{&sink, TraceLevel::Round};
@@ -21,9 +22,8 @@ TEST(TraceReportTest, JsonlRoundTripReproducesSpansInstantsAndCounters) {
     const Span s(trace, "phase");
     trace.instant("frontier", 10 * (i + 1));
   }
-  trace.counter("flips", 7);
-  trace.counter("flips", 3);
-  trace.counter("messages", 100);
+  trace.instant("flips", 7);
+  trace.instant("flips", 3);
 
   std::stringstream buf;
   sink.write_jsonl(buf);
@@ -44,9 +44,10 @@ TEST(TraceReportTest, JsonlRoundTripReproducesSpansInstantsAndCounters) {
   EXPECT_EQ(frontier->min, 10);
   EXPECT_EQ(frontier->max, 40);
 
-  EXPECT_EQ(report.counter("flips"), 10);
-  EXPECT_EQ(report.counter("messages"), 100);
-  EXPECT_EQ(report.counter("absent"), 0);
+  const InstantStat* flips = report.instant("flips");
+  ASSERT_NE(flips, nullptr);
+  EXPECT_EQ(flips->count, 2u);
+  EXPECT_EQ(flips->sum, 10);
   EXPECT_EQ(report.span("absent"), nullptr);
   EXPECT_EQ(report.instant("absent"), nullptr);
 }
@@ -59,7 +60,6 @@ TEST(TraceReportTest, ChromeExportIsValidTraceEventJson) {
     const Span inner(trace, "inner \"quoted\"\\name");  // exercises escaping
     trace.instant("tick", -5);
   }
-  trace.counter("total", 12);
 
   std::stringstream buf;
   sink.write_chrome_trace(buf);
@@ -69,7 +69,7 @@ TEST(TraceReportTest, ChromeExportIsValidTraceEventJson) {
   EXPECT_NE(text.find("\"ph\":\"B\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"E\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);
+  EXPECT_EQ(text.find("\"ph\":\"C\""), std::string::npos);  // no counters
 }
 
 TEST(TraceReportTest, JsonlExportIsValidJsonPerLine) {
@@ -79,7 +79,6 @@ TEST(TraceReportTest, JsonlExportIsValidJsonPerLine) {
     const Span s(trace, "a");
     trace.instant("i", 1);
   }
-  trace.counter("c", 1);
   std::stringstream buf;
   sink.write_jsonl(buf);
   std::string line;
@@ -88,11 +87,12 @@ TEST(TraceReportTest, JsonlExportIsValidJsonPerLine) {
     ++lines;
     EXPECT_TRUE(json_valid(line)) << line;
   }
-  EXPECT_GE(lines, 5u);  // meta + b + e + i + c (+ h)
+  EXPECT_EQ(lines, 4u);  // meta + b + e + i: no aggregate lines
 }
 
 // Acceptance: a traced pipeline run on a 64x64 mesh at 10% faults produces
-// per-round spans (non-zero count) and flip counters the report can see.
+// per-round spans (non-zero count) the report can see; the flips and
+// messages behind them are the run's typed round statistics.
 TEST(TraceReportTest, TracedPipelineHasPerRoundSpans) {
   TraceSink sink;
   const mesh::Mesh2D m = mesh::Mesh2D::square(64);
@@ -123,9 +123,14 @@ TEST(TraceReportTest, TracedPipelineHasPerRoundSpans) {
       result.activation_stats.rounds_executed);
   EXPECT_EQ(round->count, rounds);
   // At 10% faults some nodes flip and messages flow.
-  EXPECT_GT(report.counter("pipeline.nodes_flipped"), 0);
-  EXPECT_GT(report.counter("pipeline.messages_broadcast"), 0);
-  EXPECT_GT(report.counter("sync.nodes_evaluated"), 0);
+  EXPECT_GT(result.safety_stats.state_changes +
+                result.activation_stats.state_changes,
+            0u);
+  EXPECT_GT(result.safety_stats.messages_broadcast +
+                result.activation_stats.messages_broadcast,
+            0u);
+  EXPECT_GT(result.safety_stats.nodes_evaluated, 0u);
+  EXPECT_GT(result.activation_stats.nodes_evaluated, 0u);
   const InstantStat* frontier = report.instant("sync.frontier");
   ASSERT_NE(frontier, nullptr);
   EXPECT_GT(frontier->count, 0u);
@@ -158,23 +163,19 @@ TEST(TraceReportTest, TracedNetsimRunReportsWormholeWork) {
 
   ASSERT_NE(report.span("traffic_sim.run"), nullptr);
   ASSERT_NE(report.span("wormhole.run"), nullptr);
-  EXPECT_GT(report.counter("wormhole.cycles"), 0);
-  EXPECT_GT(report.counter("wormhole.flit_moves"), 0);
-  EXPECT_EQ(report.counter("wormhole.worms_retired"),
-            static_cast<std::int64_t>(result.delivered_packets));
-  EXPECT_EQ(report.counter("traffic_sim.offered"),
-            static_cast<std::int64_t>(result.offered_packets));
-  EXPECT_EQ(report.counter("traffic_sim.delivered"),
-            static_cast<std::int64_t>(result.delivered_packets));
+  EXPECT_GT(result.cycles, 0);
+  EXPECT_GT(result.flit_moves, 0);
+  EXPECT_LE(result.delivered_packets, result.offered_packets);
 
   std::stringstream chrome;
   sink.write_chrome_trace(chrome);
   EXPECT_TRUE(json_valid(chrome.str()));
 }
 
-// The event kernel's clock-jump savings become a counter: two worms
-// separated by a long quiescent gap make the kernel skip (and account)
-// thousands of idle cycles the sweep kernel would execute one by one.
+// The event kernel's clock-jump savings are a field of its result: two
+// worms separated by a long quiescent gap make the kernel skip (and
+// account) thousands of idle cycles the sweep kernel would execute one by
+// one.
 TEST(TraceReportTest, EventKernelReportsClockJumpSavings) {
   TraceSink sink;
   const mesh::Mesh2D m(8, 8);
@@ -191,14 +192,19 @@ TEST(TraceReportTest, EventKernelReportsClockJumpSavings) {
 
   EXPECT_EQ(result.delivered, 2u);
   EXPECT_FALSE(result.deadlocked);
-  EXPECT_EQ(sink.counter_value("wormhole.cycles"), result.cycles);
-  EXPECT_EQ(sink.counter_value("wormhole.worms_retired"), 2);
+  EXPECT_GT(result.cycles, 5000);
   // The ~5000-cycle gap between the worms was jumped, not simulated.
-  EXPECT_GT(sink.counter_value("wormhole.cycles_jumped"), 4000);
-  EXPECT_EQ(sink.counter_value("wormhole.deadlocks"), 0);
+  EXPECT_GT(result.cycles_jumped, 4000);
+  EXPECT_LT(result.cycles_jumped, result.cycles);
+  // The run itself is still one span on the trace.
+  const auto events = sink.events();
+  EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                          [](const Event& e) {
+                            return e.kind == EventKind::SpanEnd &&
+                                   std::string_view(e.name) == "wormhole.run";
+                          }),
+            1);
 }
-
-#endif  // OCP_OBS_DISABLE
 
 TEST(TraceReportTest, MalformedLinesAreCountedNotFatal) {
   std::stringstream buf;
@@ -206,15 +212,16 @@ TEST(TraceReportTest, MalformedLinesAreCountedNotFatal) {
       << "this is not json\n"
       << "{\"ev\":\"e\",\"name\":\"s\",\"ts_ns\":5,\"dur_ns\":5}\n"
       << "{\"ev\":\"e\",\"name\":\"s\"}\n"          // missing dur_ns
-      << "{\"ev\":\"c\",\"name\":\"k\",\"value\":3}\n"
+      << "{\"ev\":\"c\",\"name\":\"k\",\"value\":3}\n"  // no counters
+      << "{\"ev\":\"h\",\"name\":\"s\",\"count\":1}\n"   // no histograms
       << "{\"ev\":\"??\",\"name\":\"x\",\"value\":1}\n"
       << "\n";
   const TraceReport report = summarize_jsonl(buf);
   EXPECT_EQ(report.schema, "ocpmesh-trace-v1");
   ASSERT_NE(report.span("s"), nullptr);
   EXPECT_EQ(report.span("s")->count, 1u);
-  EXPECT_EQ(report.counter("k"), 3);
-  EXPECT_EQ(report.malformed_lines, 3u);
+  EXPECT_EQ(report.instant("k"), nullptr);
+  EXPECT_EQ(report.malformed_lines, 5u);
 }
 
 TEST(TraceReportTest, EmptyInputYieldsEmptyReport) {
@@ -222,23 +229,21 @@ TEST(TraceReportTest, EmptyInputYieldsEmptyReport) {
   const TraceReport report = summarize_jsonl(buf);
   EXPECT_TRUE(report.spans.empty());
   EXPECT_TRUE(report.instants.empty());
-  EXPECT_TRUE(report.counters.empty());
   EXPECT_EQ(report.malformed_lines, 0u);
 }
 
 TEST(TraceReportTest, ReportTablesCoverAllSections) {
   std::stringstream buf;
   buf << "{\"ev\":\"e\",\"name\":\"s\",\"ts_ns\":5,\"dur_ns\":1000000}\n"
-      << "{\"ev\":\"i\",\"name\":\"f\",\"value\":9}\n"
-      << "{\"ev\":\"c\",\"name\":\"k\",\"value\":3}\n";
+      << "{\"ev\":\"i\",\"name\":\"f\",\"value\":9}\n";
   const TraceReport report = summarize_jsonl(buf);
   const auto tables = report_tables(report);
-  ASSERT_EQ(tables.size(), 3u);
+  ASSERT_EQ(tables.size(), 2u);  // spans, instants
 
   std::stringstream out;
   print_report(report, out);
   EXPECT_NE(out.str().find("s"), std::string::npos);
-  EXPECT_NE(out.str().find("k"), std::string::npos);
+  EXPECT_NE(out.str().find("f"), std::string::npos);
 }
 
 TEST(JsonValidTest, AcceptsWellFormedDocuments) {

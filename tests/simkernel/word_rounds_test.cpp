@@ -1,7 +1,8 @@
 // Round-by-round property test of the word-parallel evaluator: for both of
 // the paper's phases, `run_sync` (word rounds) must match the test tree's
 // `run_nodes` on the same protocols (per-node rounds) — per-round change
-// counts, final states and every RoundStats field — on mesh and torus,
+// counts, final states and every RoundStats field but `nodes_evaluated`
+// (the work each evaluator does, not a fact of the run) — on mesh and torus,
 // Definitions 2a and 2b, 0–30% faults, and widths on, off and around whole
 // 64-bit words.
 #include <gtest/gtest.h>

@@ -64,12 +64,11 @@ RunResult<P> run_nodes(const mesh::AdjacencyTable& adj, const P& proto,
   std::vector<std::uint8_t> changed(node_count, 0);
   std::vector<std::uint32_t> queued(node_count, 0);
   std::uint32_t generation = 0;
-  std::uint64_t nodes_evaluated = 0;
 
   for (std::int32_t round = 1; round <= opts.max_rounds; ++round) {
     stats.rounds_executed = round;
     const obs::Span round_span(opts.trace, "sync.round", opts.trace.rounds());
-    nodes_evaluated += active.size();
+    stats.nodes_evaluated += active.size();
     if (opts.trace.rounds()) {
       opts.trace.instant("sync.frontier",
                          static_cast<std::int64_t>(active.size()));
@@ -132,7 +131,7 @@ RunResult<P> run_nodes(const mesh::AdjacencyTable& adj, const P& proto,
     }
     if (opts.mode == RunMode::Frontier) active.swap(frontier);
   }
-  detail::finish_run(opts, stats, nodes_evaluated);
+  detail::finish_run(opts, stats);
   return RunResult<P>{std::move(curr), stats};
 }
 

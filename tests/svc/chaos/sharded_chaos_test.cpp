@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <thread>
 
 #include "chaos/schedule.hpp"
 #include "svc/loadgen.hpp"
@@ -71,6 +73,45 @@ TEST(ShardedChaosTest, KilledShardReplaysToSingleWriterDigest) {
   ASSERT_FALSE(service.any_shard_crashed());
   EXPECT_EQ(service.composite_digest(), single_writer_digest(initial, events));
   EXPECT_EQ(plan.stats().kills, 1u);
+}
+
+TEST(ShardedChaosTest, StaleGhostViewSwitchesRouteAuthority) {
+  // Shard 0's worker dies before the wall in shard 1 exists, so its halo
+  // deltas pile up unapplied and shard 0 still serves the wall's cells as
+  // enabled. A route from shard 0 east across the wall steps onto a cell
+  // its owner serves as faulty: the stitch switches authority to shard 1,
+  // which routes the rest around the wall.
+  const Mesh2D m(32, 32);
+  FaultPlan plan(PlanSpec{.kill_at_stamps = {1}});
+  svc::ServiceConfig config{.shard_rows = 1, .shard_cols = 2};
+  config.shard_chaos = {ChaosConfig{&plan}, ChaosConfig{}};
+  svc::Service service(grid::CellSet(m), config);
+  ASSERT_EQ(service.submit({svc::EventKind::Fault, {2, 28}}),
+            svc::SubmitStatus::Accepted);
+  service.flush();
+  ASSERT_TRUE(service.shard_crashed(0));
+
+  const auto wall = fault_rect(17, 17, 0, 26);
+  for (const svc::FaultEvent& e : wall) {
+    ASSERT_EQ(service.submit(e), svc::SubmitStatus::Accepted);
+  }
+  // flush returns at once while a shard is down; wait for shard 1 itself.
+  for (int i = 0; i < 5000 && service.snapshot(1)->faults().size() <
+                                  wall.size();
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(service.snapshot(1)->faults().size(), wall.size());
+  ASSERT_EQ(service.stats().route_stitch_switches, 0u);
+
+  const svc::RouteAnswer answer = service.query_route({2, 5}, {30, 5});
+  ASSERT_EQ(answer.status, svc::QueryStatus::Ok);
+  EXPECT_TRUE(answer.route.delivered());
+  EXPECT_EQ(service.stats().route_stitch_switches, 1u);
+
+  plan.disarm();
+  ASSERT_TRUE(service.restart_shard(0));
+  service.flush();
 }
 
 TEST(ShardedChaosTest, KillWhileNeighborDrainsHaloDeltas) {

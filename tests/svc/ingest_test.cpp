@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
+#include "chaos/plan.hpp"
 #include "core/pipeline.hpp"
 #include "fault/generators.hpp"
 #include "svc/loadgen.hpp"
@@ -175,6 +179,63 @@ TEST(IngestTest, StatsAccumulateAcrossBatches) {
   EXPECT_EQ(stats.applied, 2u);
   EXPECT_EQ(stats.coalesced, 1u);
   EXPECT_EQ(stats.epochs_published, 2u);
+}
+
+TEST(IngestTest, PublishSumsMatchEveryPublishedSnapshot) {
+  // The first publish attempt is withheld (poisoned), an empty batch
+  // retries it, and the attempt at stamp 2 crashes mid-batch and is
+  // replayed: only the publications that land may count.
+  chaos::FaultPlan plan(
+      {.poison_publish = 1.0, .max_poisons = 1, .kill_at_stamps = {2}});
+  IngestStats expected;
+  IngestConfig config;
+  config.chaos.plan = &plan;
+  config.on_publish = [&expected](const Snapshot& snap,
+                                  std::span<const Coord> dirty) {
+    expected.pages_copied += snap.page_stats().copied;
+    expected.pages_shared += snap.page_stats().shared;
+    expected.routes_carried += snap.cache_carry_stats().carried;
+    expected.routes_invalidated += snap.cache_carry_stats().invalidated;
+    expected.dirty_cells += dirty.size();
+  };
+  IngestEngine engine(grid::CellSet(Mesh2D(32, 32)), config);
+  // Warm routes on the serving epoch, near and far from the next fault, so
+  // each publication both carries and invalidates cache entries.
+  const auto warm = [&engine] {
+    const auto snap = engine.snapshot();
+    (void)snap->route({0, 0}, {31, 31});
+    (void)snap->route({30, 0}, {30, 31});
+    (void)snap->route({1, 30}, {6, 30});
+  };
+  const auto apply = [&](std::vector<FaultEvent> batch) {
+    warm();
+    return engine.apply(batch);
+  };
+
+  const BatchOutcome withheld = apply({{EventKind::Fault, {4, 4}}});
+  EXPECT_FALSE(withheld.published);
+  EXPECT_TRUE(apply({}).published);  // retry: epoch 1
+  const BatchOutcome crashed = apply({{EventKind::Fault, {20, 6}}});
+  ASSERT_TRUE(crashed.crashed);
+  std::vector<FaultEvent> replay = crashed.requeue;
+  replay.push_back({EventKind::Fault, {20, 6}});
+  EXPECT_TRUE(apply(replay).published);  // epoch 2
+  EXPECT_TRUE(apply({{EventKind::Repair, {4, 4}}}).published);  // epoch 3
+
+  const IngestStats stats = engine.stats();
+  EXPECT_EQ(stats.epochs_published, 3u);
+  EXPECT_EQ(stats.oracle_rejects, 1u);
+  EXPECT_EQ(stats.crashes, 1u);
+  EXPECT_EQ(stats.pages_copied, expected.pages_copied);
+  EXPECT_EQ(stats.pages_shared, expected.pages_shared);
+  EXPECT_EQ(stats.routes_carried, expected.routes_carried);
+  EXPECT_EQ(stats.routes_invalidated, expected.routes_invalidated);
+  EXPECT_EQ(stats.dirty_cells, expected.dirty_cells);
+  EXPECT_GT(stats.pages_copied, 0u);
+  EXPECT_GT(stats.pages_shared, 0u);
+  EXPECT_GT(stats.routes_carried, 0u);
+  EXPECT_GT(stats.routes_invalidated, 0u);
+  EXPECT_GT(stats.dirty_cells, 0u);
 }
 
 }  // namespace

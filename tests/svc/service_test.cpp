@@ -244,6 +244,41 @@ TEST(ServiceTest, StatsReflectQueueAndIngest) {
   }
 }
 
+TEST(ServiceTest, StatsSumEveryShardsIngestStats) {
+  for (const auto& shape : kShapes) {
+    SCOPED_TRACE(shape_name(shape));
+    Service service(empty16(), shaped(shape));
+    for (const Coord c : {Coord{2, 2}, Coord{3, 3}, Coord{9, 9}, Coord{12, 3},
+                          Coord{5, 13}}) {
+      ASSERT_EQ(service.submit({EventKind::Fault, c}), SubmitStatus::Accepted);
+      (void)service.query_route({0, 0}, {15, 15});
+      service.flush();
+    }
+    IngestStats sum;
+    for (std::uint32_t s = 0; s < service.shard_grid().count(); ++s) {
+      const IngestStats shard = service.engine(s).stats();
+      EXPECT_EQ(shard.epochs_published, service.snapshot(s)->epoch());
+      sum.epochs_published += shard.epochs_published;
+      sum.applied += shard.applied;
+      sum.pages_copied += shard.pages_copied;
+      sum.pages_shared += shard.pages_shared;
+      sum.routes_carried += shard.routes_carried;
+      sum.routes_invalidated += shard.routes_invalidated;
+      sum.dirty_cells += shard.dirty_cells;
+    }
+    const IngestStats total = service.stats().ingest;
+    EXPECT_EQ(total.epochs_published, sum.epochs_published);
+    EXPECT_EQ(total.applied, sum.applied);
+    EXPECT_EQ(total.pages_copied, sum.pages_copied);
+    EXPECT_EQ(total.pages_shared, sum.pages_shared);
+    EXPECT_EQ(total.routes_carried, sum.routes_carried);
+    EXPECT_EQ(total.routes_invalidated, sum.routes_invalidated);
+    EXPECT_EQ(total.dirty_cells, sum.dirty_cells);
+    EXPECT_GT(total.pages_copied, 0u);
+    EXPECT_GT(total.dirty_cells, 0u);
+  }
+}
+
 TEST(ServiceTest, DestructorAppliesAcceptedEventsBeforeExit) {
   for (const auto& shape : kShapes) {
     SCOPED_TRACE(shape_name(shape));

@@ -2,8 +2,7 @@
 // small snapshots. A successor rebuilds exactly the serving pages that hold
 // a dirty cell and shares every other page with its predecessor — checked
 // per epoch through `Snapshot::page_stats()` / `shares_pages_with`, and in
-// aggregate through the svc.pages_* obs counters the ingest loop emits on
-// publish. Pages are at most 32x32 (at 1024x1024 a plane has 1,024 of them
+// aggregate through the page sums `IngestStats` keeps over the publishes. Pages are at most 32x32 (at 1024x1024 a plane has 1,024 of them
 // inside 64 coarse tiles); the large cases pin the exact page set on
 // machines with partial edge pages. The torus cases pin the seam behavior:
 // a delta whose unsafe component crosses the wraparound must dirty pages on
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "fault/generators.hpp"
-#include "obs/trace.hpp"
 #include "svc/ingest.hpp"
 #include "svc/snapshot.hpp"
 
@@ -65,10 +63,7 @@ void expect_rebuilt_exactly(const Snapshot& next, const Snapshot& prev,
 
 TEST(SnapshotPagesTest, SingleCellDeltasShareAtLeastThreeQuartersOfPages) {
   const Mesh2D m(32, 32);
-  obs::TraceSink sink;
-  IngestConfig config;
-  config.trace = {.sink = &sink, .level = obs::TraceLevel::Phase};
-  IngestEngine engine(grid::CellSet(m), config);
+  IngestEngine engine{grid::CellSet(m)};
 
   // Isolated tile-interior faults: each delta dirties exactly one tile.
   const Coord faults[] = {{4, 4},   {12, 4},  {20, 4},  {28, 4},
@@ -102,16 +97,14 @@ TEST(SnapshotPagesTest, SingleCellDeltasShareAtLeastThreeQuartersOfPages) {
     prev = snap;
   }
 
-  // The obs counters the ingest loop publishes tell the same story in
-  // aggregate, so dashboards can watch the share ratio without test hooks.
-  const std::int64_t copied = sink.counter_value("svc.pages_copied");
-  const std::int64_t shared = sink.counter_value("svc.pages_shared");
-  EXPECT_EQ(copied + shared,
-            static_cast<std::int64_t>(16u * 2u *
-                                      engine.snapshot()->tiles().page_count()));
-  EXPECT_GE(shared, 3 * copied);
-  EXPECT_GE(sink.counter_value("svc.dirty_cells"), 16);
-  EXPECT_EQ(sink.counter_value("svc.epochs_published"), 16);
+  // The engine's stats tell the same story in aggregate, so dashboards can
+  // watch the share ratio without test hooks.
+  const IngestStats stats = engine.stats();
+  EXPECT_EQ(stats.pages_copied + stats.pages_shared,
+            16u * 2u * engine.snapshot()->tiles().page_count());
+  EXPECT_GE(stats.pages_shared, 3 * stats.pages_copied);
+  EXPECT_GE(stats.dirty_cells, 16u);
+  EXPECT_EQ(stats.epochs_published, 16u);
 }
 
 TEST(SnapshotPagesTest, TorusSeamDeltaDirtiesBothSidesAndMatchesFreshBuild) {
